@@ -18,14 +18,30 @@ Two evaluation orders are exposed for comparison at fractional replication:
 
 The proof order is never below the theorem order; both agree at integer
 replication whenever the integer points are already convex.
+
+The theorem order needs one envelope per cut size, not one per category.
+The bound for cut c is ``1 + (s - c)*g_c(t)`` with
+``g_c(t) = C(c - 1, t - 1) / (t*C(KT, t))``, and since ``s - c >= 0``
+
+    Conv[1 + (s - c)*g_c](t) = 1 + (s - c)*Conv[g_c](t)
+
+exactly: adding a constant and scaling by ``s - c > 0`` multiplies every
+cross product of the hull scan by the same positive factor, so the hull keeps
+the same vertices and interpolates the same line segments; at ``s = c`` both
+sides are the flat envelope 1.  So the ``KT`` envelopes ``Conv[g_c]`` serve
+every category, and the winning cut at one replication is an integer argmax
+of ``(s - c)*n_c`` once their values share one denominator.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .combinatorics import binom
 from .demands import DistinctCountDistribution, distinct_distribution
@@ -42,9 +58,22 @@ class InfeasibleLibrary(Exception):
 
 
 def _as_fraction(value) -> Fraction:
+    """Exact rational from an int, Fraction or decimal string; floats and bools
+    are rejected rather than silently widened to their binary expansion."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, (bool, float)):
+        raise TypeError(
+            f"expected an exact rational (int, Fraction or string), got {value!r}"
+        )
     return Fraction(value)
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,9 +93,7 @@ class NetworkConfig:
 
     def __post_init__(self):
         for name in ("transmitters", "receivers", "files"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            _check_count(name, getattr(self, name))
         mu = _as_fraction(self.cache_fraction)
         object.__setattr__(self, "cache_fraction", mu)
         if not Fraction(1, self.transmitters) <= mu <= 1:
@@ -78,6 +105,13 @@ class NetworkConfig:
     def replication(self) -> Fraction:
         """Cache replication parameter t = transmitters * cache_fraction."""
         return self.transmitters * self.cache_fraction
+
+
+def _abscissa(t) -> int:
+    x = int(t)
+    if x != t:
+        raise ValueError(f"envelope abscissae must be integers, got {t!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -94,7 +128,7 @@ class ConvexEnvelope:
 
     @classmethod
     def of_points(cls, points: Iterable[tuple[int, Fraction]]) -> "ConvexEnvelope":
-        pts = tuple((int(t), _as_fraction(v)) for t, v in points)
+        pts = tuple((_abscissa(t), _as_fraction(v)) for t, v in points)
         if not pts:
             raise ValueError("envelope needs at least one point")
         if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
@@ -112,30 +146,30 @@ class ConvexEnvelope:
             hull.append(p)
         return cls(points=pts, vertices=tuple(hull))
 
-    def evaluate(self, x: Fraction) -> Fraction:
+    def _locate(self, x) -> tuple[Fraction, int]:
+        """Checked abscissa and the index of the last vertex at or left of it."""
         x = _as_fraction(x)
         lo, hi = self.vertices[0][0], self.vertices[-1][0]
         if not lo <= x <= hi:
             raise ValueError(f"abscissa {x} outside envelope domain [{lo}, {hi}]")
-        for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:]):
-            if x <= x2:
-                if x == x1:
-                    return y1
-                return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
-        return self.vertices[-1][1]
+        # vertex abscissae are integers, so searching for floor(x) finds the
+        # same vertex as searching for x, with integer comparisons only
+        floor = x.numerator // x.denominator
+        return x, bisect_right(self.vertices, floor, key=itemgetter(0)) - 1
+
+    def evaluate(self, x: Fraction) -> Fraction:
+        x, i = self._locate(x)
+        x1, y1 = self.vertices[i]
+        if x == x1:
+            return y1
+        x2, y2 = self.vertices[i + 1]
+        return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
 
     def bracket(self, x: Fraction) -> tuple[int, int]:
         """Vertex abscissae of the segment active at x (equal when x is a vertex)."""
-        x = _as_fraction(x)
-        lo, hi = self.vertices[0][0], self.vertices[-1][0]
-        if not lo <= x <= hi:
-            raise ValueError(f"abscissa {x} outside envelope domain [{lo}, {hi}]")
-        for (x1, _), (x2, _) in zip(self.vertices, self.vertices[1:]):
-            if x == x1:
-                return (x1, x1)
-            if x < x2:
-                return (x1, x2)
-        return (hi, hi)
+        x, i = self._locate(x)
+        x1 = self.vertices[i][0]
+        return (x1, x1) if x == x1 else (x1, self.vertices[i + 1][0])
 
 
 def bound_expression(
@@ -159,7 +193,7 @@ def bound_expression(
     return Fraction(base + extra, base)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def envelope_for_cut(transmitters: int, distinct: int, cut_size: int) -> ConvexEnvelope:
     """Envelope of the per-cut bound over integer replication 1..transmitters."""
     return ConvexEnvelope.of_points(
@@ -168,20 +202,57 @@ def envelope_for_cut(transmitters: int, distinct: int, cut_size: int) -> ConvexE
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
+def _cut_envelopes(transmitters: int) -> tuple[ConvexEnvelope, ...]:
+    """``Conv[g_c]`` for c = 1..transmitters, g_c(t) = C(c-1, t-1) / (t*C(KT, t))."""
+    return tuple(
+        ConvexEnvelope.of_points(
+            (t, Fraction(binom(cut - 1, t - 1), t * binom(transmitters, t)))
+            for t in range(1, transmitters + 1)
+        )
+        for cut in range(1, transmitters + 1)
+    )
+
+
+class _CutSlopes(NamedTuple):
+    """Every ``Conv[g_c](t)`` at one replication, the slope of cut c's bound in
+    ``s - c``, as ``numerators[c-1] / denominator``; plus the vertex abscissae
+    of the segment of ``Conv[g_c]`` active at t."""
+
+    denominator: int
+    numerators: tuple[int, ...]
+    segments: tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=1024)
+def _cut_slopes(transmitters: int, replication: Fraction) -> _CutSlopes:
+    envelopes = _cut_envelopes(transmitters)
+    values = [env.evaluate(replication) for env in envelopes]
+    denominator = math.lcm(*(v.denominator for v in values))
+    return _CutSlopes(
+        denominator=denominator,
+        numerators=tuple(v.numerator * (denominator // v.denominator) for v in values),
+        segments=tuple(env.bracket(replication) for env in envelopes),
+    )
+
+
+# An expected sweep revisits every distinct count at each grid point, so this
+# cache (and category_bound's, for Monte-Carlo columns) must cover the pmf's
+# support to hit; 2048 counts cover receiver counts up to 2048.
+@lru_cache(maxsize=2048)
 def _merged_envelope(transmitters: int, distinct: int) -> ConvexEnvelope:
     """Proof-order envelope: maximize over cut sizes first, then convexify."""
     top = min(transmitters, distinct)
-    return ConvexEnvelope.of_points(
-        (
-            t,
-            max(
-                bound_expression(transmitters, distinct, cut, t)
-                for cut in range(1, top + 1)
-            ),
+    points = []
+    for t in range(1, transmitters + 1):
+        base = t * binom(transmitters, t)
+        # C(cut - 1, t - 1) vanishes for cut < t
+        extra = max(
+            ((distinct - cut) * binom(cut - 1, t - 1) for cut in range(t, top + 1)),
+            default=0,
         )
-        for t in range(1, transmitters + 1)
-    )
+        points.append((t, Fraction(base + extra, base)))
+    return ConvexEnvelope.of_points(points)
 
 
 @dataclass(frozen=True)
@@ -201,10 +272,8 @@ class CategoryBoundDetail:
 def _check_category_args(transmitters: int, distinct: int, replication, order: str):
     if order not in ENVELOPE_ORDERS:
         raise ValueError(f"order must be one of {ENVELOPE_ORDERS}, got {order!r}")
-    if transmitters < 1 or distinct < 1:
-        raise ValueError(
-            f"transmitters and distinct must be positive, got {transmitters}, {distinct}"
-        )
+    _check_count("transmitters", transmitters)
+    _check_count("distinct", distinct)
     t = _as_fraction(replication)
     if not 1 <= t <= transmitters:
         raise ValueError(
@@ -213,38 +282,53 @@ def _check_category_args(transmitters: int, distinct: int, replication, order: s
     return t
 
 
-def category_bound_detail(
-    transmitters: int, distinct: int, replication, order: str = "theorem"
+def _category_detail(
+    transmitters: int, distinct: int, t: Fraction, order: str
 ) -> CategoryBoundDetail:
-    t = _check_category_args(transmitters, distinct, replication, order)
+    """Shared body of ``category_bound`` and ``category_bound_detail``, on checked
+    arguments.  Kept private so that a call of one public name never shows up
+    in call counts as a call of the other."""
     if order == "proof":
         env = _merged_envelope(transmitters, distinct)
         return CategoryBoundDetail(
             value=env.evaluate(t), best_cut=None, segment=env.bracket(t)
         )
-    best_value = None
-    best_cut = None
-    best_segment = None
-    for cut in range(1, min(transmitters, distinct) + 1):
-        env = envelope_for_cut(transmitters, distinct, cut)
-        value = env.evaluate(t)
-        if best_value is None or value > best_value:
-            best_value, best_cut, best_segment = value, cut, env.bracket(t)
-    return CategoryBoundDetail(value=best_value, best_cut=best_cut, segment=best_segment)
+    denominator, numerators, segments = _cut_slopes(transmitters, t)
+    # max() keeps the first maximal element, so this is the smallest argmax
+    best_cut = max(
+        range(1, min(transmitters, distinct) + 1),
+        key=lambda cut: (distinct - cut) * numerators[cut - 1],
+    )
+    extra = (distinct - best_cut) * numerators[best_cut - 1]
+    if best_cut == distinct:
+        # flat envelope: its hull is not the hull of g_c (only s == 1 gets here)
+        segment = envelope_for_cut(transmitters, distinct, best_cut).bracket(t)
+    else:
+        segment = segments[best_cut - 1]
+    return CategoryBoundDetail(
+        value=Fraction(denominator + extra, denominator),
+        best_cut=best_cut,
+        segment=segment,
+    )
 
 
-@lru_cache(maxsize=None)
+def category_bound_detail(
+    transmitters: int, distinct: int, replication, order: str = "theorem"
+) -> CategoryBoundDetail:
+    """``category_bound`` with its winning cut and envelope segment."""
+    t = _check_category_args(transmitters, distinct, replication, order)
+    return _category_detail(transmitters, distinct, t, order)
+
+
+# typed: 1.5 == Fraction(3, 2) with equal hashes, so an untyped cache would
+# answer a float from a Fraction's entry and skip the exactness check
+@lru_cache(maxsize=4096, typed=True)
 def category_bound(
     transmitters: int, distinct: int, replication, order: str = "theorem"
 ) -> Fraction:
     """Bound for the category of demands with ``distinct`` different files."""
     t = _check_category_args(transmitters, distinct, replication, order)
-    if order == "proof":
-        return _merged_envelope(transmitters, distinct).evaluate(t)
-    return max(
-        envelope_for_cut(transmitters, distinct, cut).evaluate(t)
-        for cut in range(1, min(transmitters, distinct) + 1)
-    )
+    return _category_detail(transmitters, distinct, t, order).value
 
 
 def peak_ndt_lower_bound(config: NetworkConfig, order: str = "theorem") -> Fraction:

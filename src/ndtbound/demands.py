@@ -68,7 +68,7 @@ class DistinctCountDistribution:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def distinct_distribution(files: int, receivers: int) -> DistinctCountDistribution:
     """Analytic pmf: P(S = s) = C(files, s) * surjections(receivers, s) / files^receivers.
 

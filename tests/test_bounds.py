@@ -4,8 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ndtbound import bounds, demands
 from ndtbound.bounds import (
+    ENVELOPE_ORDERS,
     BoundCurve,
     ConvexEnvelope,
     DomainError,
@@ -55,6 +59,46 @@ def test_config_validation():
 def test_config_coerces_exact_cache_fraction():
     assert NetworkConfig(2, 2, 2, "0.5").cache_fraction == F(1, 2)
     assert NetworkConfig(2, 2, 2, 1).cache_fraction == F(1)
+
+
+def test_floats_and_bools_are_rejected():
+    dist = distinct_distribution(3, 3)
+    inexact = [
+        lambda: NetworkConfig(2, 2, 2, 0.6),
+        lambda: NetworkConfig(True, 2, 2, 1),
+        lambda: NetworkConfig(2, 2, 2.0, 1),
+        lambda: NetworkConfig(2, 2, 2, True),
+        lambda: category_bound(3, 3, 1.5),
+        lambda: category_bound(3, 3, True),
+        lambda: category_bound(3, True, 1),
+        lambda: category_bound_detail(3, 3, 1.5),
+        lambda: category_bound_detail(3, 3, 2.0, "proof"),
+        lambda: expected_bound_for_distribution(3, dist, 1.5),
+        lambda: validate_grid(3, [0.5]),
+        lambda: validate_grid(3, [F(1, 2), True]),
+    ]
+    for call in inexact:
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_cache_hit_does_not_bypass_exactness_check():
+    # 1.5 == F(3, 2) and both hash alike, so an untyped cache would answer it
+    assert category_bound(3, 3, F(3, 2)) == F(4, 3)
+    with pytest.raises(TypeError):
+        category_bound(3, 3, 1.5)
+
+
+def test_caches_are_bounded():
+    for cached in (
+        bounds.category_bound,
+        bounds.envelope_for_cut,
+        bounds._cut_envelopes,
+        bounds._cut_slopes,
+        bounds._merged_envelope,
+        demands.distinct_distribution,
+    ):
+        assert cached.cache_info().maxsize is not None, cached
 
 
 def test_bound_expression_examples():
@@ -127,6 +171,8 @@ def test_envelope_rejects_bad_points():
         ConvexEnvelope.of_points([])
     with pytest.raises(ValueError):
         ConvexEnvelope.of_points([(1, F(1)), (1, F(2))])
+    with pytest.raises(ValueError):
+        ConvexEnvelope.of_points([(F(3, 2), F(1)), (F(5, 2), F(2))])
 
 
 def chord_min_envelope(points, x: Fraction) -> Fraction:
@@ -273,6 +319,79 @@ def test_theorem_order_matches_composed_oracle():
             )
             assert category_bound(kt, distinct, t) == composed
             t += F(1, 4)
+
+
+def per_cut_oracle(kt: int, distinct: int, t, order: str):
+    """The construction the fast path replaces: one envelope per (KT, s, c).
+
+    Theorem order takes the smallest maximizing cut of ``envelope_for_cut``
+    and its bracket; proof order convexifies the pointwise maximum of
+    ``bound_expression``.  Returns (value, best_cut, segment)."""
+    cuts = range(1, min(kt, distinct) + 1)
+    if order == "proof":
+        env = ConvexEnvelope.of_points(
+            (n, max(bound_expression(kt, distinct, c, n) for c in cuts))
+            for n in range(1, kt + 1)
+        )
+        return env.evaluate(t), None, env.bracket(t)
+    envelopes = [envelope_for_cut(kt, distinct, c) for c in cuts]
+    values = [env.evaluate(t) for env in envelopes]
+    best = max(values)
+    cut = values.index(best) + 1
+    return best, cut, envelopes[cut - 1].bracket(t)
+
+
+@st.composite
+def replications(draw, kt: int):
+    """An int or a Fraction in [1, kt], integer-valued or not."""
+    if draw(st.booleans()):
+        return draw(st.integers(1, kt))
+    denominator = draw(st.integers(1, 6))
+    return F(draw(st.integers(denominator, kt * denominator)), denominator)
+
+
+@st.composite
+def category_cases(draw):
+    kt = draw(st.integers(1, 9))
+    distinct = draw(
+        st.one_of(st.just(1), st.integers(1, kt), st.integers(kt, 3 * kt + 2))
+    )
+    return kt, distinct, draw(replications(kt)), draw(st.sampled_from(ENVELOPE_ORDERS))
+
+
+@settings(max_examples=80, deadline=None)
+@given(category_cases())
+@example((3, 1, F(3, 2), "theorem"))  # s = 1: the flat envelope's segment
+@example((4, 1, 2, "proof"))
+@example((5, 3, F(7, 3), "theorem"))  # s < KT
+@example((5, 3, F(7, 3), "proof"))
+@example((4, 9, F(5, 2), "theorem"))  # s >= KT
+@example((4, 9, 3, "proof"))
+def test_category_bound_detail_matches_per_cut_oracle(case):
+    kt, distinct, t, order = case
+    detail = category_bound_detail(kt, distinct, t, order)
+    assert (detail.value, detail.best_cut, detail.segment) == per_cut_oracle(
+        kt, distinct, t, order
+    )
+    assert category_bound(kt, distinct, t, order) == detail.value
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kt=st.integers(1, 7),
+    files=st.integers(1, 15),
+    receivers=st.integers(1, 15),
+    order=st.sampled_from(ENVELOPE_ORDERS),
+    data=st.data(),
+)
+def test_expected_bound_matches_per_cut_oracle(kt, files, receivers, order, data):
+    t = data.draw(replications(kt))
+    dist = distinct_distribution(files, receivers)
+    oracle = sum(
+        (p * per_cut_oracle(kt, s, t, order)[0] for s, p in dist.masses.items()),
+        F(0),
+    )
+    assert expected_bound_for_distribution(kt, dist, t, order) == oracle
 
 
 def test_point_mass_distribution_recovers_peak_bound():
