@@ -43,10 +43,11 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .combinatorics import binom
+from .combinatorics import _as_fraction, _check_count, binom
 from .demands import DistinctCountDistribution, distinct_distribution
 
 ENVELOPE_ORDERS = ("theorem", "proof")
+BOUND_KINDS = ("peak", "expected")
 
 
 class DomainError(ValueError):
@@ -55,25 +56,6 @@ class DomainError(ValueError):
 
 class InfeasibleLibrary(Exception):
     """Peak bound requested with fewer files than receivers."""
-
-
-def _as_fraction(value) -> Fraction:
-    """Exact rational from an int, Fraction or decimal string; floats and bools
-    are rejected rather than silently widened to their binary expansion."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (bool, float)):
-        raise TypeError(
-            f"expected an exact rational (int, Fraction or string), got {value!r}"
-        )
-    return Fraction(value)
-
-
-def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -176,11 +158,10 @@ def bound_expression(
     transmitters: int, distinct: int, cut_size: int, replication: int
 ) -> Fraction:
     """Per-category bound at one integer replication value, for one cut size."""
-    if transmitters < 1:
-        raise ValueError(f"transmitters must be positive, got {transmitters}")
-    if distinct < 1:
-        raise ValueError(f"distinct must be positive, got {distinct}")
-    if not 1 <= replication <= transmitters:
+    _check_count("transmitters", transmitters)
+    _check_count("distinct", distinct)
+    _check_count("replication", replication)
+    if replication > transmitters:
         raise ValueError(
             f"replication must be an integer in [1, {transmitters}], got {replication}"
         )
@@ -383,7 +364,7 @@ class BoundCurve:
     samples: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        if self.kind not in ("peak", "expected"):
+        if self.kind not in BOUND_KINDS:
             raise ValueError(f"kind must be 'peak' or 'expected', got {self.kind!r}")
         mus = [mu for mu, _ in self.samples]
         if any(b <= a for a, b in zip(mus, mus[1:])):
@@ -420,7 +401,7 @@ def sweep(
     order: str = "theorem",
 ) -> BoundCurve:
     """Evaluate one bound over a cache-size grid."""
-    if kind not in ("peak", "expected"):
+    if kind not in BOUND_KINDS:
         raise ValueError(f"kind must be 'peak' or 'expected', got {kind!r}")
     grid = validate_grid(transmitters, mu_grid)
     evaluate = peak_ndt_lower_bound if kind == "peak" else expected_ndt_lower_bound

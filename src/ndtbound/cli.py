@@ -29,12 +29,12 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import (
+    BOUND_KINDS,
     ENVELOPE_ORDERS,
     InfeasibleLibrary,
     NetworkConfig,
     category_bound,
     category_bound_detail,
-    expected_ndt_lower_bound,
     peak_ndt_lower_bound,
     sweep,
 )
@@ -47,6 +47,8 @@ from .oracle import full_verification
 # Monte-Carlo sub-streams
 SUB_SEED_STRIDE = 1_000_003
 
+OUTPUT_FORMATS = ("csv", "json")
+
 
 class CliError(Exception):
     """Invalid configuration; maps to exit status 1."""
@@ -54,6 +56,8 @@ class CliError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One CLI run; the field defaults are the CLI defaults."""
+
     command: str
     transmitters: int = 5
     receivers: int = 20
@@ -70,6 +74,25 @@ class RunConfig:
     kind: str = "peak"
     limit: int = 16
     max_transmitters: int = 6
+
+    def __post_init__(self):
+        for name, allowed in (
+            ("command", tuple(_COMMANDS)),
+            ("output_format", OUTPUT_FORMATS),
+            ("envelope_order", ENVELOPE_ORDERS),
+            ("kind", BOUND_KINDS),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+        object.__setattr__(self, "overlays", tuple(self.overlays))
+
+
+# argparse dests that are spelled differently as RunConfig fields
+_FIELDS = {
+    "kt": "transmitters", "kr": "receivers", "kt_max": "max_transmitters", "grid": "mu_grid",
+    "format": "output_format", "out": "output_path", "overlay": "overlays",
+}
 
 
 def parse_rational(text: str) -> Fraction:
@@ -107,148 +130,149 @@ def parse_grid(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(part) for part in text.split(","))
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    """Flat key=value file mirroring the flags; '#' starts a comment."""
-    values: dict[str, str] = {}
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise CliError(f"cannot read config file {path!r}: {exc}") from None
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
+    # argparse defaults stay None: RunConfig holds them, and None marks "not given"
     parser = _Parser(prog="ndtbound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = RunConfig
+
+    def add_library(p):
+        p.add_argument(
+            "--kr", type=int, help=f"number of receivers (default {defaults.receivers})"
+        )
+        p.add_argument("--files", type=int, help=f"library size (default {defaults.files})")
 
     def add_common(p, *, net=False, grid=False, mu=False, sampling=False):
         p.add_argument("--config", help="flat key=value config file; flags override it")
         if net:
-            p.add_argument("--kt", type=int, help="number of transmitters (default 5)")
-            p.add_argument("--kr", type=int, help="number of receivers (default 20)")
-            p.add_argument("--files", type=int, help="library size (default 100)")
+            p.add_argument(
+                "--kt",
+                type=int,
+                help=f"number of transmitters (default {defaults.transmitters})",
+            )
+            add_library(p)
         if grid:
             p.add_argument(
                 "--grid",
+                type=parse_grid,
                 help="cache-size grid: start:stop:count or a comma list of rationals",
             )
         if mu:
-            p.add_argument("--mu", help="normalized cache size (exact rational)")
+            p.add_argument(
+                "--mu", type=parse_rational, help="normalized cache size (exact rational)"
+            )
         if sampling:
             p.add_argument(
                 "--samples",
                 type=int,
                 help="Monte-Carlo sample count for the cross-check column",
             )
-            p.add_argument("--seed", type=int, help="sampler seed (default 0)")
+            p.add_argument("--seed", type=int, help=f"sampler seed (default {defaults.seed})")
         p.add_argument("--decimal", type=int, help="render rationals with this many decimals")
-        p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+        p.add_argument(
+            "--format",
+            choices=OUTPUT_FORMATS,
+            help=f"output format (default {defaults.output_format})",
+        )
         p.add_argument("--out", help="output path (default standard output)")
 
-    peak = sub.add_parser("peak-sweep", help="worst-case bound over a cache-size grid")
-    add_common(peak, net=True, grid=True)
-    peak.add_argument("--overlay", action="append", help="reference curve to overlay")
-    peak.add_argument("--envelope-order", choices=ENVELOPE_ORDERS)
-
-    expected = sub.add_parser(
-        "expected-sweep", help="expected-demand bound over a cache-size grid"
-    )
-    add_common(expected, net=True, grid=True, sampling=True)
-    expected.add_argument("--overlay", action="append", help="reference curve to overlay")
-    expected.add_argument("--envelope-order", choices=ENVELOPE_ORDERS)
+    for name, text in (
+        ("peak-sweep", "worst-case bound over a cache-size grid"),
+        ("expected-sweep", "expected-demand bound over a cache-size grid"),
+    ):
+        curve = sub.add_parser(name, help=text)
+        add_common(curve, net=True, grid=True, sampling=name == "expected-sweep")
+        curve.add_argument("--overlay", action="append", help="reference curve to overlay")
+        curve.add_argument("--envelope-order", choices=ENVELOPE_ORDERS)
 
     dist = sub.add_parser("distribution", help="exact distinct-count pmf")
     add_common(dist)
-    dist.add_argument("--kr", type=int, help="number of receivers (default 20)")
-    dist.add_argument("--files", type=int, help="library size (default 100)")
+    add_library(dist)
 
     verify = sub.add_parser("verify", help="run every oracle suite")
     add_common(verify)
-    verify.add_argument("--limit", type=int, help="identity-suite range (default 16)")
     verify.add_argument(
-        "--kt-max", type=int, help="largest transmitter count for the LP suites (default 6)"
+        "--limit", type=int, help=f"identity-suite range (default {defaults.limit})"
+    )
+    verify.add_argument(
+        "--kt-max",
+        type=int,
+        help="largest transmitter count for the LP suites "
+        f"(default {defaults.max_transmitters})",
     )
 
     point = sub.add_parser("point", help="one bound value with its evidence")
     add_common(point, net=True, mu=True)
-    point.add_argument("--kind", choices=("peak", "expected"))
+    point.add_argument("--kind", choices=BOUND_KINDS)
     point.add_argument("--envelope-order", choices=ENVELOPE_ORDERS)
 
+    # per command, the keys a config file may set: each option's long name
+    # without dashes (the long name is listed last, as in "-h", "--help")
+    parser.file_keys = {
+        name: frozenset(action.option_strings[-1][2:] for action in command._actions)
+        - {"config", "help"}
+        for name, command in sub.choices.items()
+    }
     return parser
 
 
-def _merge(args: argparse.Namespace) -> RunConfig:
-    file_values = _read_config_file(args.config) if args.config else {}
+def _file_tokens(parser: _Parser, command: str, path: str) -> list[str]:
+    """The flat key=value file as ``--key=value`` flags of ``command``; '#' starts
+    a comment.  Keys that only other commands take are skipped, keys that no
+    command takes are errors, and no key is read as an abbreviation."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise CliError(f"cannot read config file {path!r}: {exc}") from None
+    known = frozenset().union(*parser.file_keys.values())
+    tokens = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise CliError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        if key not in known:
+            raise CliError(f"{path}:{lineno}: no command takes the key {key!r}")
+        if key in parser.file_keys[command]:
+            if key == "overlay":  # the one repeatable option takes a comma list
+                names = (name.strip() for name in value.split(","))
+                tokens.extend(f"--overlay={name}" for name in names if name)
+            else:
+                tokens.append(f"--{key}={value}")
+    return tokens
 
-    def pick(flag: str, parse, default=None):
-        value = getattr(args, flag.replace("-", "_"), None)
-        if value is not None:
-            return value
-        if flag in file_values:
-            return parse(file_values[flag])
-        return default
 
-    def parse_int(text: str) -> int:
+def parse_run_config(argv=None) -> RunConfig:
+    """Flags, else values of the ``--config`` file parsed like flags, else the
+    RunConfig defaults."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    from_file = argparse.Namespace()
+    if args.config is not None:
+        tokens = _file_tokens(parser, args.command, args.config)
         try:
-            return int(text)
-        except ValueError:
-            raise CliError(f"expected an integer, got {text!r}") from None
-
-    overlays = pick(
-        "overlay", lambda text: [p.strip() for p in text.split(",") if p.strip()], []
-    )
-    mu_text = pick("mu", str)
-    grid_text = pick("grid", str)
-    fmt = pick("format", str, "csv")
-    if fmt not in ("csv", "json"):
-        raise CliError(f"format must be csv or json, got {fmt!r}")
-    order = pick("envelope-order", str, "theorem")
-    if order not in ENVELOPE_ORDERS:
-        raise CliError(f"envelope-order must be one of {ENVELOPE_ORDERS}, got {order!r}")
-    kind = pick("kind", str, "peak")
-    if kind not in ("peak", "expected"):
-        raise CliError(f"kind must be peak or expected, got {kind!r}")
-
-    return RunConfig(
-        command=args.command,
-        transmitters=pick("kt", parse_int, 5),
-        receivers=pick("kr", parse_int, 20),
-        files=pick("files", parse_int, 100),
-        mu_grid=parse_grid(grid_text) if grid_text is not None else None,
-        mu=parse_rational(mu_text) if mu_text is not None else None,
-        samples=pick("samples", parse_int),
-        seed=pick("seed", parse_int, 0),
-        decimal=pick("decimal", parse_int),
-        output_format=fmt,
-        output_path=pick("out", str),
-        overlays=tuple(overlays),
-        envelope_order=order,
-        kind=kind,
-        limit=pick("limit", parse_int, 16),
-        max_transmitters=pick("kt-max", parse_int, 6),
-    )
+            from_file = parser.parse_args([args.command, *tokens])
+        except CliError as exc:
+            raise CliError(f"{args.config}: {exc}") from None
+    fields = {
+        _FIELDS.get(dest, dest): value
+        for namespace in (from_file, args)  # flags last, so they win
+        for dest, value in vars(namespace).items()
+        if value is not None and dest != "config"
+    }
+    return RunConfig(**fields)
 
 
-def _require(config: RunConfig, *fields: str):
-    flags = {"mu_grid": "--grid", "mu": "--mu"}
-    missing = [f for f in fields if getattr(config, f) is None]
-    if missing:
-        raise CliError(
-            "missing required options: " + ", ".join(flags[name] for name in missing)
-        )
+def _require(value, flag: str):
+    if value is None:
+        raise CliError(f"missing required options: {flag}")
 
 
 def _renderer(config: RunConfig):
@@ -268,16 +292,10 @@ def _emit(config: RunConfig, text: str):
 
 
 def _metadata(config: RunConfig) -> dict:
-    return {
-        "command": config.command,
-        "kt": config.transmitters,
-        "kr": config.receivers,
-        "files": config.files,
-        "samples": config.samples,
-        "seed": config.seed,
-        "envelope_order": config.envelope_order,
-        "version": __version__,
-    }
+    """The run's settings under their flag names, and the tool version."""
+    keys = ("command", "kt", "kr", "files", "samples", "seed", "envelope_order")
+    metadata = {key: getattr(config, _FIELDS.get(key, key)) for key in keys}
+    return metadata | {"version": __version__}
 
 
 def _emit_table(config: RunConfig, header: list[str], rows: list[list[str]]):
@@ -312,18 +330,12 @@ def _mc_column(config: RunConfig, grid: tuple[Fraction, ...]) -> list[Fraction]:
 
 
 def _run_sweep(config: RunConfig) -> int:
-    _require(config, "mu_grid")
+    _require(config.mu_grid, "--grid")
     if config.samples is not None and config.samples < 1:
         raise CliError(f"--samples must be positive, got {config.samples}")
     kind = "peak" if config.command == "peak-sweep" else "expected"
-    curve = sweep(
-        config.transmitters,
-        config.receivers,
-        config.files,
-        config.mu_grid,
-        kind,
-        config.envelope_order,
-    )
+    network = (config.transmitters, config.receivers, config.files)
+    curve = sweep(*network, config.mu_grid, kind, config.envelope_order)
 
     registry = default_registry()
     known = registry.names()
@@ -333,26 +345,15 @@ def _run_sweep(config: RunConfig) -> int:
     # overlay columns follow registration order, not request order
     overlay_names = [name for name in known if name in config.overlays]
 
+    grid = tuple(mu for mu, _ in curve.samples)
     header = ["mu", "value"]
-    columns: list[list] = [
-        [mu for mu, _ in curve.samples],
-        [value for _, value in curve.samples],
-    ]
+    columns: list[list] = [list(grid), list(curve.values())]
     if kind == "expected" and config.samples:
         header.append("mc_value")
-        columns.append(_mc_column(config, tuple(mu for mu, _ in curve.samples)))
+        columns.append(_mc_column(config, grid))
     for name in overlay_names:
         header.append(name)
-        column = []
-        for mu, _ in curve.samples:
-            point_config = NetworkConfig(
-                transmitters=config.transmitters,
-                receivers=config.receivers,
-                files=config.files,
-                cache_fraction=mu,
-            )
-            column.append(registry.evaluate(name, point_config))
-        columns.append(column)
+        columns.append([registry.evaluate(name, NetworkConfig(*network, mu)) for mu in grid])
 
     render = _renderer(config)
 
@@ -380,15 +381,13 @@ def _run_verify(config: RunConfig) -> int:
     if not 1 <= config.max_transmitters <= 10:
         raise CliError(f"--kt-max must lie in [1, 10], got {config.max_transmitters}")
     report = full_verification(config.limit, config.max_transmitters)
-    if config.output_format == "json":
-        _emit(config, report.to_json_lines() + "\n")
-    else:
-        _emit(config, report.to_text() + "\n")
+    text = report.to_json_lines() if config.output_format == "json" else report.to_text()
+    _emit(config, text + "\n")
     return 0 if report.passed else 1
 
 
 def _run_point(config: RunConfig) -> int:
-    _require(config, "mu")
+    _require(config.mu, "--mu")
     net = NetworkConfig(
         transmitters=config.transmitters,
         receivers=config.receivers,
@@ -415,14 +414,14 @@ def _run_point(config: RunConfig) -> int:
         lines.append(("argmax_cut", detail.best_cut))
         lines.append(("segment", list(detail.segment)))
     else:
-        value = expected_ndt_lower_bound(net, config.envelope_order)
-        lines.append(("value", render(value)))
         dist = distinct_distribution(net.files, net.receivers)
+        value = Fraction(0)
         categories = []
         for s in dist.support():
             detail = category_bound_detail(
                 net.transmitters, s, net.replication, config.envelope_order
             )
+            value += dist.masses[s] * detail.value
             categories.append(
                 {
                     "s": s,
@@ -432,6 +431,7 @@ def _run_point(config: RunConfig) -> int:
                     "segment": list(detail.segment),
                 }
             )
+        lines.append(("value", render(value)))
         lines.append(("categories", categories))
 
     if config.output_format == "json":
@@ -451,28 +451,25 @@ def _run_point(config: RunConfig) -> int:
     return 0
 
 
+_COMMANDS = {
+    "peak-sweep": _run_sweep,
+    "expected-sweep": _run_sweep,
+    "distribution": _run_distribution,
+    "verify": _run_verify,
+    "point": _run_point,
+}
+
+
 def run(config: RunConfig) -> int:
-    if config.command in ("peak-sweep", "expected-sweep"):
-        return _run_sweep(config)
-    if config.command == "distribution":
-        return _run_distribution(config)
-    if config.command == "verify":
-        return _run_verify(config)
-    if config.command == "point":
-        return _run_point(config)
-    raise CliError(f"unknown command {config.command!r}")
+    return _COMMANDS[config.command](config)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return run(_merge(args))
-    except InfeasibleLibrary as exc:
+        return run(parse_run_config(argv))
+    except (InfeasibleLibrary, CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CliError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InfeasibleLibrary) else 1
 
 
 if __name__ == "__main__":

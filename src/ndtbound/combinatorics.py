@@ -28,6 +28,26 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _check_count(name: str, value) -> None:
+    """Reject anything but a positive int; bools are ints to Python, not counts."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _as_fraction(value) -> Fraction:
+    """Exact rational from an int, Fraction or decimal string; floats and bools
+    are rejected rather than silently widened to their binary expansion."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (bool, float)):
+        raise TypeError(
+            f"expected an exact rational (int, Fraction or string), got {value!r}"
+        )
+    return Fraction(value)
+
+
 def surjection_count(k: int, s: int) -> int:
     """Number of functions from a k-element set onto an s-element set.
 

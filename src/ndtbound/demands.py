@@ -22,7 +22,7 @@ from itertools import product
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .combinatorics import binom, surjection_count
+from .combinatorics import _check_count, binom, surjection_count
 
 Demand = tuple[int, ...]
 
@@ -68,17 +68,17 @@ class DistinctCountDistribution:
         )
 
 
-@lru_cache(maxsize=64)
+# typed: True == 1 with equal hashes, so an untyped cache would answer a bool
+# from an int's entry and skip the count check
+@lru_cache(maxsize=64, typed=True)
 def distinct_distribution(files: int, receivers: int) -> DistinctCountDistribution:
     """Analytic pmf: P(S = s) = C(files, s) * surjections(receivers, s) / files^receivers.
 
     Uniform popularity is hard-coded: every receiver picks each file with
     probability 1/files.
     """
-    if files < 1 or receivers < 1:
-        raise ValueError(
-            f"files and receivers must be positive, got files={files}, receivers={receivers}"
-        )
+    _check_count("files", files)
+    _check_count("receivers", receivers)
     total = files**receivers
     masses = {
         s: Fraction(binom(files, s) * surjection_count(receivers, s), total)
@@ -98,10 +98,8 @@ def enumerate_demands(
     Raises CapExceeded when files^receivers > cap, signalling the caller to
     fall back to sampling.
     """
-    if files < 1 or receivers < 1:
-        raise ValueError(
-            f"files and receivers must be positive, got files={files}, receivers={receivers}"
-        )
+    _check_count("files", files)
+    _check_count("receivers", receivers)
     total = files**receivers
     if total > cap:
         raise CapExceeded(
@@ -117,11 +115,9 @@ def sample_demands(
 
     See the module docstring for the exact generator contract.
     """
-    if files < 1 or receivers < 1 or count < 1:
-        raise ValueError(
-            "files, receivers and count must be positive, got "
-            f"files={files}, receivers={receivers}, count={count}"
-        )
+    _check_count("files", files)
+    _check_count("receivers", receivers)
+    _check_count("count", count)
     rng = random.Random(seed)
     for _ in range(count):
         yield tuple(rng.randint(1, files) for _ in range(receivers))

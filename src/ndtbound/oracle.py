@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .bounds import ConvexEnvelope
-from .combinatorics import binom
+from .combinatorics import _as_fraction, binom
 
 
 class Infeasible(ValueError):
@@ -88,7 +88,7 @@ def lp_min_placement(transmitters: int, cut_size: int, replication) -> LpSolutio
     """
     if not 1 <= cut_size <= transmitters:
         raise ValueError(f"cut_size must lie in [1, {transmitters}], got {cut_size}")
-    t = replication if isinstance(replication, Fraction) else Fraction(replication)
+    t = _as_fraction(replication)
     if not 1 <= t <= transmitters:
         raise Infeasible(f"replication must lie in [1, {transmitters}], got {t}")
     weights = {
@@ -135,7 +135,7 @@ def grid_scan_min_placement(
     never beat the vertex optimum.  Returns None if no scanned profile
     meets the replication constraint exactly.
     """
-    t = replication if isinstance(replication, Fraction) else Fraction(replication)
+    t = _as_fraction(replication)
     if not 1 <= t <= transmitters:
         raise Infeasible(f"replication must lie in [1, {transmitters}], got {t}")
     weights = {

@@ -76,6 +76,9 @@ def test_floats_and_bools_are_rejected():
         lambda: expected_bound_for_distribution(3, dist, 1.5),
         lambda: validate_grid(3, [0.5]),
         lambda: validate_grid(3, [F(1, 2), True]),
+        lambda: bound_expression(True, 1, 1, 1),
+        lambda: bound_expression(3, 3.0, 1, 1),
+        lambda: bound_expression(3, 3, 1, 1.0),
     ]
     for call in inexact:
         with pytest.raises(TypeError):

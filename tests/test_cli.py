@@ -1,11 +1,25 @@
 from __future__ import annotations
 
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
-from ndtbound.cli import main, parse_grid, parse_rational
+import pytest
+
+from ndtbound.bounds import NetworkConfig, expected_ndt_lower_bound
+from ndtbound.cli import (
+    _COMMANDS,
+    RunConfig,
+    build_parser,
+    main,
+    parse_grid,
+    parse_rational,
+    parse_run_config,
+)
 
 F = Fraction
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
 
 def run_cli(capsys, *args):
@@ -288,3 +302,116 @@ def test_mu_outside_validity_region_exit_1(capsys):
     )
     assert status == 1
     assert "cache_fraction" in err
+
+
+# each preset's settings spelled as flags, independently of the file parser
+PRESET_FLAGS = {
+    "expected_kt5_kr20_n100.cfg": "--kt 5 --kr 20 --files 100 --grid 1/5:1:41 --seed 0",
+    "peak_kt10_kr10.cfg": "--kt 10 --kr 10 --files 10 --grid 1/10:1:41 --overlay baseline",
+    "peak_kt3_kr3.cfg": "--kt 3 --kr 3 --files 3 --grid 1/3:1:41 --overlay baseline",
+    "peak_kt5_kr5.cfg": "--kt 5 --kr 5 --files 5 --grid 1/5:1:41 --overlay baseline",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS.glob("*.cfg")), ids=lambda path: path.name)
+def test_preset_run_line_matches_flags(preset, capsys, monkeypatch):
+    (run_line,) = [
+        line for line in preset.read_text().splitlines() if line.startswith("# Run: ")
+    ]
+    program, *args = shlex.split(run_line[len("# Run: "):])
+    assert program == "ndtbound"
+    monkeypatch.chdir(PRESETS.parent)
+    status, from_file, err = run_cli(capsys, *args)
+    assert (status, err) == (0, "")
+    command = args[0]
+    status, from_flags, _ = run_cli(capsys, command, *PRESET_FLAGS[preset.name].split())
+    assert status == 0
+    assert from_file == from_flags
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("kt", "abc", "invalid int value: 'abc'"),
+        ("format", "xml", "invalid choice: 'xml'"),
+        ("envelope-order", "sideways", "invalid choice: 'sideways'"),
+        ("grid", "1/3:1:x", "grid count must be an integer"),
+    ],
+)
+def test_bad_file_value_fails_like_the_flag(key, value, message, tmp_path, capsys):
+    base = ["peak-sweep", "--kt", "3", "--kr", "3", "--files", "3", "--grid", "1:1:1"]
+    status, _, flag_err = run_cli(capsys, *base, f"--{key}", value)
+    assert status == 1 and message in flag_err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    status, out, err = run_cli(capsys, "peak-sweep", "--config", str(cfg))
+    assert (status, out) == (1, "")
+    assert err.startswith(f"error: {cfg}: ") and message in err
+
+
+def test_flags_replace_file_values_overlay_included(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("kt = 3\nkr = 3\nfiles = 3\ngrid = 1/3:1:3\noverlay = baseline, mn-scheme\n")
+    config = parse_run_config(
+        ["peak-sweep", "--config", str(cfg), "--kt", "4", "--overlay", "sengupta-bound"]
+    )
+    assert config.transmitters == 4 and config.receivers == 3
+    assert config.mu_grid == (F(1, 3), F(2, 3), F(1))
+    assert config.overlays == ("sengupta-bound",)
+    assert parse_run_config(["peak-sweep", "--config", str(cfg)]).overlays == (
+        "baseline",
+        "mn-scheme",
+    )
+
+
+@pytest.mark.parametrize("key", ["envelope_order", "help", "config", "kt-ma"])
+def test_unknown_file_key_exit_1(key, tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(f"kt = 3\nkr = 3\nfiles = 3\n{key} = proof\n")
+    status, out, err = run_cli(
+        capsys, "point", "--config", str(cfg), "--mu", "1/2"
+    )
+    assert (status, out) == (1, "")
+    assert f"{cfg}:4:" in err and repr(key) in err
+
+
+def test_keys_of_other_commands_are_ignored(capsys):
+    preset = str(PRESETS / "expected_kt5_kr20_n100.cfg")
+    status, out, _ = run_cli(capsys, "point", "--config", preset, "--mu", "2/5")
+    assert status == 0 and "value = " in out
+    # kt is not read as an abbreviation of verify's --kt-max
+    assert parse_run_config(["verify", "--config", preset]) == RunConfig("verify")
+    dist = parse_run_config(["distribution", "--config", str(PRESETS / "peak_kt3_kr3.cfg")])
+    assert (dist.receivers, dist.files, dist.mu_grid, dist.overlays) == (3, 3, None, ())
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("command", "sideways-sweep"),
+        ("output_format", "xml"),
+        ("envelope_order", "sideways"),
+        ("kind", "sideways"),
+    ],
+)
+def test_run_config_rejects_unknown_choices(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{"command": "point", "mu": F(1, 2), field: value})
+
+
+def test_every_subcommand_is_dispatched():
+    assert set(build_parser().file_keys) == set(_COMMANDS)
+
+
+@pytest.mark.parametrize("order", ["theorem", "proof"])
+def test_point_expected_value_is_the_category_average(order, capsys):
+    status, out, _ = run_cli(
+        capsys, "point", "--kind", "expected", "--envelope-order", order,
+        "--kt", "5", "--kr", "20", "--files", "100", "--mu", "2/5", "--format", "json",
+    )
+    assert status == 0
+    payload = json.loads(out)
+    expected = expected_ndt_lower_bound(NetworkConfig(5, 20, 100, F(2, 5)), order)
+    assert F(payload["value"]) == expected
+    categories = payload["categories"]
+    assert sum(F(c["mass"]) * F(c["bound"]) for c in categories) == expected

@@ -141,3 +141,27 @@ def test_validation_errors():
         enumerate_demands(2, 0)
     with pytest.raises(ValueError):
         list(sample_demands(2, 2, count=0, seed=0))
+
+
+def test_counts_must_be_ints():
+    inexact = [
+        lambda: distinct_distribution(True, 2),
+        lambda: distinct_distribution(2, 2.0),
+        lambda: enumerate_demands(2.0, 2),
+        lambda: enumerate_demands(2, True),
+        lambda: next(sample_demands(True, 2, count=3, seed=0)),
+        lambda: next(sample_demands(2, 2, count=3.0, seed=0)),
+    ]
+    for call in inexact:
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_cache_hit_does_not_bypass_count_check():
+    # True == 1 and both hash alike, so an untyped cache would mix their entries
+    distinct_distribution.cache_clear()
+    with pytest.raises(TypeError):
+        distinct_distribution(True, 2)
+    assert type(distinct_distribution(1, 2).files) is int
+    with pytest.raises(TypeError):
+        distinct_distribution(True, 2)

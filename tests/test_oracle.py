@@ -65,6 +65,13 @@ def test_lp_infeasible_replication():
         lp_min_placement(3, 2, F(1, 2))
 
 
+def test_lp_rejects_inexact_replication():
+    for solve in (lp_min_placement, grid_scan_min_placement):
+        for replication in (1.1, 1.5, True):
+            with pytest.raises(TypeError):
+                solve(3, 2, replication)
+
+
 def test_lp_support_never_exceeds_two():
     for kt in range(1, 7):
         for cut in range(1, kt + 1):
