@@ -176,7 +176,11 @@ def bound_expression(
 
 @lru_cache(maxsize=1024)
 def envelope_for_cut(transmitters: int, distinct: int, cut_size: int) -> ConvexEnvelope:
-    """Envelope of the per-cut bound over integer replication 1..transmitters."""
+    """Envelope of the per-cut bound over integer replication 1..transmitters.
+
+    The direct construction, one envelope per ``(KT, s, c)``; the category
+    functions use the ``KT`` shared envelopes instead, and the tests check
+    them against this one."""
     return ConvexEnvelope.of_points(
         (t, bound_expression(transmitters, distinct, cut_size, t))
         for t in range(1, transmitters + 1)
@@ -282,8 +286,9 @@ def _category_detail(
     )
     extra = (distinct - best_cut) * numerators[best_cut - 1]
     if best_cut == distinct:
-        # flat envelope: its hull is not the hull of g_c (only s == 1 gets here)
-        segment = envelope_for_cut(transmitters, distinct, best_cut).bracket(t)
+        # flat envelope, whose only vertices are 1 and KT: its hull is not the
+        # hull of g_c (only s == 1 gets here)
+        segment = (int(t),) * 2 if t in (1, transmitters) else (1, transmitters)
     else:
         segment = segments[best_cut - 1]
     return CategoryBoundDetail(

@@ -86,6 +86,30 @@ class RunConfig:
             if value not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
         object.__setattr__(self, "overlays", tuple(self.overlays))
+        known = default_registry().names()
+        unknown = next((name for name in self.overlays if name not in known), None)
+        sampled = len(self.mu_grid) if self.samples and self.mu_grid else 0
+        # the other settings, one row each, all checked before any bound is computed
+        for bad, message in (
+            (self.command in ("peak-sweep", "expected-sweep") and self.mu_grid is None,
+             "missing required options: --grid"),
+            (self.command == "point" and self.mu is None, "missing required options: --mu"),
+            (self.samples is not None and self.samples < 1,
+             f"--samples must be positive, got {self.samples}"),
+            # random.Random seeds with |seed|, so seed -1 would replay seed 1
+            (self.seed < 0, f"--seed must be nonnegative, got {self.seed}"),
+            # from the stride on, per-point sub-seeds reach the next seed's streams
+            (sampled >= SUB_SEED_STRIDE,
+             f"a sampled grid must have fewer than {SUB_SEED_STRIDE} points, got {sampled}"),
+            (unknown is not None, f"unknown overlay {unknown!r}; registered: {', '.join(known)}"),
+            (self.decimal is not None and self.decimal < 0,
+             f"--decimal must be nonnegative, got {self.decimal}"),
+            (not 1 <= self.limit <= 16, f"--limit must lie in [1, 16], got {self.limit}"),
+            (not 1 <= self.max_transmitters <= 10,
+             f"--kt-max must lie in [1, 10], got {self.max_transmitters}"),
+        ):
+            if bad:
+                raise ValueError(message)
 
 
 # argparse dests that are spelled differently as RunConfig fields
@@ -136,8 +160,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    # argparse defaults stay None: RunConfig holds them, and None marks "not given"
-    parser = _Parser(prog="ndtbound", description=__doc__.splitlines()[0])
+    # argparse defaults stay None: RunConfig holds them, and None marks "not given";
+    # no parser takes abbreviations, so "verify --kt 3" is not read as --kt-max
+    parser = _Parser(prog="ndtbound", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = RunConfig
 
@@ -185,16 +210,16 @@ def build_parser() -> _Parser:
         ("peak-sweep", "worst-case bound over a cache-size grid"),
         ("expected-sweep", "expected-demand bound over a cache-size grid"),
     ):
-        curve = sub.add_parser(name, help=text)
+        curve = sub.add_parser(name, help=text, allow_abbrev=False)
         add_common(curve, net=True, grid=True, sampling=name == "expected-sweep")
         curve.add_argument("--overlay", action="append", help="reference curve to overlay")
         curve.add_argument("--envelope-order", choices=ENVELOPE_ORDERS)
 
-    dist = sub.add_parser("distribution", help="exact distinct-count pmf")
+    dist = sub.add_parser("distribution", help="exact distinct-count pmf", allow_abbrev=False)
     add_common(dist)
     add_library(dist)
 
-    verify = sub.add_parser("verify", help="run every oracle suite")
+    verify = sub.add_parser("verify", help="run every oracle suite", allow_abbrev=False)
     add_common(verify)
     verify.add_argument(
         "--limit", type=int, help=f"identity-suite range (default {defaults.limit})"
@@ -206,7 +231,7 @@ def build_parser() -> _Parser:
         f"(default {defaults.max_transmitters})",
     )
 
-    point = sub.add_parser("point", help="one bound value with its evidence")
+    point = sub.add_parser("point", help="one bound value with its evidence", allow_abbrev=False)
     add_common(point, net=True, mu=True)
     point.add_argument("--kind", choices=BOUND_KINDS)
     point.add_argument("--envelope-order", choices=ENVELOPE_ORDERS)
@@ -270,18 +295,10 @@ def parse_run_config(argv=None) -> RunConfig:
     return RunConfig(**fields)
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise CliError(f"missing required options: {flag}")
-
-
 def _renderer(config: RunConfig):
     if config.decimal is None:
         return str
-    digits = config.decimal
-    if digits < 0:
-        raise CliError(f"--decimal must be nonnegative, got {digits}")
-    return lambda value: to_decimal(value, digits)
+    return lambda value: to_decimal(value, config.decimal)
 
 
 def _emit(config: RunConfig, text: str):
@@ -330,20 +347,13 @@ def _mc_column(config: RunConfig, grid: tuple[Fraction, ...]) -> list[Fraction]:
 
 
 def _run_sweep(config: RunConfig) -> int:
-    _require(config.mu_grid, "--grid")
-    if config.samples is not None and config.samples < 1:
-        raise CliError(f"--samples must be positive, got {config.samples}")
     kind = "peak" if config.command == "peak-sweep" else "expected"
     network = (config.transmitters, config.receivers, config.files)
     curve = sweep(*network, config.mu_grid, kind, config.envelope_order)
 
     registry = default_registry()
-    known = registry.names()
-    for name in config.overlays:
-        if name not in known:
-            raise CliError(f"unknown overlay {name!r}; registered: {', '.join(known)}")
     # overlay columns follow registration order, not request order
-    overlay_names = [name for name in known if name in config.overlays]
+    overlay_names = [name for name in registry.names() if name in config.overlays]
 
     grid = tuple(mu for mu, _ in curve.samples)
     header = ["mu", "value"]
@@ -376,10 +386,6 @@ def _run_distribution(config: RunConfig) -> int:
 
 
 def _run_verify(config: RunConfig) -> int:
-    if not 1 <= config.limit <= 16:
-        raise CliError(f"--limit must lie in [1, 16], got {config.limit}")
-    if not 1 <= config.max_transmitters <= 10:
-        raise CliError(f"--kt-max must lie in [1, 10], got {config.max_transmitters}")
     report = full_verification(config.limit, config.max_transmitters)
     text = report.to_json_lines() if config.output_format == "json" else report.to_text()
     _emit(config, text + "\n")
@@ -387,13 +393,7 @@ def _run_verify(config: RunConfig) -> int:
 
 
 def _run_point(config: RunConfig) -> int:
-    _require(config.mu, "--mu")
-    net = NetworkConfig(
-        transmitters=config.transmitters,
-        receivers=config.receivers,
-        files=config.files,
-        cache_fraction=config.mu,
-    )
+    net = NetworkConfig(config.transmitters, config.receivers, config.files, config.mu)
     render = _renderer(config)
     lines: list[tuple[str, object]] = [
         ("command", "point"),

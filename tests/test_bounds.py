@@ -365,6 +365,9 @@ def category_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(category_cases())
 @example((3, 1, F(3, 2), "theorem"))  # s = 1: the flat envelope's segment
+@example((1, 1, 1, "theorem"))  # ... with one vertex
+@example((4, 1, 1, "theorem"))  # ... at its left vertex
+@example((4, 1, 4, "theorem"))  # ... at its right vertex
 @example((4, 1, 2, "proof"))
 @example((5, 3, F(7, 3), "theorem"))  # s < KT
 @example((5, 3, F(7, 3), "proof"))

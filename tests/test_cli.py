@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ndtbound import cli
 from ndtbound.bounds import NetworkConfig, expected_ndt_lower_bound
 from ndtbound.cli import (
     _COMMANDS,
@@ -415,3 +416,70 @@ def test_point_expected_value_is_the_category_average(order, capsys):
     assert F(payload["value"]) == expected
     categories = payload["categories"]
     assert sum(F(c["mass"]) * F(c["bound"]) for c in categories) == expected
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify", "--kt", "3"], "unrecognized arguments: --kt 3"),  # not --kt-max
+        (["point", "--mu", "1/2", "--env", "proof"], "unrecognized arguments: --env proof"),
+    ],
+)
+def test_abbreviated_flags_exit_1(args, message, capsys):
+    status, out, err = run_cli(capsys, *args)
+    assert (status, out) == (1, "")
+    assert message in err
+
+
+SWEEP = ["--kt", "3", "--kr", "3", "--files", "3", "--grid", "1/3:1:3"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["peak-sweep", "--kt", "3"], "missing required options: --grid"),
+        (["point", "--kt", "3"], "missing required options: --mu"),
+        (["expected-sweep", *SWEEP, "--samples", "0"], "--samples must be positive, got 0"),
+        (["expected-sweep", *SWEEP, "--samples", "5", "--seed", "-1"],
+         "--seed must be nonnegative, got -1"),
+        (["expected-sweep", *SWEEP, "--decimal", "-1"], "--decimal must be nonnegative, got -1"),
+        (["distribution", "--decimal", "-1"], "--decimal must be nonnegative, got -1"),
+        (["point", "--mu", "1/2", "--decimal", "-1"], "--decimal must be nonnegative, got -1"),
+        (["peak-sweep", *SWEEP, "--overlay", "nope"], "unknown overlay 'nope'; registered: "),
+        (["verify", "--limit", "0"], "--limit must lie in [1, 16], got 0"),
+        (["verify", "--kt-max", "11"], "--kt-max must lie in [1, 10], got 11"),
+    ],
+)
+def test_bad_settings_exit_1_before_any_work(args, message, capsys, monkeypatch):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("computed before the settings were checked")
+
+    for name in (
+        "sweep", "sample_demands", "distinct_distribution", "full_verification",
+        "category_bound_detail",
+    ):
+        monkeypatch.setattr(cli, name, no_work)
+    status, out, err = run_cli(capsys, *args)
+    assert (status, out) == (1, "")
+    assert err.startswith(f"error: {message}")
+
+
+def test_bad_settings_fail_from_files_and_direct_construction(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("grid = 1/3:1:3\noverlay = baseline, nope\n")
+    status, out, err = run_cli(capsys, "peak-sweep", "--config", str(cfg))
+    assert (status, out) == (1, "") and "unknown overlay 'nope'" in err
+    with pytest.raises(ValueError, match="missing required options: --grid"):
+        RunConfig("expected-sweep")
+    with pytest.raises(ValueError, match="--seed must be nonnegative"):
+        RunConfig("distribution", seed=-1)
+
+
+def test_sampled_grid_must_be_shorter_than_the_seed_stride(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SUB_SEED_STRIDE", 3)
+    status, out, err = run_cli(capsys, "expected-sweep", *SWEEP, "--samples", "5")
+    assert (status, out) == (1, "")
+    assert "a sampled grid must have fewer than 3 points, got 3" in err
+    # two points fit below the stride, and an unsampled grid has no sub-seeds
+    assert run_cli(capsys, "expected-sweep", *SWEEP[:-1], "1/3:1:2", "--samples", "5")[0] == 0
+    assert run_cli(capsys, "expected-sweep", *SWEEP)[0] == 0
