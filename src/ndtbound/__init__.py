@@ -13,6 +13,7 @@ from .bounds import (
     DomainError,
     InfeasibleLibrary,
     NetworkConfig,
+    bound_distribution,
     bound_expression,
     category_bound,
     category_bound_detail,
@@ -80,6 +81,7 @@ __all__ = [
     "Unavailable",
     "baseline_interference_free",
     "binom",
+    "bound_distribution",
     "bound_expression",
     "category_bound",
     "category_bound_detail",

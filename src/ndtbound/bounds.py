@@ -9,7 +9,8 @@ replication t, the category admits the exact bound value
 with C(n, k) = 0 outside 0 <= k <= n.  Fractional replication is handled by
 the lower convex envelope of the integer points, and the final bound
 maximizes over the cut size.  The expected bound averages the per-category
-bound against the exact distinct-count pmf.
+bound against the exact distinct-count pmf, and the peak bound is the same
+average over the point mass at s = receivers (``bound_distribution``).
 
 Two evaluation orders are exposed for comparison at fractional replication:
 
@@ -317,19 +318,32 @@ def category_bound(
     return _category_detail(transmitters, distinct, t, order).value
 
 
-def peak_ndt_lower_bound(config: NetworkConfig, order: str = "theorem") -> Fraction:
-    """Worst-case bound, every receiver requesting a different file.
+def bound_distribution(config: NetworkConfig, kind: str) -> DistinctCountDistribution:
+    """The distinct-count pmf that the ``kind`` bound averages the category bound over.
 
-    Requires files >= receivers; otherwise no demand has all-distinct
-    requests and InfeasibleLibrary is raised (use the expected bound).
+    Expected: the exact pmf of uniform random demands.  Peak: every receiver
+    requests a different file, the single category s = receivers with mass 1;
+    with files < receivers no demand does, and InfeasibleLibrary is raised.
     """
+    if kind not in BOUND_KINDS:
+        raise ValueError(f"kind must be 'peak' or 'expected', got {kind!r}")
+    if kind == "expected":
+        return distinct_distribution(config.files, config.receivers)
     if config.files < config.receivers:
         raise InfeasibleLibrary(
             "peak bound needs at least as many files as receivers "
             f"(files={config.files} < receivers={config.receivers})"
         )
-    return category_bound(
-        config.transmitters, config.receivers, config.replication, order
+    return DistinctCountDistribution(
+        files=config.files, receivers=config.receivers, masses={config.receivers: Fraction(1)}
+    )
+
+
+def peak_ndt_lower_bound(config: NetworkConfig, order: str = "theorem") -> Fraction:
+    """Worst-case bound, every receiver requesting a different file; raises
+    InfeasibleLibrary when files < receivers (see ``bound_distribution``)."""
+    return expected_bound_for_distribution(
+        config.transmitters, bound_distribution(config, "peak"), config.replication, order
     )
 
 
@@ -352,9 +366,8 @@ def expected_bound_for_distribution(
 
 def expected_ndt_lower_bound(config: NetworkConfig, order: str = "theorem") -> Fraction:
     """Bound on the expected NDT over uniform random demands."""
-    dist = distinct_distribution(config.files, config.receivers)
     return expected_bound_for_distribution(
-        config.transmitters, dist, config.replication, order
+        config.transmitters, bound_distribution(config, "expected"), config.replication, order
     )
 
 

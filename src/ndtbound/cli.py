@@ -26,6 +26,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__
 from .bounds import (
@@ -33,9 +34,9 @@ from .bounds import (
     ENVELOPE_ORDERS,
     InfeasibleLibrary,
     NetworkConfig,
+    bound_distribution,
     category_bound,
     category_bound_detail,
-    peak_ndt_lower_bound,
     sweep,
 )
 from .combinatorics import to_decimal
@@ -46,6 +47,10 @@ from .oracle import full_verification
 # fixed stride mixing the user seed with the grid index for per-point
 # Monte-Carlo sub-streams
 SUB_SEED_STRIDE = 1_000_003
+
+# larger grids are refused before any point is built (10**6 points take seconds
+# to build; a preset's grid has 41)
+MAX_GRID_POINTS = 10**6
 
 OUTPUT_FORMATS = ("csv", "json")
 
@@ -145,13 +150,21 @@ def parse_grid(text: str) -> tuple[Fraction, ...]:
             raise CliError(f"grid count must be an integer, got {parts[2]!r}") from None
         if count < 1:
             raise CliError(f"grid count must be positive, got {count}")
+        _check_grid_size(count)
         if count == 1:
             if start != stop:
                 raise CliError("grid of one point needs start == stop")
             return (start,)
         step = (stop - start) / (count - 1)
         return tuple(start + i * step for i in range(count))
-    return tuple(parse_rational(part) for part in text.split(","))
+    parts = text.split(",")
+    _check_grid_size(len(parts))
+    return tuple(parse_rational(part) for part in parts)
+
+
+def _check_grid_size(count: int):
+    if count > MAX_GRID_POINTS:
+        raise CliError(f"a grid may have at most {MAX_GRID_POINTS} points, got {count}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,7 +185,7 @@ def build_parser() -> _Parser:
         )
         p.add_argument("--files", type=int, help=f"library size (default {defaults.files})")
 
-    def add_common(p, *, net=False, grid=False, mu=False, sampling=False):
+    def add_common(p, *, net=False, grid=False, mu=False, sampling=False, rationals=True):
         p.add_argument("--config", help="flat key=value config file; flags override it")
         if net:
             p.add_argument(
@@ -198,7 +211,8 @@ def build_parser() -> _Parser:
                 help="Monte-Carlo sample count for the cross-check column",
             )
             p.add_argument("--seed", type=int, help=f"sampler seed (default {defaults.seed})")
-        p.add_argument("--decimal", type=int, help="render rationals with this many decimals")
+        if rationals:
+            p.add_argument("--decimal", type=int, help="render rationals with this many decimals")
         p.add_argument(
             "--format",
             choices=OUTPUT_FORMATS,
@@ -220,7 +234,7 @@ def build_parser() -> _Parser:
     add_library(dist)
 
     verify = sub.add_parser("verify", help="run every oracle suite", allow_abbrev=False)
-    add_common(verify)
+    add_common(verify, rationals=False)  # verify prints no rationals
     verify.add_argument(
         "--limit", type=int, help=f"identity-suite range (default {defaults.limit})"
     )
@@ -295,10 +309,14 @@ def parse_run_config(argv=None) -> RunConfig:
     return RunConfig(**fields)
 
 
-def _renderer(config: RunConfig):
-    if config.decimal is None:
-        return str
-    return lambda value: to_decimal(value, config.decimal)
+def _render(config: RunConfig, value):
+    """One output value as printed: a rational as p/q or to ``--decimal`` places, a
+    missing overlay value as 'unavailable'; counts and evidence pass through."""
+    if isinstance(value, Unavailable):
+        return "unavailable"
+    if not isinstance(value, Fraction):
+        return value
+    return str(value) if config.decimal is None else to_decimal(value, config.decimal)
 
 
 def _emit(config: RunConfig, text: str):
@@ -308,21 +326,19 @@ def _emit(config: RunConfig, text: str):
         sys.stdout.write(text)
 
 
-def _metadata(config: RunConfig) -> dict:
-    """The run's settings under their flag names, and the tool version."""
-    keys = ("command", "kt", "kr", "files", "samples", "seed", "envelope_order")
-    metadata = {key: getattr(config, _FIELDS.get(key, key)) for key in keys}
-    return metadata | {"version": __version__}
-
-
-def _emit_table(config: RunConfig, header: list[str], rows: list[list[str]]):
+def _emit_table(config: RunConfig, columns: dict[str, Sequence]):
+    header = list(columns)
+    rows = [[str(_render(config, value)) for value in row] for row in zip(*columns.values())]
     if config.output_format == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(row) for row in rows)
         _emit(config, "\n".join(lines) + "\n")
     else:
+        # the run's settings under their flag names, and the tool version
+        keys = ("command", "kt", "kr", "files", "samples", "seed", "envelope_order")
+        metadata = {key: getattr(config, _FIELDS.get(key, key)) for key in keys}
         records = [dict(zip(header, row)) for row in rows]
-        payload = {"metadata": _metadata(config), "rows": records}
+        payload = {"metadata": metadata | {"version": __version__}, "rows": records}
         _emit(config, json.dumps(payload, indent=2) + "\n")
 
 
@@ -350,38 +366,22 @@ def _run_sweep(config: RunConfig) -> int:
     kind = "peak" if config.command == "peak-sweep" else "expected"
     network = (config.transmitters, config.receivers, config.files)
     curve = sweep(*network, config.mu_grid, kind, config.envelope_order)
-
-    registry = default_registry()
-    # overlay columns follow registration order, not request order
-    overlay_names = [name for name in registry.names() if name in config.overlays]
-
     grid = tuple(mu for mu, _ in curve.samples)
-    header = ["mu", "value"]
-    columns: list[list] = [list(grid), list(curve.values())]
+    columns = {"mu": grid, "value": curve.values()}
     if kind == "expected" and config.samples:
-        header.append("mc_value")
-        columns.append(_mc_column(config, grid))
-    for name in overlay_names:
-        header.append(name)
-        columns.append([registry.evaluate(name, NetworkConfig(*network, mu)) for mu in grid])
-
-    render = _renderer(config)
-
-    def cell(value) -> str:
-        if isinstance(value, Unavailable):
-            return "unavailable"
-        return render(value)
-
-    rows = [[cell(col[i]) for col in columns] for i in range(len(curve.samples))]
-    _emit_table(config, header, rows)
+        columns["mc_value"] = _mc_column(config, grid)
+    registry = default_registry()
+    for name in registry.names():  # overlay columns follow registration order, not request order
+        if name in config.overlays:
+            columns[name] = [registry.evaluate(name, NetworkConfig(*network, mu)) for mu in grid]
+    _emit_table(config, columns)
     return 0
 
 
 def _run_distribution(config: RunConfig) -> int:
     dist = distinct_distribution(config.files, config.receivers)
-    render = _renderer(config)
-    rows = [[str(s), render(dist.masses[s])] for s in dist.support()]
-    _emit_table(config, ["s", "mass"], rows)
+    support = dist.support()
+    _emit_table(config, {"s": support, "mass": [dist.masses[s] for s in support]})
     return 0
 
 
@@ -394,60 +394,41 @@ def _run_verify(config: RunConfig) -> int:
 
 def _run_point(config: RunConfig) -> int:
     net = NetworkConfig(config.transmitters, config.receivers, config.files, config.mu)
-    render = _renderer(config)
-    lines: list[tuple[str, object]] = [
-        ("command", "point"),
-        ("kind", config.kind),
-        ("kt", config.transmitters),
-        ("kr", config.receivers),
-        ("files", config.files),
-        ("mu", render(net.cache_fraction)),
-        ("t", render(net.replication)),
-        ("envelope_order", config.envelope_order),
-    ]
-    if config.kind == "peak":
-        value = peak_ndt_lower_bound(net, config.envelope_order)
-        detail = category_bound_detail(
-            net.transmitters, net.receivers, net.replication, config.envelope_order
-        )
-        lines.append(("value", render(value)))
-        lines.append(("argmax_cut", detail.best_cut))
-        lines.append(("segment", list(detail.segment)))
+    fields = {
+        "command": "point",
+        "kind": config.kind,
+        "kt": config.transmitters,
+        "kr": config.receivers,
+        "files": config.files,
+        "mu": net.cache_fraction,
+        "t": net.replication,
+        "envelope_order": config.envelope_order,
+    }
+    dist = bound_distribution(net, config.kind)
+    value, categories = Fraction(0), []
+    for s in dist.support():
+        detail = category_bound_detail(net.transmitters, s, net.replication, config.envelope_order)
+        value += dist.masses[s] * detail.value
+        evidence = {"argmax_cut": detail.best_cut, "segment": list(detail.segment)}
+        categories.append({"s": s, "mass": dist.masses[s], "bound": detail.value} | evidence)
+    fields["value"] = value
+    if config.kind == "peak":  # the one category, s = kr: its evidence is the point's
+        fields |= evidence
     else:
-        dist = distinct_distribution(net.files, net.receivers)
-        value = Fraction(0)
-        categories = []
-        for s in dist.support():
-            detail = category_bound_detail(
-                net.transmitters, s, net.replication, config.envelope_order
-            )
-            value += dist.masses[s] * detail.value
-            categories.append(
-                {
-                    "s": s,
-                    "mass": render(dist.masses[s]),
-                    "bound": render(detail.value),
-                    "argmax_cut": detail.best_cut,
-                    "segment": list(detail.segment),
-                }
-            )
-        lines.append(("value", render(value)))
-        lines.append(("categories", categories))
-
+        fields["categories"] = [
+            {key: _render(config, item) for key, item in entry.items()} for entry in categories
+        ]
+    fields = {key: _render(config, item) for key, item in fields.items()}
     if config.output_format == "json":
-        _emit(config, json.dumps(dict(lines), indent=2) + "\n")
+        _emit(config, json.dumps(fields, indent=2) + "\n")
     else:
-        text_lines = []
-        for key, value in lines:
-            if key == "categories":
-                for entry in value:
-                    text_lines.append(
-                        "category s={s}: mass={mass} bound={bound} "
-                        "argmax_cut={argmax_cut} segment={segment}".format(**entry)
-                    )
-            else:
-                text_lines.append(f"{key} = {value}")
-        _emit(config, "\n".join(text_lines) + "\n")
+        text = [f"{key} = {item}" for key, item in fields.items() if key != "categories"]
+        text += [
+            "category s={s}: mass={mass} bound={bound} argmax_cut={argmax_cut} "
+            "segment={segment}".format(**entry)
+            for entry in fields.get("categories", [])
+        ]
+        _emit(config, "\n".join(text) + "\n")
     return 0
 
 

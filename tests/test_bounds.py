@@ -15,6 +15,7 @@ from ndtbound.bounds import (
     DomainError,
     InfeasibleLibrary,
     NetworkConfig,
+    bound_distribution,
     bound_expression,
     category_bound,
     category_bound_detail,
@@ -278,8 +279,15 @@ def test_peak_bound_examples():
 
 
 def test_peak_bound_requires_enough_files():
+    small_library = NetworkConfig(3, 5, 3, F(1, 3))
     with pytest.raises(InfeasibleLibrary):
-        peak_ndt_lower_bound(NetworkConfig(3, 5, 3, F(1, 3)))
+        peak_ndt_lower_bound(small_library)
+    with pytest.raises(InfeasibleLibrary):
+        bound_distribution(small_library, "peak")
+    # the expected bound's pmf simply stops at the library size
+    assert bound_distribution(small_library, "expected").support() == (1, 2, 3)
+    with pytest.raises(ValueError, match="kind must be 'peak' or 'expected'"):
+        bound_distribution(small_library, "sideways")
 
 
 def test_expected_bound_examples():
@@ -408,6 +416,13 @@ def test_point_mass_distribution_recovers_peak_bound():
         expected = expected_bound_for_distribution(kt, point_mass, kt * mu)
         peak = peak_ndt_lower_bound(NetworkConfig(kt, kr, kr, mu))
         assert expected == peak
+        # bound_distribution defines the peak bound as exactly this point mass,
+        # and the expected bound as the exact pmf
+        for files in (kr, 3 * kr):
+            config = NetworkConfig(kt, kr, files, mu)
+            assert dict(bound_distribution(config, "peak").masses) == {kr: F(1)}
+            assert bound_distribution(config, "expected") == distinct_distribution(files, kr)
+            assert category_bound(kt, kr, kt * mu) == peak
 
 
 def test_curves_monotone_convex_and_dominated():
@@ -431,6 +446,28 @@ def test_curves_monotone_convex_and_dominated():
             assert e <= p
             if mass_below > 0 and p > 1:
                 assert e < p
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kt=st.integers(1, 8),
+    kr=st.integers(1, 12),
+    extra_files=st.integers(0, 30),
+    points=st.integers(2, 9),
+    order=st.sampled_from(ENVELOPE_ORDERS),
+)
+def test_curves_monotone_convex_and_dominated_property(kt, kr, extra_files, points, order):
+    grid = mu_grid(kt, points) if kt > 1 else (F(1),)
+    files = kr + extra_files
+    peak = sweep(kt, kr, files, grid, "peak", order).values()
+    expected = sweep(kt, kr, files, grid, "expected", order).values()
+    for values in (peak, expected):
+        assert all(v >= 1 for v in values)
+        assert all(b <= a for a, b in zip(values, values[1:]))
+        # equally spaced grid: discrete convexity of the curve
+        for left, mid, right in zip(values, values[1:], values[2:]):
+            assert left + right >= 2 * mid
+    assert all(e <= p for p, e in zip(peak, expected))
 
 
 def test_expected_equals_peak_once_both_are_trivial():

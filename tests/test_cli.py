@@ -8,9 +8,15 @@ from pathlib import Path
 import pytest
 
 from ndtbound import cli
-from ndtbound.bounds import NetworkConfig, expected_ndt_lower_bound
+from ndtbound.bounds import (
+    NetworkConfig,
+    category_bound_detail,
+    expected_ndt_lower_bound,
+    peak_ndt_lower_bound,
+)
 from ndtbound.cli import (
     _COMMANDS,
+    CliError,
     RunConfig,
     build_parser,
     main,
@@ -404,18 +410,37 @@ def test_every_subcommand_is_dispatched():
     assert set(build_parser().file_keys) == set(_COMMANDS)
 
 
-@pytest.mark.parametrize("order", ["theorem", "proof"])
-def test_point_expected_value_is_the_category_average(order, capsys):
+@pytest.mark.parametrize(
+    "kind, order",
+    [
+        pytest.param("expected", "theorem", id="theorem"),
+        pytest.param("expected", "proof", id="proof"),
+        pytest.param("peak", "theorem", id="peak-theorem"),
+        pytest.param("peak", "proof", id="peak-proof"),
+    ],
+)
+def test_point_expected_value_is_the_category_average(kind, order, capsys):
     status, out, _ = run_cli(
-        capsys, "point", "--kind", "expected", "--envelope-order", order,
+        capsys, "point", "--kind", kind, "--envelope-order", order,
         "--kt", "5", "--kr", "20", "--files", "100", "--mu", "2/5", "--format", "json",
     )
     assert status == 0
     payload = json.loads(out)
-    expected = expected_ndt_lower_bound(NetworkConfig(5, 20, 100, F(2, 5)), order)
-    assert F(payload["value"]) == expected
-    categories = payload["categories"]
-    assert sum(F(c["mass"]) * F(c["bound"]) for c in categories) == expected
+    net = NetworkConfig(5, 20, 100, F(2, 5))
+    if kind == "peak":
+        # the peak bound is the average over the one category s = kr
+        assert F(payload["value"]) == peak_ndt_lower_bound(net, order)
+        detail = category_bound_detail(5, 20, F(2), order)
+        assert F(payload["value"]) == detail.value
+        assert (payload["argmax_cut"], payload["segment"]) == (
+            detail.best_cut, list(detail.segment)
+        )
+        assert "categories" not in payload
+    else:
+        expected = expected_ndt_lower_bound(net, order)
+        assert F(payload["value"]) == expected
+        categories = payload["categories"]
+        assert sum(F(c["mass"]) * F(c["bound"]) for c in categories) == expected
 
 
 @pytest.mark.parametrize(
@@ -423,6 +448,8 @@ def test_point_expected_value_is_the_category_average(order, capsys):
     [
         (["verify", "--kt", "3"], "unrecognized arguments: --kt 3"),  # not --kt-max
         (["point", "--mu", "1/2", "--env", "proof"], "unrecognized arguments: --env proof"),
+        # verify prints no rationals, so it takes no --decimal
+        (["verify", "--decimal", "3"], "unrecognized arguments: --decimal 3"),
     ],
 )
 def test_abbreviated_flags_exit_1(args, message, capsys):
@@ -448,6 +475,9 @@ SWEEP = ["--kt", "3", "--kr", "3", "--files", "3", "--grid", "1/3:1:3"]
         (["peak-sweep", *SWEEP, "--overlay", "nope"], "unknown overlay 'nope'; registered: "),
         (["verify", "--limit", "0"], "--limit must lie in [1, 16], got 0"),
         (["verify", "--kt-max", "11"], "--kt-max must lie in [1, 10], got 11"),
+        # refused while parsing --grid, before any of its points is built
+        (["peak-sweep", "--kt", "3", "--grid", "1/3:1:1000003"],
+         "a grid may have at most 1000000 points, got 1000003"),
     ],
 )
 def test_bad_settings_exit_1_before_any_work(args, message, capsys, monkeypatch):
@@ -483,3 +513,211 @@ def test_sampled_grid_must_be_shorter_than_the_seed_stride(capsys, monkeypatch):
     # two points fit below the stride, and an unsampled grid has no sub-seeds
     assert run_cli(capsys, "expected-sweep", *SWEEP[:-1], "1/3:1:2", "--samples", "5")[0] == 0
     assert run_cli(capsys, "expected-sweep", *SWEEP)[0] == 0
+
+
+def test_grid_size_is_capped_in_both_forms(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 2)
+    for text in ("1/3:1:3", "1/3,2/3,1"):
+        with pytest.raises(CliError, match="a grid may have at most 2 points, got 3"):
+            parse_grid(text)
+    assert parse_grid("1/2:1:2") == parse_grid("1/2,1") == (F(1, 2), F(1))
+
+
+# full standard output of small requests, byte for byte: point (peak and
+# expected, text and JSON, both orders), --decimal, 'unavailable' overlay
+# cells and a Monte-Carlo column
+RENDERED = [
+    (
+        "point --kt 3 --kr 4 --files 4 --mu 1/2",
+        """\
+command = point
+kind = peak
+kt = 3
+kr = 4
+files = 4
+mu = 1/2
+t = 3/2
+envelope_order = theorem
+value = 3/2
+argmax_cut = 1
+segment = [1, 2]
+""",
+    ),
+    (
+        "point --kt 3 --kr 4 --files 4 --mu 1/2 --format json",
+        """\
+{
+  "command": "point",
+  "kind": "peak",
+  "kt": 3,
+  "kr": 4,
+  "files": 4,
+  "mu": "1/2",
+  "t": "3/2",
+  "envelope_order": "theorem",
+  "value": "3/2",
+  "argmax_cut": 1,
+  "segment": [
+    1,
+    2
+  ]
+}
+""",
+    ),
+    (
+        "point --kt 3 --kr 4 --files 3 --mu 1/2 --kind expected --decimal 3",
+        """\
+command = point
+kind = expected
+kt = 3
+kr = 4
+files = 3
+mu = 0.500
+t = 1.500
+envelope_order = theorem
+value = 1.235
+category s=1: mass=0.037 bound=1.000 argmax_cut=1 segment=[1, 3]
+category s=2: mass=0.519 bound=1.167 argmax_cut=1 segment=[1, 2]
+category s=3: mass=0.444 bound=1.333 argmax_cut=1 segment=[1, 2]
+""",
+    ),
+    (
+        "point --kt 3 --kr 4 --files 3 --mu 1/2 --kind expected --envelope-order proof",
+        """\
+command = point
+kind = expected
+kt = 3
+kr = 4
+files = 3
+mu = 1/2
+t = 3/2
+envelope_order = proof
+value = 103/81
+category s=1: mass=1/27 bound=1 argmax_cut=None segment=[1, 3]
+category s=2: mass=14/27 bound=7/6 argmax_cut=None segment=[1, 2]
+category s=3: mass=4/9 bound=17/12 argmax_cut=None segment=[1, 2]
+""",
+    ),
+    (
+        "distribution --files 7 --kr 3 --decimal 4",
+        """\
+s,mass
+1,0.0204
+2,0.3673
+3,0.6122
+""",
+    ),
+    (
+        "distribution --files 7 --kr 3 --format json",
+        """\
+{
+  "metadata": {
+    "command": "distribution",
+    "kt": 5,
+    "kr": 3,
+    "files": 7,
+    "samples": null,
+    "seed": 0,
+    "envelope_order": "theorem",
+    "version": "0.1.0"
+  },
+  "rows": [
+    {
+      "s": "1",
+      "mass": "1/49"
+    },
+    {
+      "s": "2",
+      "mass": "18/49"
+    },
+    {
+      "s": "3",
+      "mass": "30/49"
+    }
+  ]
+}
+""",
+    ),
+    (
+        "peak-sweep --config presets/peak_kt5_kr5.cfg --overlay mn-scheme --decimal 4",
+        """\
+mu,value,mn-scheme
+0.2000,1.8000,unavailable
+0.2200,1.7200,unavailable
+0.2400,1.6400,unavailable
+0.2600,1.5600,unavailable
+0.2800,1.4800,unavailable
+0.3000,1.4000,unavailable
+0.3200,1.3300,unavailable
+0.3400,1.2850,unavailable
+0.3600,1.2400,unavailable
+0.3800,1.2200,unavailable
+0.4000,1.2000,unavailable
+0.4200,1.1867,unavailable
+0.4400,1.1733,unavailable
+0.4600,1.1600,unavailable
+0.4800,1.1467,unavailable
+0.5000,1.1333,unavailable
+0.5200,1.1200,unavailable
+0.5400,1.1150,unavailable
+0.5600,1.1100,unavailable
+0.5800,1.1050,unavailable
+0.6000,1.1000,unavailable
+0.6200,1.0950,unavailable
+0.6400,1.0900,unavailable
+0.6600,1.0850,unavailable
+0.6800,1.0800,unavailable
+0.7000,1.0750,unavailable
+0.7200,1.0700,unavailable
+0.7400,1.0650,unavailable
+0.7600,1.0600,unavailable
+0.7800,1.0550,unavailable
+0.8000,1.0500,unavailable
+0.8200,1.0450,unavailable
+0.8400,1.0400,unavailable
+0.8600,1.0350,unavailable
+0.8800,1.0300,unavailable
+0.9000,1.0250,unavailable
+0.9200,1.0200,unavailable
+0.9400,1.0150,unavailable
+0.9600,1.0100,unavailable
+0.9800,1.0050,unavailable
+1.0000,1.0000,unavailable
+""",
+    ),
+    (
+        "expected-sweep --kt 2 --kr 3 --files 3 --grid 1/2:1:2 --samples 4 --seed 1 --format json",
+        """\
+{
+  "metadata": {
+    "command": "expected-sweep",
+    "kt": 2,
+    "kr": 3,
+    "files": 3,
+    "samples": 4,
+    "seed": 1,
+    "envelope_order": "theorem",
+    "version": "0.1.0"
+  },
+  "rows": [
+    {
+      "mu": "1/2",
+      "value": "14/9",
+      "mc_value": "13/8"
+    },
+    {
+      "mu": "1",
+      "value": "10/9",
+      "mc_value": "1"
+    }
+  ]
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("request_line, stdout", RENDERED, ids=[r for r, _ in RENDERED])
+def test_rendered_output_is_byte_identical(request_line, stdout, capsys, monkeypatch):
+    monkeypatch.chdir(PRESETS.parent)
+    assert run_cli(capsys, *request_line.split()) == (0, stdout, "")

@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndtbound.demands import (
     DEFAULT_ENUMERATION_CAP,
@@ -42,6 +44,15 @@ def test_distribution_masses_sum_to_one_exactly():
             assert sum(dist.masses.values()) == 1
             assert all(p > 0 for p in dist.masses.values())
             assert dist.support()[-1] == min(files, receivers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(files=st.integers(1, 60), receivers=st.integers(1, 60))
+def test_distribution_is_an_exact_pmf_property(files, receivers):
+    masses = distinct_distribution(files, receivers).masses
+    assert sum(masses.values()) == 1
+    assert sorted(masses) == list(range(1, min(files, receivers) + 1))
+    assert all(p > 0 for p in masses.values())
 
 
 def test_distribution_matches_enumeration_exactly():
