@@ -53,6 +53,8 @@ SUB_SEED_STRIDE = 1_000_003
 MAX_GRID_POINTS = 10**6
 
 OUTPUT_FORMATS = ("csv", "json")
+# verify prints a report, one line per check family, not a table
+_REPORT_FORMATS = ("text", "json")
 
 
 class CliError(Exception):
@@ -72,7 +74,7 @@ class RunConfig:
     samples: int | None = None
     seed: int = 0
     decimal: int | None = None
-    output_format: str = "csv"
+    output_format: str | None = None  # None: the command's first format
     output_path: str | None = None
     overlays: tuple[str, ...] = ()
     envelope_order: str = "theorem"
@@ -81,9 +83,12 @@ class RunConfig:
     max_transmitters: int = 6
 
     def __post_init__(self):
+        formats = _REPORT_FORMATS if self.command == "verify" else OUTPUT_FORMATS
+        if self.output_format is None:
+            object.__setattr__(self, "output_format", formats[0])
         for name, allowed in (
             ("command", tuple(_COMMANDS)),
-            ("output_format", OUTPUT_FORMATS),
+            ("output_format", formats),
             ("envelope_order", ENVELOPE_ORDERS),
             ("kind", BOUND_KINDS),
         ):
@@ -185,7 +190,10 @@ def build_parser() -> _Parser:
         )
         p.add_argument("--files", type=int, help=f"library size (default {defaults.files})")
 
-    def add_common(p, *, net=False, grid=False, mu=False, sampling=False, rationals=True):
+    def add_common(
+        p, *, net=False, grid=False, mu=False, sampling=False, rationals=True,
+        formats=OUTPUT_FORMATS,
+    ):
         p.add_argument("--config", help="flat key=value config file; flags override it")
         if net:
             p.add_argument(
@@ -214,9 +222,7 @@ def build_parser() -> _Parser:
         if rationals:
             p.add_argument("--decimal", type=int, help="render rationals with this many decimals")
         p.add_argument(
-            "--format",
-            choices=OUTPUT_FORMATS,
-            help=f"output format (default {defaults.output_format})",
+            "--format", choices=formats, help=f"output format (default {formats[0]})"
         )
         p.add_argument("--out", help="output path (default standard output)")
 
@@ -234,7 +240,7 @@ def build_parser() -> _Parser:
     add_library(dist)
 
     verify = sub.add_parser("verify", help="run every oracle suite", allow_abbrev=False)
-    add_common(verify, rationals=False)  # verify prints no rationals
+    add_common(verify, rationals=False, formats=_REPORT_FORMATS)  # verify prints no rationals
     verify.add_argument(
         "--limit", type=int, help=f"identity-suite range (default {defaults.limit})"
     )

@@ -16,9 +16,11 @@ them as human-readable text or machine-readable JSON lines.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
+from typing import Iterable
 
 from .bounds import ConvexEnvelope
 from .combinatorics import _as_fraction, binom
@@ -86,16 +88,7 @@ def lp_min_placement(transmitters: int, cut_size: int, replication) -> LpSolutio
     Ties resolve to the singleton first, then to the lexicographically
     smallest pair.
     """
-    if not 1 <= cut_size <= transmitters:
-        raise ValueError(f"cut_size must lie in [1, {transmitters}], got {cut_size}")
-    t = _as_fraction(replication)
-    if not 1 <= t <= transmitters:
-        raise Infeasible(f"replication must lie in [1, {transmitters}], got {t}")
-    weights = {
-        n: coverage_weight(transmitters, cut_size, n)
-        for n in range(1, transmitters + 1)
-    }
-
+    t, weights = _placement_inputs(transmitters, cut_size, replication)
     candidates: list[tuple[Fraction, dict[int, Fraction]]] = []
     if t.denominator == 1:
         n = int(t)
@@ -109,10 +102,8 @@ def lp_min_placement(transmitters: int, cut_size: int, replication) -> LpSolutio
             value = a1 * weights[n1] + a2 * weights[n2]
             candidates.append((value, {n1: a1, n2: a2}))
 
-    best_value, best_alloc = candidates[0]
-    for value, alloc in candidates[1:]:
-        if value < best_value:
-            best_value, best_alloc = value, alloc
+    # min keeps the first of equal values, which gives the tie order above
+    best_value, best_alloc = min(candidates, key=itemgetter(0))
 
     alphas = tuple(
         best_alloc.get(n, Fraction(0)) for n in range(1, transmitters + 1)
@@ -135,24 +126,38 @@ def grid_scan_min_placement(
     never beat the vertex optimum.  Returns None if no scanned profile
     meets the replication constraint exactly.
     """
+    t, weights = _placement_inputs(transmitters, cut_size, replication)
+    # the pair weight a1 = j/steps is admitted when a1*n1 + (1 - a1)*n2 == t,
+    # tested in integers; only admitted weights become Fractions
+    admitted = (
+        Fraction(j, steps) * weights[n1] + Fraction(steps - j, steps) * weights[n2]
+        for n1 in range(1, transmitters + 1)
+        for n2 in range(n1, transmitters + 1)
+        for j in range(steps + 1)
+        if t.denominator * (j * n1 + (steps - j) * n2) == t.numerator * steps
+    )
+    return min(admitted, default=None)
+
+
+def _weights(transmitters: int, cut_size: int) -> dict[int, Fraction]:
+    """Coverage weight of each copy count 1..transmitters at one cut size."""
+    if not 1 <= cut_size <= transmitters:
+        raise ValueError(f"cut_size must lie in [1, {transmitters}], got {cut_size}")
+    return {n: coverage_weight(transmitters, cut_size, n) for n in range(1, transmitters + 1)}
+
+
+def _placement_inputs(transmitters: int, cut_size: int, replication):
+    """The checked replication as a Fraction, and the weights the LP averages."""
+    weights = _weights(transmitters, cut_size)
     t = _as_fraction(replication)
     if not 1 <= t <= transmitters:
         raise Infeasible(f"replication must lie in [1, {transmitters}], got {t}")
-    weights = {
-        n: coverage_weight(transmitters, cut_size, n)
-        for n in range(1, transmitters + 1)
-    }
-    best: Fraction | None = None
-    for n1 in range(1, transmitters + 1):
-        for n2 in range(n1, transmitters + 1):
-            for j in range(steps + 1):
-                a1 = Fraction(j, steps)
-                if a1 * n1 + (1 - a1) * n2 != t:
-                    continue
-                value = a1 * weights[n1] + (1 - a1) * weights[n2]
-                if best is None or value < best:
-                    best = value
-    return best
+    return t, weights
+
+
+def _convex_through(f: dict[int, Fraction], last: int) -> bool:
+    """f[n+1] + f[n-1] >= 2 f[n] for every n in [2, last]."""
+    return all(f[n + 1] + f[n - 1] >= 2 * f[n] for n in range(2, last + 1))
 
 
 def check_discrete_convexity(transmitters: int, cut_size: int) -> bool:
@@ -161,25 +166,17 @@ def check_discrete_convexity(transmitters: int, cut_size: int) -> bool:
     Convexity (f[n+1] + f[n-1] >= 2 f[n]) is asserted on interior points of
     [1, cut_size]; monotonicity is asserted on all of [1, transmitters].
     """
-    if not 1 <= cut_size <= transmitters:
-        raise ValueError(f"cut_size must lie in [1, {transmitters}], got {cut_size}")
-    f = {n: coverage_weight(transmitters, cut_size, n) for n in range(1, transmitters + 1)}
-    for n in range(2, transmitters):
-        if n <= cut_size - 1 and f[n + 1] + f[n - 1] < 2 * f[n]:
-            return False
-    return all(f[n + 1] <= f[n] for n in range(1, transmitters))
+    f = _weights(transmitters, cut_size)
+    return _convex_through(f, cut_size - 1) and all(
+        f[n + 1] <= f[n] for n in range(1, transmitters)
+    )
 
 
 def check_discrete_convexity_full(transmitters: int, cut_size: int) -> bool:
     """Stricter variant: convexity across the whole range, including the
     boundary where the weights hit zero.  Reported separately from the
     claimed-region check."""
-    if not 1 <= cut_size <= transmitters:
-        raise ValueError(f"cut_size must lie in [1, {transmitters}], got {cut_size}")
-    f = {n: coverage_weight(transmitters, cut_size, n) for n in range(1, transmitters + 1)}
-    return all(
-        f[n + 1] + f[n - 1] >= 2 * f[n] for n in range(2, transmitters)
-    )
+    return _convex_through(_weights(transmitters, cut_size), transmitters - 1)
 
 
 @dataclass(frozen=True)
@@ -191,15 +188,7 @@ class CheckRecord:
     counterexample: str | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "scope": self.scope,
-                "checked": self.checked,
-                "passed": self.passed,
-                "counterexample": self.counterexample,
-            }
-        )
+        return json.dumps(asdict(self))
 
     def to_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -227,14 +216,23 @@ class CheckReport:
         return CheckReport(records=self.records + other.records)
 
 
-def _record(name: str, scope: str, failures: list[str], checked: int) -> CheckRecord:
-    return CheckRecord(
-        name=name,
-        scope=scope,
-        checked=checked,
-        passed=not failures,
-        counterexample=failures[0] if failures else None,
-    )
+def _record(name: str, scope: str, outcomes: Iterable[str | None]) -> CheckRecord:
+    """One family's record.  ``outcomes`` holds one item per tuple checked: None
+    where the claim holds, else its counterexample.  Every tuple is counted and
+    the first counterexample is reported."""
+    outcomes = list(outcomes)
+    counterexample = next((item for item in outcomes if item is not None), None)
+    return CheckRecord(name, scope, len(outcomes), counterexample is None, counterexample)
+
+
+def _pairs(top: int):
+    """Every (k, c) with 1 <= c <= k <= top: a transmitter count and a cut size."""
+    return ((k, c) for k in range(1, top + 1) for c in range(1, k + 1))
+
+
+def _quarter_steps(transmitters: int):
+    """Replications 1, 5/4, 3/2, ..., transmitters."""
+    return (1 + Fraction(i, 4) for i in range(4 * transmitters - 3))
 
 
 def check_averaging_identities(limit: int = 16) -> CheckReport:
@@ -247,41 +245,25 @@ def check_averaging_identities(limit: int = 16) -> CheckReport:
     """
     if not 1 <= limit <= 16:
         raise ValueError(f"limit must lie in [1, 16], got {limit}")
+    subset_cap = min(limit, 8)
 
-    failures: list[str] = []
-    checked = 0
-    for total in range(1, limit + 1):
-        for n in range(total + 1):
-            for l in range(total + 1):
-                checked += 1
-                lhs = Fraction(binom(total - n, l), binom(total, l))
-                rhs = Fraction(binom(total - l, n), binom(total, n))
-                if lhs != rhs:
-                    failures.append(f"K={total}, n={n}, l={l}: {lhs} != {rhs}")
-    complement = _record(
-        "complement-subset-symmetry", f"all K <= {limit}, 0 <= n,l <= K", failures, checked
-    )
+    def complement():
+        for total in range(1, limit + 1):
+            for n in range(total + 1):
+                for l in range(total + 1):
+                    lhs = Fraction(binom(total - n, l), binom(total, l))
+                    rhs = Fraction(binom(total - l, n), binom(total, n))
+                    yield None if lhs == rhs else f"K={total}, n={n}, l={l}: {lhs} != {rhs}"
 
-    failures = []
-    checked = 0
-    for s in range(1, limit + 1):
-        for cut in range(1, s + 1):
-            checked += 1
+    def counting():
+        for s, cut in _pairs(limit):
             lhs = Fraction(binom(s - 1, s - cut - 1), binom(s, cut))
             rhs = Fraction(s - cut, s)
-            if lhs != rhs:
-                failures.append(f"s={s}, cut={cut}: {lhs} != {rhs}")
-    counting = _record(
-        "receiver-averaging-count", f"all 1 <= cut <= s <= {limit}", failures, checked
-    )
+            yield None if lhs == rhs else f"s={s}, cut={cut}: {lhs} != {rhs}"
 
-    failures = []
-    checked = 0
-    subset_cap = min(limit, 8)
-    for total in range(1, subset_cap + 1):
-        for cut in range(1, total + 1):
+    def avoidance():
+        for total, cut in _pairs(subset_cap):
             for marked in range(1, total + 1):
-                checked += 1
                 covering = sum(
                     1
                     for subset in combinations(range(total), cut)
@@ -291,19 +273,23 @@ def check_averaging_identities(limit: int = 16) -> CheckReport:
                 closed = Fraction(
                     binom(total - marked, total - cut), binom(total, total - cut)
                 )
-                if enumerated != closed:
-                    failures.append(
-                        f"K={total}, cut={cut}, marked={marked}: "
-                        f"{enumerated} != {closed}"
-                    )
-    avoidance = _record(
-        "cut-avoidance-probability",
-        f"subset enumeration for all K <= {subset_cap}, cut and marked set sizes <= K",
-        failures,
-        checked,
-    )
+                yield None if enumerated == closed else (
+                    f"K={total}, cut={cut}, marked={marked}: {enumerated} != {closed}"
+                )
 
-    return CheckReport(records=(complement, counting, avoidance))
+    return CheckReport(
+        records=(
+            _record(
+                "complement-subset-symmetry", f"all K <= {limit}, 0 <= n,l <= K", complement()
+            ),
+            _record("receiver-averaging-count", f"all 1 <= cut <= s <= {limit}", counting()),
+            _record(
+                "cut-avoidance-probability",
+                f"subset enumeration for all K <= {subset_cap}, cut and marked set sizes <= K",
+                avoidance(),
+            ),
+        )
+    )
 
 
 def lp_matches_corner_claim(max_transmitters: int = 6) -> CheckReport:
@@ -315,47 +301,36 @@ def lp_matches_corner_claim(max_transmitters: int = 6) -> CheckReport:
             f"max_transmitters must lie in [1, 10], got {max_transmitters}"
         )
 
-    corner_failures: list[str] = []
-    corner_checked = 0
-    interp_failures: list[str] = []
-    interp_checked = 0
-    for kt in range(1, max_transmitters + 1):
-        for cut in range(1, kt + 1):
-            envelope = ConvexEnvelope.of_points(
-                (n, coverage_weight(kt, cut, n)) for n in range(1, kt + 1)
-            )
+    def corners():
+        for kt, cut in _pairs(max_transmitters):
             for t in range(1, kt + 1):
-                corner_checked += 1
                 got = lp_min_placement(kt, cut, t).optimum
                 want = Fraction(binom(cut, t), binom(kt, t))
-                if got != want:
-                    corner_failures.append(
-                        f"KT={kt}, cut={cut}, t={t}: lp={got}, corner={want}"
-                    )
-            t = Fraction(1)
-            while t <= kt:
-                interp_checked += 1
+                yield None if got == want else (
+                    f"KT={kt}, cut={cut}, t={t}: lp={got}, corner={want}"
+                )
+
+    def interpolations():
+        for kt, cut in _pairs(max_transmitters):
+            envelope = ConvexEnvelope.of_points(_weights(kt, cut).items())
+            for t in _quarter_steps(kt):
                 got = lp_min_placement(kt, cut, t).optimum
                 want = envelope.evaluate(t)
-                if got != want:
-                    interp_failures.append(
-                        f"KT={kt}, cut={cut}, t={t}: lp={got}, envelope={want}"
-                    )
-                t += Fraction(1, 4)
+                yield None if got == want else (
+                    f"KT={kt}, cut={cut}, t={t}: lp={got}, envelope={want}"
+                )
 
     return CheckReport(
         records=(
             _record(
                 "lp-corner-integer-replication",
                 f"all KT <= {max_transmitters}, cut sizes, integer replication",
-                corner_failures,
-                corner_checked,
+                corners(),
             ),
             _record(
                 "lp-envelope-fractional-replication",
                 f"all KT <= {max_transmitters}, cut sizes, quarter-step replication",
-                interp_failures,
-                interp_checked,
+                interpolations(),
             ),
         )
     )
@@ -367,21 +342,19 @@ def check_convexity_sweep(max_transmitters: int = 8) -> CheckReport:
         raise ValueError(
             f"max_transmitters must lie in [1, 16], got {max_transmitters}"
         )
-    claimed_failures: list[str] = []
-    full_failures: list[str] = []
-    checked = 0
-    for kt in range(1, max_transmitters + 1):
-        for cut in range(1, kt + 1):
-            checked += 1
-            if not check_discrete_convexity(kt, cut):
-                claimed_failures.append(f"KT={kt}, cut={cut}")
-            if not check_discrete_convexity_full(kt, cut):
-                full_failures.append(f"KT={kt}, cut={cut}")
     scope = f"all KT <= {max_transmitters}, all cut sizes"
     return CheckReport(
-        records=(
-            _record("discrete-convexity-claimed-region", scope, claimed_failures, checked),
-            _record("discrete-convexity-full-range", scope, full_failures, checked),
+        records=tuple(
+            _record(
+                name,
+                scope,
+                (None if holds(kt, cut) else f"KT={kt}, cut={cut}"
+                 for kt, cut in _pairs(max_transmitters)),
+            )
+            for name, holds in (
+                ("discrete-convexity-claimed-region", check_discrete_convexity),
+                ("discrete-convexity-full-range", check_discrete_convexity_full),
+            )
         )
     )
 
@@ -390,28 +363,24 @@ def check_lp_against_grid_scan(
     max_transmitters: int = 5, steps: int = 64
 ) -> CheckReport:
     """Vertex optimum vs. naive grid scan on a quarter replication grid."""
-    failures: list[str] = []
-    checked = 0
     resolution = Fraction(1, steps)
-    for kt in range(1, max_transmitters + 1):
-        for cut in range(1, kt + 1):
-            t = Fraction(1)
-            while t <= kt:
-                checked += 1
+
+    def outcomes():
+        for kt, cut in _pairs(max_transmitters):
+            for t in _quarter_steps(kt):
                 vertex = lp_min_placement(kt, cut, t).optimum
                 scanned = grid_scan_min_placement(kt, cut, t, steps=steps)
-                if scanned is None or vertex > scanned or scanned - vertex > resolution:
-                    failures.append(
-                        f"KT={kt}, cut={cut}, t={t}: vertex={vertex}, scan={scanned}"
-                    )
-                t += Fraction(1, 4)
+                if scanned is not None and vertex <= scanned <= vertex + resolution:
+                    yield None
+                else:
+                    yield f"KT={kt}, cut={cut}, t={t}: vertex={vertex}, scan={scanned}"
+
     return CheckReport(
         records=(
             _record(
                 "lp-vertex-vs-grid-scan",
                 f"all KT <= {max_transmitters}, quarter-step replication, 1/{steps} scan",
-                failures,
-                checked,
+                outcomes(),
             ),
         )
     )

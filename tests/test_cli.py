@@ -397,6 +397,7 @@ def test_keys_of_other_commands_are_ignored(capsys):
     [
         ("command", "sideways-sweep"),
         ("output_format", "xml"),
+        ("output_format", "text"),  # verify's report format; point prints csv or json
         ("envelope_order", "sideways"),
         ("kind", "sideways"),
     ],
@@ -478,6 +479,8 @@ SWEEP = ["--kt", "3", "--kr", "3", "--files", "3", "--grid", "1/3:1:3"]
         # refused while parsing --grid, before any of its points is built
         (["peak-sweep", "--kt", "3", "--grid", "1/3:1:1000003"],
          "a grid may have at most 1000000 points, got 1000003"),
+        # verify prints a text report, not CSV
+        (["verify", "--format", "csv"], "argument --format: invalid choice: 'csv'"),
     ],
 )
 def test_bad_settings_exit_1_before_any_work(args, message, capsys, monkeypatch):
@@ -503,6 +506,13 @@ def test_bad_settings_fail_from_files_and_direct_construction(tmp_path, capsys):
         RunConfig("expected-sweep")
     with pytest.raises(ValueError, match="--seed must be nonnegative"):
         RunConfig("distribution", seed=-1)
+    cfg.write_text("format = csv\n")
+    status, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert (status, out) == (1, "")
+    assert err.startswith(f"error: {cfg}: argument --format: invalid choice: 'csv'")
+    with pytest.raises(ValueError, match="output_format must be one of"):
+        RunConfig("verify", output_format="csv")
+    assert RunConfig("verify").output_format == "text"
 
 
 def test_sampled_grid_must_be_shorter_than_the_seed_stride(capsys, monkeypatch):

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ndtbound import oracle
 from ndtbound.bounds import bound_expression
 from ndtbound.combinatorics import binom
 from ndtbound.oracle import (
@@ -114,6 +118,47 @@ def test_grid_scan_agrees_with_vertex_enumeration():
                 assert scanned - vertex <= resolution
 
 
+def fraction_admission_scan(transmitters, cut_size, t, steps):
+    """Reference grid scan: every grid weight is a Fraction, and admission is
+    tested in Fraction arithmetic."""
+    weights = {
+        n: coverage_weight(transmitters, cut_size, n) for n in range(1, transmitters + 1)
+    }
+    best = None
+    for n1 in range(1, transmitters + 1):
+        for n2 in range(n1, transmitters + 1):
+            for j in range(steps + 1):
+                a1 = F(j, steps)
+                if a1 * n1 + (1 - a1) * n2 != t:
+                    continue
+                value = a1 * weights[n1] + (1 - a1) * weights[n2]
+                if best is None or value < best:
+                    best = value
+    return best
+
+
+@st.composite
+def scan_cases(draw):
+    kt = draw(st.integers(1, 6))
+    cut = draw(st.integers(1, kt))
+    denominator = draw(st.integers(1, 12))
+    t = F(draw(st.integers(denominator, kt * denominator)), denominator)
+    return kt, cut, t, draw(st.integers(1, 64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+@example((3, 2, F(3, 2), 1))  # no grid weight admits t: None on both sides
+@example((5, 3, F(7, 5), 64))  # t off the 1/64 grid of every pair
+@example((6, 4, F(13, 4), 64))
+@example((1, 1, F(1), 1))
+def test_grid_scan_matches_fraction_admission(case):
+    kt, cut, t, steps = case
+    assert grid_scan_min_placement(kt, cut, t, steps) == fraction_admission_scan(
+        kt, cut, t, steps
+    )
+
+
 def test_lp_optimum_feeds_the_bound_expression():
     # bound = 1 + ((s - c)/c) * lp optimum, at integer replication t <= c
     for kt in range(1, 9):
@@ -198,9 +243,63 @@ def test_full_verification_report_formats():
         assert set(record) == {"name", "scope", "checked", "passed", "counterexample"}
 
 
-def test_report_rendering_of_failures():
+def test_report_rendering_of_failures(monkeypatch):
     report = check_lp_against_grid_scan(3)
     assert isinstance(report, CheckReport)
     assert report.passed
     line = report.records[0].to_line()
     assert line.startswith("PASS lp-vertex-vs-grid-scan")
+
+    # one primitive broken per family: each record counts every tuple of its
+    # family and reports its first counterexample, whether or not the other
+    # families of its suite fail
+    real_binom, real_lp, real_weight = binom, lp_min_placement, coverage_weight
+    monkeypatch.setattr(oracle, "binom", lambda n, k: real_binom(n, k) + ((n, k) == (3, 1)))
+    assert check_averaging_identities(4).to_text() == (
+        "FAIL complement-subset-symmetry: all K <= 4, 0 <= n,l <= K (54 tuples) "
+        "counterexample: K=3, n=1, l=2: 1/3 != 1/4\n"
+        "FAIL receiver-averaging-count: all 1 <= cut <= s <= 4 (10 tuples) "
+        "counterexample: s=3, cut=1: 1/2 != 2/3\n"
+        "FAIL cut-avoidance-probability: subset enumeration for all K <= 4, cut and "
+        "marked set sizes <= K (30 tuples) counterexample: K=3, cut=1, marked=1: 1/4 != 1/3"
+    )
+    monkeypatch.setattr(oracle, "binom", real_binom)
+
+    def off_at_fractional_kt3(kt, cut, t):
+        shift = F(1, 100) if kt == 3 and F(t).denominator > 1 else 0
+        return SimpleNamespace(optimum=real_lp(kt, cut, t).optimum + shift)
+
+    monkeypatch.setattr(oracle, "lp_min_placement", off_at_fractional_kt3)
+    assert lp_matches_corner_claim(3).to_text() == (
+        "PASS lp-corner-integer-replication: all KT <= 3, cut sizes, integer replication "
+        "(14 tuples)\n"
+        "FAIL lp-envelope-fractional-replication: all KT <= 3, cut sizes, quarter-step "
+        "replication (38 tuples) counterexample: KT=3, cut=1, t=5/4: lp=13/50, envelope=1/4"
+    )
+    assert check_lp_against_grid_scan(3).to_text() == (
+        "FAIL lp-vertex-vs-grid-scan: all KT <= 3, quarter-step replication, 1/64 scan "
+        "(38 tuples) counterexample: KT=3, cut=1, t=5/4: vertex=13/50, scan=1/4"
+    )
+    monkeypatch.setattr(oracle, "lp_min_placement", real_lp)
+
+    # raising f[2] at (KT=4, cut=3) breaks convexity inside the claimed region,
+    # raising f[3] at (KT=4, cut=2) only past it
+    bumped = {(4, 3, 2), (4, 2, 3)}
+    monkeypatch.setattr(
+        oracle,
+        "coverage_weight",
+        lambda kt, cut, n: real_weight(kt, cut, n) + F((kt, cut, n) in bumped, 10),
+    )
+    report = check_convexity_sweep(5)
+    assert report.to_text() == (
+        "FAIL discrete-convexity-claimed-region: all KT <= 5, all cut sizes (15 tuples) "
+        "counterexample: KT=4, cut=3\n"
+        "FAIL discrete-convexity-full-range: all KT <= 5, all cut sizes (15 tuples) "
+        "counterexample: KT=4, cut=2"
+    )
+    assert report.to_json_lines() == (
+        '{"name": "discrete-convexity-claimed-region", "scope": "all KT <= 5, all cut sizes", '
+        '"checked": 15, "passed": false, "counterexample": "KT=4, cut=3"}\n'
+        '{"name": "discrete-convexity-full-range", "scope": "all KT <= 5, all cut sizes", '
+        '"checked": 15, "passed": false, "counterexample": "KT=4, cut=2"}'
+    )
