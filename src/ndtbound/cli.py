@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
 from .bounds import (
@@ -51,10 +51,6 @@ SUB_SEED_STRIDE = 1_000_003
 # larger grids are refused before any point is built (10**6 points take seconds
 # to build; a preset's grid has 41)
 MAX_GRID_POINTS = 10**6
-
-OUTPUT_FORMATS = ("csv", "json")
-# verify prints a report, one line per check family, not a table
-_REPORT_FORMATS = ("text", "json")
 
 
 class CliError(Exception):
@@ -83,12 +79,13 @@ class RunConfig:
     max_transmitters: int = 6
 
     def __post_init__(self):
-        formats = _REPORT_FORMATS if self.command == "verify" else OUTPUT_FORMATS
+        if self.command not in _COMMANDS:
+            raise ValueError(f"command must be one of {tuple(_COMMANDS)}, got {self.command!r}")
+        row = _COMMANDS[self.command]
         if self.output_format is None:
-            object.__setattr__(self, "output_format", formats[0])
+            object.__setattr__(self, "output_format", row.formats[0])
         for name, allowed in (
-            ("command", tuple(_COMMANDS)),
-            ("output_format", formats),
+            ("output_format", row.formats),
             ("envelope_order", ENVELOPE_ORDERS),
             ("kind", BOUND_KINDS),
         ):
@@ -101,9 +98,8 @@ class RunConfig:
         sampled = len(self.mu_grid) if self.samples and self.mu_grid else 0
         # the other settings, one row each, all checked before any bound is computed
         for bad, message in (
-            (self.command in ("peak-sweep", "expected-sweep") and self.mu_grid is None,
-             "missing required options: --grid"),
-            (self.command == "point" and self.mu is None, "missing required options: --mu"),
+            ("grid" in row.options and self.mu_grid is None, "missing required options: --grid"),
+            ("mu" in row.options and self.mu is None, "missing required options: --mu"),
             (self.samples is not None and self.samples < 1,
              f"--samples must be positive, got {self.samples}"),
             # random.Random seeds with |seed|, so seed -1 would replay seed 1
@@ -120,13 +116,8 @@ class RunConfig:
         ):
             if bad:
                 raise ValueError(message)
-
-
-# argparse dests that are spelled differently as RunConfig fields
-_FIELDS = {
-    "kt": "transmitters", "kr": "receivers", "kt_max": "max_transmitters", "grid": "mu_grid",
-    "format": "output_format", "out": "output_path", "overlay": "overlays",
-}
+        if self.mu_grid is not None:  # a colon grid's points, built once every check passed
+            object.__setattr__(self, "mu_grid", tuple(self.mu_grid))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -137,12 +128,30 @@ def parse_rational(text: str) -> Fraction:
         raise CliError(f"cannot parse {text!r} as an exact rational") from None
 
 
+class _Spaced:
+    """The colon grid form, whose exact points are built only when iterated."""
+
+    def __init__(self, start: Fraction, stop: Fraction, count: int):
+        self.start, self.step, self.count = start, (stop - start) / max(count - 1, 1), count
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        return (self.start + i * self.step for i in range(self.count))
+
+
 def parse_grid(text: str) -> tuple[Fraction, ...]:
     """Parse 'start:stop:count' or a comma-separated list of rationals.
 
     The colon form yields count points linearly spaced from start to stop,
     endpoints inclusive, all exact.
     """
+    return tuple(_lazy_grid(text))
+
+
+def _lazy_grid(text: str) -> _Spaced | tuple[Fraction, ...]:
+    """parse_grid with every check, but the colon form's points left unbuilt."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -156,12 +165,9 @@ def parse_grid(text: str) -> tuple[Fraction, ...]:
         if count < 1:
             raise CliError(f"grid count must be positive, got {count}")
         _check_grid_size(count)
-        if count == 1:
-            if start != stop:
-                raise CliError("grid of one point needs start == stop")
-            return (start,)
-        step = (stop - start) / (count - 1)
-        return tuple(start + i * step for i in range(count))
+        if count == 1 and start != stop:
+            raise CliError("grid of one point needs start == stop")
+        return _Spaced(start, stop, count)
     parts = text.split(",")
     _check_grid_size(len(parts))
     return tuple(parse_rational(part) for part in parts)
@@ -182,86 +188,23 @@ def build_parser() -> _Parser:
     # no parser takes abbreviations, so "verify --kt 3" is not read as --kt-max
     parser = _Parser(prog="ndtbound", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = RunConfig
-
-    def add_library(p):
-        p.add_argument(
-            "--kr", type=int, help=f"number of receivers (default {defaults.receivers})"
+    for name, row in _COMMANDS.items():
+        command = sub.add_parser(name, help=row.help, allow_abbrev=False)
+        command.add_argument("--config", help="flat key=value config file; flags override it")
+        for key in row.options:
+            field, text, keywords = _OPTIONS[key][:3]
+            default = getattr(RunConfig, field)
+            text += "" if default in (None, ()) else f" (default {default})"
+            metavar = None if "choices" in keywords else key.upper().replace("-", "_")
+            command.add_argument(f"--{key}", dest=field, metavar=metavar, help=text, **keywords)
+        text = f"output format (default {row.formats[0]})"
+        command.add_argument("--format", dest="output_format", choices=row.formats, help=text)
+        command.add_argument(
+            "--out", dest="output_path", metavar="OUT", help="output path (default standard output)"
         )
-        p.add_argument("--files", type=int, help=f"library size (default {defaults.files})")
-
-    def add_common(
-        p, *, net=False, grid=False, mu=False, sampling=False, rationals=True,
-        formats=OUTPUT_FORMATS,
-    ):
-        p.add_argument("--config", help="flat key=value config file; flags override it")
-        if net:
-            p.add_argument(
-                "--kt",
-                type=int,
-                help=f"number of transmitters (default {defaults.transmitters})",
-            )
-            add_library(p)
-        if grid:
-            p.add_argument(
-                "--grid",
-                type=parse_grid,
-                help="cache-size grid: start:stop:count or a comma list of rationals",
-            )
-        if mu:
-            p.add_argument(
-                "--mu", type=parse_rational, help="normalized cache size (exact rational)"
-            )
-        if sampling:
-            p.add_argument(
-                "--samples",
-                type=int,
-                help="Monte-Carlo sample count for the cross-check column",
-            )
-            p.add_argument("--seed", type=int, help=f"sampler seed (default {defaults.seed})")
-        if rationals:
-            p.add_argument("--decimal", type=int, help="render rationals with this many decimals")
-        p.add_argument(
-            "--format", choices=formats, help=f"output format (default {formats[0]})"
-        )
-        p.add_argument("--out", help="output path (default standard output)")
-
-    for name, text in (
-        ("peak-sweep", "worst-case bound over a cache-size grid"),
-        ("expected-sweep", "expected-demand bound over a cache-size grid"),
-    ):
-        curve = sub.add_parser(name, help=text, allow_abbrev=False)
-        add_common(curve, net=True, grid=True, sampling=name == "expected-sweep")
-        curve.add_argument("--overlay", action="append", help="reference curve to overlay")
-        curve.add_argument("--envelope-order", choices=ENVELOPE_ORDERS)
-
-    dist = sub.add_parser("distribution", help="exact distinct-count pmf", allow_abbrev=False)
-    add_common(dist)
-    add_library(dist)
-
-    verify = sub.add_parser("verify", help="run every oracle suite", allow_abbrev=False)
-    add_common(verify, rationals=False, formats=_REPORT_FORMATS)  # verify prints no rationals
-    verify.add_argument(
-        "--limit", type=int, help=f"identity-suite range (default {defaults.limit})"
-    )
-    verify.add_argument(
-        "--kt-max",
-        type=int,
-        help="largest transmitter count for the LP suites "
-        f"(default {defaults.max_transmitters})",
-    )
-
-    point = sub.add_parser("point", help="one bound value with its evidence", allow_abbrev=False)
-    add_common(point, net=True, mu=True)
-    point.add_argument("--kind", choices=BOUND_KINDS)
-    point.add_argument("--envelope-order", choices=ENVELOPE_ORDERS)
-
-    # per command, the keys a config file may set: each option's long name
-    # without dashes (the long name is listed last, as in "-h", "--help")
+    # per command, the keys a config file may set: its long flag names without dashes
     parser.file_keys = {
-        name: frozenset(action.option_strings[-1][2:] for action in command._actions)
-        - {"config", "help"}
-        for name, command in sub.choices.items()
+        name: frozenset((*row.options, "format", "out")) for name, row in _COMMANDS.items()
     }
     return parser
 
@@ -307,7 +250,7 @@ def parse_run_config(argv=None) -> RunConfig:
         except CliError as exc:
             raise CliError(f"{args.config}: {exc}") from None
     fields = {
-        _FIELDS.get(dest, dest): value
+        dest: value
         for namespace in (from_file, args)  # flags last, so they win
         for dest, value in vars(namespace).items()
         if value is not None and dest != "config"
@@ -340,9 +283,12 @@ def _emit_table(config: RunConfig, columns: dict[str, Sequence]):
         lines.extend(",".join(row) for row in rows)
         _emit(config, "\n".join(lines) + "\n")
     else:
-        # the run's settings under their flag names, and the tool version
-        keys = ("command", "kt", "kr", "files", "samples", "seed", "envelope_order")
-        metadata = {key: getattr(config, _FIELDS.get(key, key)) for key in keys}
+        # the command, its echoed settings under their flag names, and the tool version
+        metadata = {"command": config.command} | {
+            key.replace("-", "_"): getattr(config, _OPTIONS[key].field)
+            for key in _COMMANDS[config.command].options
+            if _OPTIONS[key].echoed
+        }
         records = [dict(zip(header, row)) for row in rows]
         payload = {"metadata": metadata | {"version": __version__}, "rows": records}
         _emit(config, json.dumps(payload, indent=2) + "\n")
@@ -438,17 +384,70 @@ def _run_point(config: RunConfig) -> int:
     return 0
 
 
+class _Option(NamedTuple):
+    field: str  # the RunConfig field the flag sets
+    help: str  # build_parser appends the field's default
+    keywords: dict  # for argparse's add_argument
+    echoed: bool = False  # a table's JSON metadata echoes it: it shapes values it does not show
+
+
+# every flag but --config, --format and --out, which every command takes;
+# a flag's long name without dashes is also its config-file key
+_OPTIONS = {
+    "kt": _Option("transmitters", "number of transmitters", dict(type=int), echoed=True),
+    "kr": _Option("receivers", "number of receivers", dict(type=int), echoed=True),
+    "files": _Option("files", "library size", dict(type=int), echoed=True),
+    "grid": _Option(
+        "mu_grid", "cache-size grid: start:stop:count or a comma list", dict(type=_lazy_grid)
+    ),
+    "mu": _Option("mu", "normalized cache size (exact rational)", dict(type=parse_rational)),
+    "samples": _Option("samples", "Monte-Carlo samples per mu", dict(type=int), echoed=True),
+    "seed": _Option("seed", "sampler seed", dict(type=int), echoed=True),
+    "decimal": _Option("decimal", "render rationals with this many decimals", dict(type=int)),
+    "overlay": _Option("overlays", "reference curve to overlay", dict(action="append")),
+    "envelope-order": _Option(
+        "envelope_order", "theorem: envelope, then max over cuts; proof: the reverse",
+        dict(choices=ENVELOPE_ORDERS), echoed=True,
+    ),
+    "kind": _Option("kind", "bound to evaluate", dict(choices=BOUND_KINDS)),
+    "limit": _Option("limit", "identity-suite range", dict(type=int)),
+    "kt-max": _Option(
+        "max_transmitters", "largest transmitter count for the LP suites", dict(type=int)
+    ),
+}
+
+
+class _Command(NamedTuple):
+    handler: Callable[[RunConfig], int]
+    help: str
+    formats: tuple[str, ...]  # the first is the default; verify and point print no table
+    options: tuple[str, ...]  # the _OPTIONS it reads, in --help order
+
+
 _COMMANDS = {
-    "peak-sweep": _run_sweep,
-    "expected-sweep": _run_sweep,
-    "distribution": _run_distribution,
-    "verify": _run_verify,
-    "point": _run_point,
+    "peak-sweep": _Command(
+        _run_sweep, "worst-case bound over a cache-size grid", ("csv", "json"),
+        ("kt", "kr", "files", "grid", "decimal", "overlay", "envelope-order"),
+    ),
+    "expected-sweep": _Command(
+        _run_sweep, "expected-demand bound over a cache-size grid", ("csv", "json"),
+        ("kt", "kr", "files", "grid", "samples", "seed", "decimal", "overlay", "envelope-order"),
+    ),
+    "distribution": _Command(
+        _run_distribution, "exact distinct-count pmf", ("csv", "json"), ("kr", "files", "decimal")
+    ),
+    "verify": _Command(
+        _run_verify, "run every oracle suite", ("text", "json"), ("limit", "kt-max")
+    ),
+    "point": _Command(
+        _run_point, "one bound value with its evidence", ("text", "json"),
+        ("kt", "kr", "files", "mu", "decimal", "kind", "envelope-order"),
+    ),
 }
 
 
 def run(config: RunConfig) -> int:
-    return _COMMANDS[config.command](config)
+    return _COMMANDS[config.command].handler(config)
 
 
 def main(argv=None) -> int:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import shlex
 from fractions import Fraction
@@ -397,7 +399,7 @@ def test_keys_of_other_commands_are_ignored(capsys):
     [
         ("command", "sideways-sweep"),
         ("output_format", "xml"),
-        ("output_format", "text"),  # verify's report format; point prints csv or json
+        ("output_format", "csv"),  # a table format; point prints a text or JSON report
         ("envelope_order", "sideways"),
         ("kind", "sideways"),
     ],
@@ -409,6 +411,65 @@ def test_run_config_rejects_unknown_choices(field, value):
 
 def test_every_subcommand_is_dispatched():
     assert set(build_parser().file_keys) == set(_COMMANDS)
+
+
+# each command's flags before the command table, with their types, choices or
+# actions; the one change since is point's formats, text|json in place of csv|json
+ACCEPTED = {
+    "peak-sweep": {
+        "--config": None, "--kt": int, "--kr": int, "--files": int, "--grid": "grid",
+        "--decimal": int, "--format": ("csv", "json"), "--out": None, "--overlay": "append",
+        "--envelope-order": ("theorem", "proof"),
+    },
+    "expected-sweep": {
+        "--config": None, "--kt": int, "--kr": int, "--files": int, "--grid": "grid",
+        "--samples": int, "--seed": int, "--decimal": int, "--format": ("csv", "json"),
+        "--out": None, "--overlay": "append", "--envelope-order": ("theorem", "proof"),
+    },
+    "distribution": {
+        "--config": None, "--decimal": int, "--format": ("csv", "json"), "--out": None,
+        "--kr": int, "--files": int,
+    },
+    "verify": {
+        "--config": None, "--format": ("text", "json"), "--out": None, "--limit": int,
+        "--kt-max": int,
+    },
+    "point": {
+        "--config": None, "--kt": int, "--kr": int, "--files": int, "--mu": "rational",
+        "--decimal": int, "--format": ("text", "json"), "--out": None,
+        "--kind": ("peak", "expected"), "--envelope-order": ("theorem", "proof"),
+    },
+}
+
+
+def _accepted(action):
+    if action.choices is not None:
+        return tuple(action.choices)
+    if isinstance(action, argparse._AppendAction):
+        return "append"
+    # --grid parses as parse_grid does, but keeps a colon grid unbuilt
+    return {cli._lazy_grid: "grid", parse_rational: "rational"}.get(action.type, action.type)
+
+
+def test_command_table_contract():
+    # every RunConfig setting but the three every command has comes from one option
+    fields = [field.name for field in dataclasses.fields(RunConfig)]
+    fields = sorted(set(fields) - {"command", "output_format", "output_path"})
+    assert sorted(option.field for option in cli._OPTIONS.values()) == fields
+    # every option is read by some command, and every command reads only options
+    assert {key for row in _COMMANDS.values() for key in row.options} == set(cli._OPTIONS)
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = {
+        name: [action for action in command._actions if action.dest != "help"]
+        for name, command in subparsers.choices.items()
+    }
+    assert {
+        name: {action.option_strings[-1]: _accepted(action) for action in command}
+        for name, command in actions.items()
+    } == ACCEPTED
+    # argparse defaults stay None: RunConfig holds every default
+    assert {action.default for command in actions.values() for action in command} == {None}
 
 
 @pytest.mark.parametrize(
@@ -479,8 +540,9 @@ SWEEP = ["--kt", "3", "--kr", "3", "--files", "3", "--grid", "1/3:1:3"]
         # refused while parsing --grid, before any of its points is built
         (["peak-sweep", "--kt", "3", "--grid", "1/3:1:1000003"],
          "a grid may have at most 1000000 points, got 1000003"),
-        # verify prints a text report, not CSV
+        # verify and point print a text report, not CSV
         (["verify", "--format", "csv"], "argument --format: invalid choice: 'csv'"),
+        (["point", "--mu", "1/2", "--format", "csv"], "argument --format: invalid choice: 'csv'"),
     ],
 )
 def test_bad_settings_exit_1_before_any_work(args, message, capsys, monkeypatch):
@@ -507,12 +569,14 @@ def test_bad_settings_fail_from_files_and_direct_construction(tmp_path, capsys):
     with pytest.raises(ValueError, match="--seed must be nonnegative"):
         RunConfig("distribution", seed=-1)
     cfg.write_text("format = csv\n")
-    status, out, err = run_cli(capsys, "verify", "--config", str(cfg))
-    assert (status, out) == (1, "")
-    assert err.startswith(f"error: {cfg}: argument --format: invalid choice: 'csv'")
+    for request in (["verify"], ["point", "--mu", "1/2"]):
+        status, out, err = run_cli(capsys, *request, "--config", str(cfg))
+        assert (status, out) == (1, "")
+        assert err.startswith(f"error: {cfg}: argument --format: invalid choice: 'csv'")
     with pytest.raises(ValueError, match="output_format must be one of"):
         RunConfig("verify", output_format="csv")
     assert RunConfig("verify").output_format == "text"
+    assert RunConfig("point", mu=F(1, 2)).output_format == "text"
 
 
 def test_sampled_grid_must_be_shorter_than_the_seed_stride(capsys, monkeypatch):
@@ -533,9 +597,27 @@ def test_grid_size_is_capped_in_both_forms(monkeypatch):
     assert parse_grid("1/2:1:2") == parse_grid("1/2,1") == (F(1, 2), F(1))
 
 
+def test_a_rejected_request_never_builds_its_grid(capsys, monkeypatch):
+    # a colon grid at the cap stays start:stop:count until every setting has passed
+    def no_points(_grid):
+        raise AssertionError("grid points built before the settings were checked")
+
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 3)
+    monkeypatch.setattr(cli._Spaced, "__iter__", no_points)
+    status, out, err = run_cli(
+        capsys, "expected-sweep", "--grid", "1/5:1:3", "--samples", "5", "--decimal", "-1"
+    )
+    assert (status, out) == (1, "")
+    assert err.startswith("error: --decimal must be nonnegative, got -1")
+    monkeypatch.undo()
+    grid = parse_run_config(["peak-sweep", "--grid", "1/3:1:3"]).mu_grid
+    assert type(grid) is tuple and grid == (F(1, 3), F(2, 3), F(1))
+
+
 # full standard output of small requests, byte for byte: point (peak and
 # expected, text and JSON, both orders), --decimal, 'unavailable' overlay
-# cells and a Monte-Carlo column
+# cells, a Monte-Carlo column, and the JSON metadata of each table command,
+# which echoes only the settings that command reads
 RENDERED = [
     (
         "point --kt 3 --kr 4 --files 4 --mu 1/2",
@@ -623,12 +705,8 @@ s,mass
 {
   "metadata": {
     "command": "distribution",
-    "kt": 5,
     "kr": 3,
     "files": 7,
-    "samples": null,
-    "seed": 0,
-    "envelope_order": "theorem",
     "version": "0.1.0"
   },
   "rows": [
@@ -693,6 +771,33 @@ mu,value,mn-scheme
 0.9600,1.0100,unavailable
 0.9800,1.0050,unavailable
 1.0000,1.0000,unavailable
+""",
+    ),
+    (
+        "peak-sweep --kt 2 --kr 3 --grid 1/2,1 --format json --decimal 2 --overlay baseline",
+        """\
+{
+  "metadata": {
+    "command": "peak-sweep",
+    "kt": 2,
+    "kr": 3,
+    "files": 100,
+    "envelope_order": "theorem",
+    "version": "0.1.0"
+  },
+  "rows": [
+    {
+      "mu": "0.50",
+      "value": "2.00",
+      "baseline": "1.00"
+    },
+    {
+      "mu": "1.00",
+      "value": "1.50",
+      "baseline": "1.00"
+    }
+  ]
+}
 """,
     ),
     (
