@@ -353,14 +353,12 @@ def expected_bound_for_distribution(
     replication,
     order: str = "theorem",
 ) -> Fraction:
-    """Average the per-category bound against an arbitrary distinct-count pmf."""
+    """Average the per-category bound against an arbitrary distinct-count pmf:
+    one ``category_bound`` per support element, in masses order, then one
+    integer sum (``DistinctCountDistribution.weighted_sum``)."""
     t = _as_fraction(replication)
-    return sum(
-        (
-            p * category_bound(transmitters, s, t, order)
-            for s, p in distribution.masses.items()
-        ),
-        Fraction(0),
+    return distribution.weighted_sum(
+        [category_bound(transmitters, s, t, order) for s in distribution.masses]
     )
 
 

@@ -52,6 +52,10 @@ SUB_SEED_STRIDE = 1_000_003
 # to build; a preset's grid has 41)
 MAX_GRID_POINTS = 10**6
 
+# a larger pmf, receivers * min(files, receivers) Stirling-row steps, is refused
+# before it is built (about 5 s at the cap, 2000 receivers and files)
+MAX_PMF_CELLS = 4 * 10**6
+
 
 class CliError(Exception):
     """Invalid configuration; maps to exit status 1."""
@@ -96,6 +100,17 @@ class RunConfig:
         known = default_registry().names()
         unknown = next((name for name in self.overlays if name not in known), None)
         sampled = len(self.mu_grid) if self.samples and self.mu_grid else 0
+        # the commands that build the exact pmf; point --kind peak needs no pmf
+        pmf = self.command in ("distribution", "expected-sweep") or (
+            (self.command, self.kind) == ("point", "expected")
+        )
+        cells = self.receivers * min(self.files, self.receivers) if pmf else 0
+        read = {_OPTIONS[key].field for key in row.options}
+        unread = next((
+            key for key, option in _OPTIONS.items()
+            if option.field not in read
+            and getattr(self, option.field) != getattr(RunConfig, option.field)
+        ), None)
         # the other settings, one row each, all checked before any bound is computed
         for bad, message in (
             ("grid" in row.options and self.mu_grid is None, "missing required options: --grid"),
@@ -113,6 +128,11 @@ class RunConfig:
             (not 1 <= self.limit <= 16, f"--limit must lie in [1, 16], got {self.limit}"),
             (not 1 <= self.max_transmitters <= 10,
              f"--kt-max must lie in [1, 10], got {self.max_transmitters}"),
+            (cells > MAX_PMF_CELLS,
+             f"the pmf needs --kr * min(--files, --kr) = {cells} steps, over the cap of "
+             f"{MAX_PMF_CELLS}"),
+            # last, so that a setting's own check speaks first
+            (unread is not None, f"{self.command} does not read --{unread}"),
         ):
             if bad:
                 raise ValueError(message)
@@ -357,13 +377,12 @@ def _run_point(config: RunConfig) -> int:
         "envelope_order": config.envelope_order,
     }
     dist = bound_distribution(net, config.kind)
-    value, categories = Fraction(0), []
-    for s in dist.support():
+    categories = []
+    for s in dist.masses:
         detail = category_bound_detail(net.transmitters, s, net.replication, config.envelope_order)
-        value += dist.masses[s] * detail.value
         evidence = {"argmax_cut": detail.best_cut, "segment": list(detail.segment)}
         categories.append({"s": s, "mass": dist.masses[s], "bound": detail.value} | evidence)
-    fields["value"] = value
+    fields["value"] = dist.weighted_sum([entry["bound"] for entry in categories])
     if config.kind == "peak":  # the one category, s = kr: its evidence is the point's
         fields |= evidence
     else:

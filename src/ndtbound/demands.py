@@ -14,15 +14,16 @@ is part of the test contract.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .combinatorics import _check_count, binom, surjection_count
+from .combinatorics import _as_fraction, _check_count
 
 Demand = tuple[int, ...]
 
@@ -38,17 +39,43 @@ def distinct_count(demand: Sequence[int]) -> int:
     return len(set(demand))
 
 
+class Weights(NamedTuple):
+    """A distribution's masses as integer counts over one total:
+    ``masses[s] == Fraction(counts[s], total)``, the counts in masses order."""
+
+    total: int
+    counts: Mapping[int, int]
+
+
 @dataclass(frozen=True)
 class DistinctCountDistribution:
     """Exact pmf of the distinct-file count over uniform random demands.
 
     ``masses`` maps each attainable count s in [1, min(receivers, files)]
     to an exact probability; counts outside the support are implicitly 0.
+    The constructor keeps a read-only copy of the masses, each an exact
+    rational (floats and bools raise TypeError), so the ``weights`` derived
+    from them on first use never go stale.
     """
 
     files: int
     receivers: int
     masses: Mapping[int, Fraction]
+
+    def __post_init__(self):
+        _check_count("files", self.files)
+        _check_count("receivers", self.receivers)
+        masses = {}
+        for s, p in self.masses.items():
+            _check_count("distinct count", s)
+            masses[s] = _as_fraction(p)
+        object.__setattr__(self, "masses", MappingProxyType(masses))
+
+    @cached_property
+    def weights(self) -> Weights:
+        total = math.lcm(*(p.denominator for p in self.masses.values()))
+        counts = {s: p.numerator * (total // p.denominator) for s, p in self.masses.items()}
+        return Weights(total, MappingProxyType(counts))
 
     def mass(self, s: int) -> Fraction:
         return self.masses.get(s, Fraction(0))
@@ -63,9 +90,30 @@ class DistinctCountDistribution:
         return tuple(sorted(self.masses))
 
     def mean(self) -> Fraction:
-        return sum(
-            (s * p for s, p in self.masses.items()), Fraction(0)
+        return self.weighted_sum(tuple(self.masses))
+
+    def weighted_sum(self, values: Sequence[Fraction]) -> Fraction:
+        """``sum(masses[s] * value)`` with the values given in masses order, as one
+        integer sum over one denominator: the counts over their total, the values
+        over the lcm of their denominators."""
+        common = math.lcm(*(value.denominator for value in values))
+        numerator = sum(
+            count * value.numerator * (common // value.denominator)
+            for count, value in zip(self.weights.counts.values(), values, strict=True)
         )
+        return Fraction(numerator, self.weights.total * common)
+
+
+def _stirling_row(k: int, top: int) -> list[int]:
+    """Stirling numbers of the second kind S(k, s) for s = 0..top, by the
+    recurrence S(n, s) = s*S(n-1, s) + S(n-1, s-1), keeping one row at a time."""
+    row = [1] + [0] * top  # S(0, s)
+    for n in range(1, k + 1):
+        width = min(n, top)
+        # the right side reads the old row in full before the slice is replaced
+        row[1 : width + 1] = [s * row[s] + row[s - 1] for s in range(1, width + 1)]
+        row[0] = 0
+    return row
 
 
 # typed: True == 1 with equal hashes, so an untyped cache would answer a bool
@@ -74,20 +122,23 @@ class DistinctCountDistribution:
 def distinct_distribution(files: int, receivers: int) -> DistinctCountDistribution:
     """Analytic pmf: P(S = s) = C(files, s) * surjections(receivers, s) / files^receivers.
 
-    Uniform popularity is hard-coded: every receiver picks each file with
-    probability 1/files.
+    The surjection count is s! * S(receivers, s), so the count of demands with s
+    distinct files is the falling factorial files*(files-1)*...*(files-s+1)
+    times one Stirling row; ``surjection_count`` (inclusion-exclusion) is the
+    oracle the tests compare against.  Uniform popularity is hard-coded: every
+    receiver picks each file with probability 1/files.
     """
     _check_count("files", files)
     _check_count("receivers", receivers)
+    top = min(files, receivers)
+    stirling = _stirling_row(receivers, top)
     total = files**receivers
-    masses = {
-        s: Fraction(binom(files, s) * surjection_count(receivers, s), total)
-        for s in range(1, min(files, receivers) + 1)
-    }
-    # instances are cached and shared, so the mapping is read-only
-    return DistinctCountDistribution(
-        files=files, receivers=receivers, masses=MappingProxyType(masses)
-    )
+    masses, falling = {}, 1
+    for s in range(1, top + 1):
+        falling *= files - s + 1
+        masses[s] = Fraction(falling * stirling[s], total)
+    # instances are cached and shared; the constructor makes the mapping read-only
+    return DistinctCountDistribution(files=files, receivers=receivers, masses=masses)
 
 
 def enumerate_demands(

@@ -408,6 +408,49 @@ def test_expected_bound_matches_per_cut_oracle(kt, files, receivers, order, data
     assert expected_bound_for_distribution(kt, dist, t, order) == oracle
 
 
+positive_fractions = st.builds(F, st.integers(1, 10**12), st.integers(1, 10**12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kt=st.integers(1, 7),
+    kr=st.integers(1, 15),
+    order=st.sampled_from(ENVELOPE_ORDERS),
+    data=st.data(),
+)
+def test_integer_average_matches_the_fraction_sum(kt, kr, order, data):
+    # hand-built, unnormalised masses on a random support in any key order
+    support = data.draw(st.lists(st.integers(1, kr), unique=True))
+    masses = {s: data.draw(positive_fractions) for s in support}
+    dist = DistinctCountDistribution(files=kr, receivers=kr, masses=masses)
+    t = data.draw(replications(kt))
+    oracle = sum((p * category_bound(kt, s, t, order) for s, p in masses.items()), F(0))
+    before = category_bound.cache_info()
+    assert expected_bound_for_distribution(kt, dist, t, order) == oracle
+    after = category_bound.cache_info()
+    # one category_bound lookup per category, hit or miss
+    assert (after.hits + after.misses) - (before.hits + before.misses) == len(masses)
+
+
+def test_one_category_bound_lookup_per_category():
+    dist = distinct_distribution(40, 12)
+    for t in (F(5, 2), F(5, 2), 4):  # cold, then hot, then another replication
+        before = category_bound.cache_info()
+        expected_bound_for_distribution(4, dist, t)
+        after = category_bound.cache_info()
+        assert (after.hits + after.misses) - (before.hits + before.misses) == len(dist.masses)
+
+
+def test_inexact_masses_never_reach_the_average():
+    with pytest.raises(TypeError):
+        expected_bound_for_distribution(
+            3, DistinctCountDistribution(3, 3, {3: 0.5, 2: 0.5}), 1
+        )
+    peak = bound_distribution(NetworkConfig(3, 3, 3, F(1, 3)), "peak")
+    with pytest.raises(TypeError):
+        peak.masses[3] = F(2)  # type: ignore[index]
+
+
 def test_point_mass_distribution_recovers_peak_bound():
     for kt, kr, mu in [(2, 2, F(1, 2)), (3, 3, F(2, 3)), (4, 6, F(1, 2)), (5, 20, F(2, 5))]:
         point_mass = DistinctCountDistribution(

@@ -579,6 +579,81 @@ def test_bad_settings_fail_from_files_and_direct_construction(tmp_path, capsys):
     assert RunConfig("point", mu=F(1, 2)).output_format == "text"
 
 
+@pytest.mark.parametrize(
+    "args, cells",
+    [
+        (["distribution", "--files", "3000", "--kr", "3000"], 3000 * 3000),
+        (["distribution", "--files", "2000", "--kr", "2001"], 2001 * 2000),
+        (["expected-sweep", "--kr", "4001", "--files", "1000", "--grid", "1/5:1:3"], 4001 * 1000),
+        (["point", "--kind", "expected", "--kr", "2001", "--files", "9000", "--mu", "1/2"],
+         2001 * 2001),
+    ],
+)
+def test_pmf_cost_is_capped_before_any_work(args, cells, capsys, monkeypatch):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("computed before the settings were checked")
+
+    for name in ("sweep", "distinct_distribution", "bound_distribution", "category_bound_detail"):
+        monkeypatch.setattr(cli, name, no_work)
+    status, out, err = run_cli(capsys, *args)
+    assert (status, out) == (1, "")
+    assert err.startswith(
+        f"error: the pmf needs --kr * min(--files, --kr) = {cells} steps, over the cap of "
+        f"{cli.MAX_PMF_CELLS}"
+    )
+
+
+def test_pmf_cap_spares_runs_without_a_pmf():
+    assert cli.MAX_PMF_CELLS == 4 * 10**6
+    big = dict(receivers=3000, files=3000)
+    # on the cap itself, and bounds that build no pmf, are accepted
+    RunConfig("distribution", receivers=2000, files=2000)
+    RunConfig("distribution", receivers=4000, files=1000)
+    RunConfig("point", mu=F(1, 2), kind="peak", **big)
+    RunConfig("peak-sweep", mu_grid=(F(1),), **big)
+    with pytest.raises(ValueError, match="the pmf needs"):
+        RunConfig("point", mu=F(1, 2), kind="expected", **big)
+
+
+# a valid setting away from its default, for every option
+AWAY_FROM_DEFAULT = {
+    "kt": 3, "kr": 3, "files": 3, "grid": (F(1),), "mu": F(1, 2), "samples": 5, "seed": 3,
+    "decimal": 2, "overlay": ("baseline",), "envelope-order": "proof", "kind": "expected",
+    "limit": 4, "kt-max": 3,
+}
+REQUIRED = {"peak-sweep": {"mu_grid": (F(1),)}, "expected-sweep": {"mu_grid": (F(1),)},
+            "point": {"mu": F(1, 2)}}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_run_config_refuses_settings_its_command_does_not_read(command):
+    required = REQUIRED.get(command, {})
+    for key, value in AWAY_FROM_DEFAULT.items():
+        field = cli._OPTIONS[key].field
+        setting = required | {field: value}
+        if key in _COMMANDS[command].options:
+            RunConfig(command, **setting)
+        else:
+            with pytest.raises(ValueError, match=f"^{command} does not read --{key}$"):
+                RunConfig(command, **setting)
+        # a setting left at its default is not a request
+        if field not in required:
+            RunConfig(command, **required | {field: getattr(RunConfig, field)})
+
+
+def test_unread_settings_are_refused_last():
+    with pytest.raises(ValueError, match="peak-sweep does not read --samples"):
+        cli.run(RunConfig(
+            "peak-sweep", transmitters=2, receivers=2, files=2, mu_grid=(F(1),), samples=5,
+            seed=3, limit=4, kind="expected",
+        ))
+    # a setting's own check speaks first
+    with pytest.raises(ValueError, match="--seed must be nonnegative"):
+        RunConfig("distribution", seed=-1)
+    with pytest.raises(ValueError, match="--limit must lie in"):
+        RunConfig("distribution", limit=0)
+
+
 def test_sampled_grid_must_be_shorter_than_the_seed_stride(capsys, monkeypatch):
     monkeypatch.setattr(cli, "SUB_SEED_STRIDE", 3)
     status, out, err = run_cli(capsys, "expected-sweep", *SWEEP, "--samples", "5")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ndtbound.combinatorics import binom, surjection_count
 from ndtbound.demands import (
     DEFAULT_ENUMERATION_CAP,
     CapExceeded,
+    DistinctCountDistribution,
     distinct_count,
     distinct_distribution,
     enumerate_demands,
@@ -176,3 +179,67 @@ def test_cache_hit_does_not_bypass_count_check():
     assert type(distinct_distribution(1, 2).files) is int
     with pytest.raises(TypeError):
         distinct_distribution(True, 2)
+
+
+def inclusion_exclusion_pmf(files: int, receivers: int) -> dict[int, Fraction]:
+    """Oracle: C(files, s) * surjection_count(receivers, s) / files^receivers."""
+    total = files**receivers
+    return {
+        s: Fraction(binom(files, s) * surjection_count(receivers, s), total)
+        for s in range(1, min(files, receivers) + 1)
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(files=st.integers(1, 80), receivers=st.integers(1, 80))
+def test_stirling_row_pmf_matches_inclusion_exclusion(files, receivers):
+    dist = distinct_distribution(files, receivers)
+    # the same masses in the same key order, 1..min(files, receivers)
+    assert list(dist.masses.items()) == list(inclusion_exclusion_pmf(files, receivers).items())
+    total, counts = dist.weights
+    assert list(counts) == list(dist.masses)
+    assert sum(counts.values()) == total
+    assert all(Fraction(counts[s], total) == p for s, p in dist.masses.items())
+
+
+def test_stirling_row_pmf_matches_inclusion_exclusion_at_scale():
+    rng = random.Random(8)
+    files, receivers = rng.randint(290, 310), rng.randint(115, 125)
+    dist = distinct_distribution(files, receivers)
+    assert list(dist.masses.items()) == list(inclusion_exclusion_pmf(files, receivers).items())
+    assert sum(dist.weights.counts.values()) == dist.weights.total
+
+
+def test_masses_must_be_exact_counts_to_rationals():
+    for masses in ({3: 0.5, 2: 0.5}, {3: True}, {3.0: Fraction(1)}, {True: Fraction(1)}):
+        with pytest.raises(TypeError):
+            DistinctCountDistribution(3, 3, masses)
+    with pytest.raises(ValueError):
+        DistinctCountDistribution(3, 3, {0: Fraction(1)})
+    # ints and decimal strings are exact, and become Fractions
+    dist = DistinctCountDistribution(3, 3, {3: 1, 2: "0.5"})
+    assert list(dist.masses.items()) == [(3, Fraction(1)), (2, Fraction(1, 2))]
+    assert all(type(p) is Fraction for p in dist.masses.values())
+
+
+def test_masses_are_a_read_only_copy():
+    source = {2: Fraction(1, 2), 3: Fraction(1, 2)}
+    dist = DistinctCountDistribution(3, 3, source)
+    source[3] = Fraction(7)
+    assert dict(dist.masses) == {2: Fraction(1, 2), 3: Fraction(1, 2)}
+    assert dist.weights == (2, {2: 1, 3: 1})
+    with pytest.raises(TypeError):
+        dist.masses[3] = Fraction(1)  # type: ignore[index]
+    with pytest.raises(TypeError):
+        distinct_distribution(3, 3).masses[1] = Fraction(1)  # type: ignore[index]
+
+
+def test_weights_are_the_masses_over_one_total():
+    dist = DistinctCountDistribution(5, 5, {4: Fraction(2, 3), 1: Fraction(3, 4), 2: Fraction(0)})
+    assert dist.weights.total == 12
+    assert list(dist.weights.counts.items()) == [(4, 8), (1, 9), (2, 0)]
+    assert dist.weighted_sum([5, Fraction(1, 3), 7]) == Fraction(2, 3) * 5 + Fraction(3, 4) / 3
+    with pytest.raises(ValueError):
+        dist.weighted_sum([5, Fraction(1, 3)])  # one value per support element
+    empty = DistinctCountDistribution(5, 5, {})
+    assert empty.weights == (1, {}) and empty.weighted_sum([]) == 0 == empty.mean()
