@@ -202,12 +202,10 @@ def _cut_envelopes(transmitters: int) -> tuple[ConvexEnvelope, ...]:
 
 class _CutSlopes(NamedTuple):
     """Every ``Conv[g_c](t)`` at one replication, the slope of cut c's bound in
-    ``s - c``, as ``numerators[c-1] / denominator``; plus the vertex abscissae
-    of the segment of ``Conv[g_c]`` active at t."""
+    ``s - c``, as ``numerators[c-1] / denominator``."""
 
     denominator: int
     numerators: tuple[int, ...]
-    segments: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=1024)
@@ -218,7 +216,6 @@ def _cut_slopes(transmitters: int, replication: Fraction) -> _CutSlopes:
     return _CutSlopes(
         denominator=denominator,
         numerators=tuple(v.numerator * (denominator // v.denominator) for v in values),
-        segments=tuple(env.bracket(replication) for env in envelopes),
     )
 
 
@@ -268,35 +265,23 @@ def _check_category_args(transmitters: int, distinct: int, replication, order: s
     return t
 
 
-def _category_detail(
+def _category_value(
     transmitters: int, distinct: int, t: Fraction, order: str
-) -> CategoryBoundDetail:
+) -> tuple[Fraction, int | None]:
     """Shared body of ``category_bound`` and ``category_bound_detail``, on checked
-    arguments.  Kept private so that a call of one public name never shows up
-    in call counts as a call of the other."""
+    arguments: the value and the winning cut (None in proof order).  Kept
+    private so that a call of one public name never shows up in call counts as
+    a call of the other."""
     if order == "proof":
-        env = _merged_envelope(transmitters, distinct)
-        return CategoryBoundDetail(
-            value=env.evaluate(t), best_cut=None, segment=env.bracket(t)
-        )
-    denominator, numerators, segments = _cut_slopes(transmitters, t)
+        return _merged_envelope(transmitters, distinct).evaluate(t), None
+    denominator, numerators = _cut_slopes(transmitters, t)
     # max() keeps the first maximal element, so this is the smallest argmax
     best_cut = max(
         range(1, min(transmitters, distinct) + 1),
         key=lambda cut: (distinct - cut) * numerators[cut - 1],
     )
     extra = (distinct - best_cut) * numerators[best_cut - 1]
-    if best_cut == distinct:
-        # flat envelope, whose only vertices are 1 and KT: its hull is not the
-        # hull of g_c (only s == 1 gets here)
-        segment = (int(t),) * 2 if t in (1, transmitters) else (1, transmitters)
-    else:
-        segment = segments[best_cut - 1]
-    return CategoryBoundDetail(
-        value=Fraction(denominator + extra, denominator),
-        best_cut=best_cut,
-        segment=segment,
-    )
+    return Fraction(denominator + extra, denominator), best_cut
 
 
 def category_bound_detail(
@@ -304,7 +289,16 @@ def category_bound_detail(
 ) -> CategoryBoundDetail:
     """``category_bound`` with its winning cut and envelope segment."""
     t = _check_category_args(transmitters, distinct, replication, order)
-    return _category_detail(transmitters, distinct, t, order)
+    value, best_cut = _category_value(transmitters, distinct, t, order)
+    if best_cut is None:
+        segment = _merged_envelope(transmitters, distinct).bracket(t)
+    elif best_cut == distinct:
+        # flat envelope, whose only vertices are 1 and KT: its hull is not the
+        # hull of g_c (only s == 1 gets here)
+        segment = (int(t),) * 2 if t in (1, transmitters) else (1, transmitters)
+    else:
+        segment = _cut_envelopes(transmitters)[best_cut - 1].bracket(t)
+    return CategoryBoundDetail(value=value, best_cut=best_cut, segment=segment)
 
 
 # typed: 1.5 == Fraction(3, 2) with equal hashes, so an untyped cache would
@@ -315,7 +309,7 @@ def category_bound(
 ) -> Fraction:
     """Bound for the category of demands with ``distinct`` different files."""
     t = _check_category_args(transmitters, distinct, replication, order)
-    return _category_detail(transmitters, distinct, t, order).value
+    return _category_value(transmitters, distinct, t, order)[0]
 
 
 def bound_distribution(config: NetworkConfig, kind: str) -> DistinctCountDistribution:
@@ -416,24 +410,18 @@ def sweep(
     kind: str,
     order: str = "theorem",
 ) -> BoundCurve:
-    """Evaluate one bound over a cache-size grid."""
-    if kind not in BOUND_KINDS:
-        raise ValueError(f"kind must be 'peak' or 'expected', got {kind!r}")
+    """Evaluate one bound over a cache-size grid: one distribution for the
+    curve, then one ``expected_bound_for_distribution`` per grid point."""
     grid = validate_grid(transmitters, mu_grid)
-    evaluate = peak_ndt_lower_bound if kind == "peak" else expected_ndt_lower_bound
-    samples = []
-    for mu in grid:
-        config = NetworkConfig(
-            transmitters=transmitters,
-            receivers=receivers,
-            files=files,
-            cache_fraction=mu,
-        )
-        samples.append((mu, evaluate(config, order)))
+    dist = bound_distribution(NetworkConfig(transmitters, receivers, files, grid[0]), kind)
+    samples = tuple(
+        (mu, expected_bound_for_distribution(transmitters, dist, transmitters * mu, order))
+        for mu in grid
+    )
     return BoundCurve(
         kind=kind,
         transmitters=transmitters,
         receivers=receivers,
         files=files,
-        samples=tuple(samples),
+        samples=samples,
     )

@@ -24,6 +24,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -55,6 +56,14 @@ MAX_GRID_POINTS = 10**6
 # a larger pmf, receivers * min(files, receivers) Stirling-row steps, is refused
 # before it is built (about 5 s at the cap, 2000 receivers and files)
 MAX_PMF_CELLS = 4 * 10**6
+
+# Monte-Carlo columns past samples * grid points * receivers draws are refused
+# (the README's 100,000-sample, 41-point, 20-receiver example draws 8.2 * 10**7)
+MAX_DRAWS = 10**8
+
+# --decimal's cap: to_decimal builds 10**digits, and its fractional part formats
+# within CPython's default 4300-digit int-to-str limit
+MAX_DECIMAL = 4300
 
 
 class CliError(Exception):
@@ -105,6 +114,9 @@ class RunConfig:
             (self.command, self.kind) == ("point", "expected")
         )
         cells = self.receivers * min(self.files, self.receivers) if pmf else 0
+        draws = (  # Monte-Carlo draws, counted for the commands that read --samples
+            sampled * self.samples * self.receivers if sampled and "samples" in row.options else 0
+        )
         read = {_OPTIONS[key].field for key in row.options}
         unread = next((
             key for key, option in _OPTIONS.items()
@@ -122,9 +134,14 @@ class RunConfig:
             # from the stride on, per-point sub-seeds reach the next seed's streams
             (sampled >= SUB_SEED_STRIDE,
              f"a sampled grid must have fewer than {SUB_SEED_STRIDE} points, got {sampled}"),
+            (draws > MAX_DRAWS,
+             f"Monte-Carlo sampling needs --samples * grid points * --kr = {draws} draws, over "
+             f"the cap of {MAX_DRAWS}"),
             (unknown is not None, f"unknown overlay {unknown!r}; registered: {', '.join(known)}"),
             (self.decimal is not None and self.decimal < 0,
              f"--decimal must be nonnegative, got {self.decimal}"),
+            (self.decimal is not None and self.decimal > MAX_DECIMAL,
+             f"--decimal may be at most {MAX_DECIMAL}, got {self.decimal}"),
             (not 1 <= self.limit <= 16, f"--limit must lie in [1, 16], got {self.limit}"),
             (not 1 <= self.max_transmitters <= 10,
              f"--kt-max must lie in [1, 10], got {self.max_transmitters}"),
@@ -285,7 +302,15 @@ def _render(config: RunConfig, value):
         return "unavailable"
     if not isinstance(value, Fraction):
         return value
-    return str(value) if config.decimal is None else to_decimal(value, config.decimal)
+    if config.decimal is not None:
+        return to_decimal(value, config.decimal)
+    try:
+        return str(value)
+    except ValueError:
+        # past the interpreter's int-to-str digit limit (4300 by default), which
+        # str(Decimal(n)) is exempt from; it prints the same digits, but slower
+        numerator, denominator = (str(Decimal(n)) for n in value.as_integer_ratio())
+        return numerator if denominator == "1" else f"{numerator}/{denominator}"
 
 
 def _emit(config: RunConfig, text: str):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -555,3 +556,51 @@ def test_bound_curve_invariants():
         BoundCurve("peak", 2, 2, 2, ((F(1, 2), F(1)), (F(1), F(2))))
     with pytest.raises(ValueError):
         BoundCurve("sideways", 2, 2, 2, ((F(1), F(1)),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kt=st.integers(1, 7),
+    kr=st.integers(1, 12),
+    extra_files=st.integers(0, 20),
+    points=st.integers(1, 7),
+    kind=st.sampled_from(["peak", "expected"]),
+    order=st.sampled_from(ENVELOPE_ORDERS),
+)
+def test_sweep_matches_per_point_bounds_property(kt, kr, extra_files, points, kind, order):
+    # the reference: a NetworkConfig and a distribution for each grid point
+    grid = mu_grid(kt, points) if kt > 1 and points > 1 else (F(1),)
+    files = kr + extra_files
+    evaluate = peak_ndt_lower_bound if kind == "peak" else expected_ndt_lower_bound
+    per_point = tuple(evaluate(NetworkConfig(kt, kr, files, mu), order) for mu in grid)
+    assert sweep(kt, kr, files, grid, kind, order).values() == per_point
+
+
+@pytest.mark.parametrize("kind", ["peak", "expected"])
+def test_sweep_builds_one_distribution_per_curve(kind, monkeypatch):
+    calls = []
+
+    def counted(config, requested):
+        calls.append(requested)
+        return bound_distribution(config, requested)
+
+    monkeypatch.setattr(bounds, "bound_distribution", counted)
+    curve = sweep(4, 6, 9, mu_grid(4, 9), kind)
+    assert len(curve.values()) == 9
+    assert calls == [kind]
+
+
+@settings(max_examples=60, deadline=None)
+@given(category_cases())
+def test_category_bound_never_brackets_an_envelope(case):
+    kt, distinct, t, _ = case
+
+    def no_bracket(self, x):
+        raise AssertionError("category_bound computed envelope evidence")
+
+    category_bound.cache_clear()
+    bounds._cut_slopes.cache_clear()
+    with patch.object(ConvexEnvelope, "bracket", no_bracket):
+        values = [category_bound(kt, distinct, t, order) for order in ENVELOPE_ORDERS]
+    details = [category_bound_detail(kt, distinct, t, order) for order in ENVELOPE_ORDERS]
+    assert values == [detail.value for detail in details]

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import shlex
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ndtbound import cli
 from ndtbound.bounds import (
@@ -26,6 +30,7 @@ from ndtbound.cli import (
     parse_rational,
     parse_run_config,
 )
+from ndtbound.demands import distinct_distribution
 
 F = Fraction
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -543,6 +548,11 @@ SWEEP = ["--kt", "3", "--kr", "3", "--files", "3", "--grid", "1/3:1:3"]
         # verify and point print a text report, not CSV
         (["verify", "--format", "csv"], "argument --format: invalid choice: 'csv'"),
         (["point", "--mu", "1/2", "--format", "csv"], "argument --format: invalid choice: 'csv'"),
+        # to_decimal would build 10**4301 and fail to print it
+        (["peak-sweep", *SWEEP, "--decimal", "4301"], "--decimal may be at most 4300, got 4301"),
+        (["expected-sweep", "--grid", "1/5:1:41", "--samples", "1000000"],
+         "Monte-Carlo sampling needs --samples * grid points * --kr = 820000000 draws, over "
+         "the cap of 100000000"),
     ],
 )
 def test_bad_settings_exit_1_before_any_work(args, message, capsys, monkeypatch):
@@ -551,7 +561,7 @@ def test_bad_settings_exit_1_before_any_work(args, message, capsys, monkeypatch)
 
     for name in (
         "sweep", "sample_demands", "distinct_distribution", "full_verification",
-        "category_bound_detail",
+        "category_bound_detail", "to_decimal",
     ):
         monkeypatch.setattr(cli, name, no_work)
     status, out, err = run_cli(capsys, *args)
@@ -613,6 +623,67 @@ def test_pmf_cap_spares_runs_without_a_pmf():
     RunConfig("peak-sweep", mu_grid=(F(1),), **big)
     with pytest.raises(ValueError, match="the pmf needs"):
         RunConfig("point", mu=F(1, 2), kind="expected", **big)
+
+
+def test_decimal_and_sampling_caps_admit_their_limits():
+    assert (cli.MAX_DECIMAL, cli.MAX_DRAWS) == (4300, 10**8)
+    RunConfig("distribution", decimal=cli.MAX_DECIMAL)
+    # the README's example: 100,000 samples on 41 points with 20 receivers
+    RunConfig("expected-sweep", mu_grid=parse_grid("1/5:1:41"), samples=100_000)
+    one_point = dict(receivers=1, files=1, mu_grid=(F(1),))
+    RunConfig("expected-sweep", samples=cli.MAX_DRAWS, **one_point)
+    with pytest.raises(ValueError, match="Monte-Carlo sampling needs"):
+        RunConfig("expected-sweep", samples=cli.MAX_DRAWS + 1, **one_point)
+    # a command that reads no --samples is refused for reading it, not for its draws
+    with pytest.raises(ValueError, match="^peak-sweep does not read --samples$"):
+        RunConfig("peak-sweep", samples=cli.MAX_DRAWS + 1, **one_point)
+
+
+def test_decimal_cap_renders_in_full(capsys):
+    status, out, _ = run_cli(capsys, "peak-sweep", *SWEEP, "--decimal", str(cli.MAX_DECIMAL))
+    assert status == 0
+    lines = out.splitlines()
+    assert lines[0] == "mu,value"
+    assert lines[1] == f"0.{'3' * 4300},1.{'6' * 4299}7"
+    assert lines[3] == f"1.{'0' * 4300},1.{'0' * 4300}"
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit: int):
+    """The interpreter's int-to-str digit limit, set for the block, then restored."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
+def test_exact_values_print_past_the_int_digit_limit(capsys):
+    # the masses of 2200 receivers over 100 files have denominators of up to 4399 digits
+    with int_digit_limit(4300):
+        status, out, err = run_cli(capsys, "distribution", "--files", "100", "--kr", "2200")
+    assert (status, err) == (0, "")
+    masses = distinct_distribution(100, 2200).masses
+    with int_digit_limit(0):  # to parse the output back
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert {int(s): F(mass) for s, mass in rows} == masses
+    assert [int(s) for s, _ in rows] == list(masses)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(F, st.integers(-(10**1500), 10**1500), st.integers(1, 10**1500)))
+@example(F(10**700))
+@example(F(-3 * 10**700, 7))
+@example(F(7, 10**700))
+def test_exact_rendering_is_str_at_any_size(value):
+    # 640 is the lowest limit the interpreter takes: longer parts leave str()
+    with int_digit_limit(640):
+        text = cli._render(RunConfig("distribution"), value)
+    with int_digit_limit(0):
+        assert text == str(value)
 
 
 # a valid setting away from its default, for every option
