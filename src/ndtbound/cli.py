@@ -114,7 +114,9 @@ class RunConfig:
             (self.command, self.kind) == ("point", "expected")
         )
         cells = self.receivers * min(self.files, self.receivers) if pmf else 0
-        draws = (  # Monte-Carlo draws, counted for the commands that read --samples
+        # Monte-Carlo draws, counted for the commands that read --samples; sampled
+        # is 0 when --samples is unset, and testing it keeps None out of the product
+        draws = (
             sampled * self.samples * self.receivers if sampled and "samples" in row.options else 0
         )
         read = {_OPTIONS[key].field for key in row.options}
@@ -304,13 +306,10 @@ def _render(config: RunConfig, value):
         return value
     if config.decimal is not None:
         return to_decimal(value, config.decimal)
-    try:
-        return str(value)
-    except ValueError:
-        # past the interpreter's int-to-str digit limit (4300 by default), which
-        # str(Decimal(n)) is exempt from; it prints the same digits, but slower
-        numerator, denominator = (str(Decimal(n)) for n in value.as_integer_ratio())
-        return numerator if denominator == "1" else f"{numerator}/{denominator}"
+    # str(Decimal(n)) prints the digits of str(n), but is exempt from the
+    # interpreter's int-to-str digit limit (4300 by default), so any size prints
+    numerator, denominator = (str(Decimal(n)) for n in value.as_integer_ratio())
+    return numerator if denominator == "1" else f"{numerator}/{denominator}"
 
 
 def _emit(config: RunConfig, text: str):

@@ -679,7 +679,7 @@ def test_exact_values_print_past_the_int_digit_limit(capsys):
 @example(F(-3 * 10**700, 7))
 @example(F(7, 10**700))
 def test_exact_rendering_is_str_at_any_size(value):
-    # 640 is the lowest limit the interpreter takes: longer parts leave str()
+    # 640 is the lowest limit the interpreter takes: longer parts cannot pass str()
     with int_digit_limit(640):
         text = cli._render(RunConfig("distribution"), value)
     with int_digit_limit(0):
