@@ -17,26 +17,23 @@ Two evaluation orders are exposed for comparison at fractional replication:
 * ``theorem`` (canonical): envelope per cut size, then maximize.
 * ``proof``: maximize over cut sizes at each integer point, then envelope.
 
-The proof order is never below the theorem order; both agree at integer
-replication whenever the integer points are already convex.
+The proof order is never below the theorem order; both agree at every integer
+replication.
 
-The theorem order needs one envelope per cut size, not one per category.
-The bound for cut c is ``1 + (s - c)*g_c(t)`` with
-``g_c(t) = C(c - 1, t - 1) / (t*C(KT, t))``, and since ``s - c >= 0``
-
-    Conv[1 + (s - c)*g_c](t) = 1 + (s - c)*Conv[g_c](t)
-
-exactly: adding a constant and scaling by ``s - c > 0`` multiplies every
-cross product of the hull scan by the same positive factor, so the hull keeps
-the same vertices and interpolates the same line segments; at ``s = c`` both
-sides are the flat envelope 1.  So the ``KT`` envelopes ``Conv[g_c]`` serve
-every category, and the winning cut at one replication is an integer argmax
-of ``(s - c)*n_c`` once their values share one denominator.
+Neither order needs a hull.  The bound for cut c is ``1 + (s - c)*g_c(t)``
+with ``g_c(t) = C(c - 1, t - 1) / (t*C(KT, t)) = C(c, t) / (c*C(KT, t))``, the
+coverage weight over c, which is convex on the integers 1..KT (the oracle's
+``discrete-convexity-full-range`` check).  Since ``s - c >= 0``, each
+``(s - c)*g_c`` is convex, and so is their pointwise maximum over c.  A convex
+sequence is its own envelope, so at fractional t both orders are chords
+between the neighbouring integers floor(t) and ceil(t): the theorem order
+maximizes the chords of the cuts, the proof order takes the chord of the
+maxima.  ``_cut_slopes`` holds both chord ends of every cut in integers, and
+only ``category_bound_detail`` builds a hull, for the segment it reports.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -180,62 +177,41 @@ def envelope_for_cut(transmitters: int, distinct: int, cut_size: int) -> ConvexE
     """Envelope of the per-cut bound over integer replication 1..transmitters.
 
     The direct construction, one envelope per ``(KT, s, c)``; the category
-    functions use the ``KT`` shared envelopes instead, and the tests check
-    them against this one."""
+    functions take chords of one integer table (``_cut_slopes``) instead, and
+    the tests check them against this one."""
     return ConvexEnvelope.of_points(
         (t, bound_expression(transmitters, distinct, cut_size, t))
         for t in range(1, transmitters + 1)
     )
 
 
-@lru_cache(maxsize=64)
-def _cut_envelopes(transmitters: int) -> tuple[ConvexEnvelope, ...]:
-    """``Conv[g_c]`` for c = 1..transmitters, g_c(t) = C(c-1, t-1) / (t*C(KT, t))."""
-    return tuple(
-        ConvexEnvelope.of_points(
-            (t, Fraction(binom(cut - 1, t - 1), t * binom(transmitters, t)))
-            for t in range(1, transmitters + 1)
-        )
-        for cut in range(1, transmitters + 1)
-    )
-
-
 class _CutSlopes(NamedTuple):
-    """Every ``Conv[g_c](t)`` at one replication, the slope of cut c's bound in
-    ``s - c``, as ``numerators[c-1] / denominator``."""
+    """Every cut's slope ``g_c(t)`` as the chord ``numerators[c-1] / denominator``
+    between ``lo = floor(t)`` and ``hi = min(lo + 1, KT)``: the chord ``weights``
+    dotted with the integer ends ``columns[c-1] = (C(c-1, lo-1), C(c-1, hi-1))``."""
 
     denominator: int
+    weights: tuple[int, int]
+    columns: tuple[tuple[int, int], ...]
     numerators: tuple[int, ...]
 
 
 @lru_cache(maxsize=1024)
 def _cut_slopes(transmitters: int, replication: Fraction) -> _CutSlopes:
-    envelopes = _cut_envelopes(transmitters)
-    values = [env.evaluate(replication) for env in envelopes]
-    denominator = math.lcm(*(v.denominator for v in values))
-    return _CutSlopes(
-        denominator=denominator,
-        numerators=tuple(v.numerator * (denominator // v.denominator) for v in values),
+    lo = replication.numerator // replication.denominator
+    hi = min(lo + 1, transmitters)
+    p, q = (replication - lo).as_integer_ratio()
+    a, b = lo * binom(transmitters, lo), hi * binom(transmitters, hi)
+    weights = ((q - p) * b, p * a)
+    columns = tuple(
+        (binom(cut - 1, lo - 1), binom(cut - 1, hi - 1)) for cut in range(1, transmitters + 1)
     )
-
-
-# An expected sweep revisits every distinct count at each grid point, so this
-# cache (and category_bound's, for Monte-Carlo columns) must cover the pmf's
-# support to hit; 2048 counts cover receiver counts up to 2048.
-@lru_cache(maxsize=2048)
-def _merged_envelope(transmitters: int, distinct: int) -> ConvexEnvelope:
-    """Proof-order envelope: maximize over cut sizes first, then convexify."""
-    top = min(transmitters, distinct)
-    points = []
-    for t in range(1, transmitters + 1):
-        base = t * binom(transmitters, t)
-        # C(cut - 1, t - 1) vanishes for cut < t
-        extra = max(
-            ((distinct - cut) * binom(cut - 1, t - 1) for cut in range(t, top + 1)),
-            default=0,
-        )
-        points.append((t, Fraction(base + extra, base)))
-    return ConvexEnvelope.of_points(points)
+    return _CutSlopes(
+        denominator=q * a * b,
+        weights=weights,
+        columns=columns,
+        numerators=tuple(weights[0] * x + weights[1] * y for x, y in columns),
+    )
 
 
 @dataclass(frozen=True)
@@ -272,16 +248,20 @@ def _category_value(
     arguments: the value and the winning cut (None in proof order).  Kept
     private so that a call of one public name never shows up in call counts as
     a call of the other."""
+    table = _cut_slopes(transmitters, t)
+    cuts = range(1, min(transmitters, distinct) + 1)
     if order == "proof":
-        return _merged_envelope(transmitters, distinct).evaluate(t), None
-    denominator, numerators = _cut_slopes(transmitters, t)
-    # max() keeps the first maximal element, so this is the smallest argmax
-    best_cut = max(
-        range(1, min(transmitters, distinct) + 1),
-        key=lambda cut: (distinct - cut) * numerators[cut - 1],
-    )
-    extra = (distinct - best_cut) * numerators[best_cut - 1]
-    return Fraction(denominator + extra, denominator), best_cut
+        # the chord of the maxima over cuts at floor(t) and ceil(t)
+        best_cut = None
+        extra = sum(
+            weight * max((distinct - cut) * table.columns[cut - 1][end] for cut in cuts)
+            for end, weight in enumerate(table.weights)
+        )
+    else:
+        # max() keeps the first maximal element, so this is the smallest argmax
+        best_cut = max(cuts, key=lambda cut: (distinct - cut) * table.numerators[cut - 1])
+        extra = (distinct - best_cut) * table.numerators[best_cut - 1]
+    return Fraction(table.denominator + extra, table.denominator), best_cut
 
 
 def category_bound_detail(
@@ -290,15 +270,17 @@ def category_bound_detail(
     """``category_bound`` with its winning cut and envelope segment."""
     t = _check_category_args(transmitters, distinct, replication, order)
     value, best_cut = _category_value(transmitters, distinct, t, order)
-    if best_cut is None:
-        segment = _merged_envelope(transmitters, distinct).bracket(t)
-    elif best_cut == distinct:
-        # flat envelope, whose only vertices are 1 and KT: its hull is not the
-        # hull of g_c (only s == 1 gets here)
-        segment = (int(t),) * 2 if t in (1, transmitters) else (1, transmitters)
-    else:
-        segment = _cut_envelopes(transmitters)[best_cut - 1].bracket(t)
-    return CategoryBoundDetail(value=value, best_cut=best_cut, segment=segment)
+    cuts = range(1, min(transmitters, distinct) + 1) if best_cut is None else (best_cut,)
+    # the hull of the slope term over integer replication; when s == c every
+    # point is zero and the hull is the flat one, with vertices 1 and KT
+    envelope = ConvexEnvelope.of_points(
+        (x, Fraction(
+            max((distinct - cut) * binom(cut - 1, x - 1) for cut in cuts),
+            x * binom(transmitters, x),
+        ))
+        for x in range(1, transmitters + 1)
+    )
+    return CategoryBoundDetail(value=value, best_cut=best_cut, segment=envelope.bracket(t))
 
 
 # typed: 1.5 == Fraction(3, 2) with equal hashes, so an untyped cache would
@@ -388,6 +370,7 @@ class BoundCurve:
 
 
 def validate_grid(transmitters: int, mu_grid: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    _check_count("transmitters", transmitters)
     grid = tuple(_as_fraction(mu) for mu in mu_grid)
     if not grid:
         raise ValueError("cache-size grid must be nonempty")

@@ -40,7 +40,7 @@ from .bounds import (
     category_bound_detail,
     sweep,
 )
-from .combinatorics import to_decimal
+from .combinatorics import _as_fraction, to_decimal
 from .comparator import Unavailable, default_registry
 from .demands import distinct_count, distinct_distribution, sample_demands
 from .oracle import full_verification
@@ -60,6 +60,10 @@ MAX_PMF_CELLS = 4 * 10**6
 # Monte-Carlo columns past samples * grid points * receivers draws are refused
 # (the README's 100,000-sample, 41-point, 20-receiver example draws 8.2 * 10**7)
 MAX_DRAWS = 10**8
+
+# a larger --kt is refused before any bound is computed (at the cap a 41-point
+# peak sweep takes a few seconds; the work grows about as --kt squared)
+MAX_TRANSMITTERS = 2000
 
 # --decimal's cap: to_decimal builds 10**digits, and its fractional part formats
 # within CPython's default 4300-digit int-to-str limit
@@ -144,6 +148,8 @@ class RunConfig:
              f"--decimal must be nonnegative, got {self.decimal}"),
             (self.decimal is not None and self.decimal > MAX_DECIMAL,
              f"--decimal may be at most {MAX_DECIMAL}, got {self.decimal}"),
+            (self.transmitters > MAX_TRANSMITTERS,
+             f"--kt may be at most {MAX_TRANSMITTERS}, got {self.transmitters}"),
             (not 1 <= self.limit <= 16, f"--limit must lie in [1, 16], got {self.limit}"),
             (not 1 <= self.max_transmitters <= 10,
              f"--kt-max must lie in [1, 10], got {self.max_transmitters}"),
@@ -160,9 +166,10 @@ class RunConfig:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q', an integer, or a decimal literal to the exact fraction."""
+    """Parse 'p/q', an integer, or a decimal literal to the exact fraction, with
+    the library's one rational parser and its limit on digits."""
     try:
-        return Fraction(text.strip())
+        return _as_fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise CliError(f"cannot parse {text!r} as an exact rational") from None
 

@@ -9,9 +9,16 @@ touches floating point.  Decimal strings exist only at output boundaries via
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 Rational = Fraction
+
+# CPython's default int-to-str digit limit: a rational literal whose exact value
+# has a longer numerator or denominator is refused, so every accepted one prints
+MAX_LITERAL_DIGITS = 4300
+# a decimal literal split at its exponent (Fraction's grammar; no p/q form)
+_EXPONENT = re.compile(r"([^/eE]*)[eE]([-+]?[\d_]+)\s*", re.DOTALL)
 
 
 def binom(n: int, k: int) -> int:
@@ -38,14 +45,34 @@ def _check_count(name: str, value) -> None:
 
 def _as_fraction(value) -> Fraction:
     """Exact rational from an int, Fraction or decimal string; floats and bools
-    are rejected rather than silently widened to their binary expansion."""
+    are rejected rather than silently widened to their binary expansion, and a
+    string whose exact numerator or denominator would have more than
+    MAX_LITERAL_DIGITS digits is refused."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (bool, float)):
         raise TypeError(
             f"expected an exact rational (int, Fraction or string), got {value!r}"
         )
-    return Fraction(value)
+    if not isinstance(value, str):
+        return Fraction(value)
+    too_long = (
+        f"the exact value of {value!r} has a numerator or denominator of more than "
+        f"{MAX_LITERAL_DIGITS} digits"
+    )
+    split = _EXPONENT.fullmatch(value)
+    # m * 10**k keeps more than |k| - len(m) digits in its numerator or
+    # denominator unless m is 0, so a long exponent is decided from the text,
+    # before Fraction builds 10**k
+    if split and abs(int(split[2])) > len(split[1]) + MAX_LITERAL_DIGITS:
+        mantissa = Fraction(split[1])
+        if mantissa:
+            raise ValueError(too_long)
+        return mantissa
+    result = Fraction(value)
+    if max(abs(result.numerator), result.denominator) >= 10**MAX_LITERAL_DIGITS:
+        raise ValueError(too_long)
+    return result
 
 
 def surjection_count(k: int, s: int) -> int:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ndtbound import bounds, demands
 from ndtbound.bounds import (
+    BOUND_KINDS,
     ENVELOPE_ORDERS,
     BoundCurve,
     ConvexEnvelope,
@@ -98,9 +99,7 @@ def test_caches_are_bounded():
     for cached in (
         bounds.category_bound,
         bounds.envelope_for_cut,
-        bounds._cut_envelopes,
         bounds._cut_slopes,
-        bounds._merged_envelope,
         demands.distinct_distribution,
     ):
         assert cached.cache_info().maxsize is not None, cached
@@ -546,6 +545,9 @@ def test_sweep_example_and_validation():
         sweep(3, 3, 3, [F(1, 3)], "sideways")
     with pytest.raises(InfeasibleLibrary):
         sweep(3, 5, 3, [F(1, 3)], "peak")
+    # 1/KT is the grid's lower end, so KT = 0 is refused before it divides by zero
+    with pytest.raises(ValueError, match="transmitters must be a positive integer, got 0"):
+        sweep(0, 3, 3, [F(1)], "peak")
 
 
 def test_validate_grid_returns_fractions():
@@ -590,3 +592,42 @@ def test_category_bound_never_brackets_an_envelope(case):
         values = [category_bound(kt, distinct, t, order) for order in ENVELOPE_ORDERS]
     details = [category_bound_detail(kt, distinct, t, order) for order in ENVELOPE_ORDERS]
     assert values == [detail.value for detail in details]
+
+
+def test_bound_values_build_no_envelope():
+    """Both orders are chords of one integer table: no hull on the value path.
+
+    KT = 26 is used by no other test, so no cache holds a hull built earlier."""
+    kt, grid = 26, mu_grid(26, 7)
+    cases = [
+        (s, kt * mu, order) for s in (1, 2, 25, 26, 40) for mu in grid for order in ENVELOPE_ORDERS
+    ]
+
+    def no_hull(cls, points):
+        raise AssertionError("a bound value built a convex envelope")
+
+    category_bound.cache_clear()
+    bounds._cut_slopes.cache_clear()
+    with patch.object(ConvexEnvelope, "of_points", classmethod(no_hull)):
+        values = [category_bound(kt, s, t, order) for s, t, order in cases]
+        curves = [
+            sweep(kt, 5, 7, grid, kind, order) for kind in BOUND_KINDS for order in ENVELOPE_ORDERS
+        ]
+    assert values == [per_cut_oracle(kt, s, t, order)[0] for s, t, order in cases]
+    assert [len(curve.values()) for curve in curves] == [7] * 4
+
+
+def test_category_bound_detail_matches_per_cut_oracle_past_hypothesis_range():
+    """Seeded cases at KT 10..24, beyond the property's KT <= 9: categories at the
+    edges of the cut range and replications on the thirds and quarters grids."""
+    rng = random.Random(2024)
+    for kt in range(10, 25):
+        for distinct in (1, 2, kt - 2, kt - 1, kt, kt + 1, 2 * kt):
+            for order in ENVELOPE_ORDERS:
+                for _ in range(4):
+                    q = rng.choice((3, 4))
+                    t = F(rng.randint(q, kt * q), q)
+                    detail = category_bound_detail(kt, distinct, t, order)
+                    assert (detail.value, detail.best_cut, detail.segment) == per_cut_oracle(
+                        kt, distinct, t, order
+                    ), (kt, distinct, t, order)

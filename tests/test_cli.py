@@ -46,7 +46,7 @@ def test_parse_rational_accepts_fractions_and_decimals():
     assert parse_rational("1/3") == F(1, 3)
     assert parse_rational("0.4") == F(2, 5)  # exact fraction of the digits
     assert parse_rational(" 2 ") == 2
-
+    assert parse_rational("1e-4000") == F(1, 10**4000)
 
 def test_parse_grid_colon_and_list_forms():
     assert parse_grid("1/3:1:3") == (F(1, 3), F(2, 3), F(1))
@@ -553,6 +553,12 @@ SWEEP = ["--kt", "3", "--kr", "3", "--files", "3", "--grid", "1/3:1:3"]
         (["expected-sweep", "--grid", "1/5:1:41", "--samples", "1000000"],
          "Monte-Carlo sampling needs --samples * grid points * --kr = 820000000 draws, over "
          "the cap of 100000000"),
+        (["peak-sweep", "--kt", "2001", "--grid", "1/2:1:2"], "--kt may be at most 2000, got 2001"),
+        (["point", "--kt", "2001", "--mu", "1/2"], "--kt may be at most 2000, got 2001"),
+        # refused from the text, before 10**100000000 is built
+        (["point", "--mu", "1e-100000000"], "cannot parse '1e-100000000' as an exact rational"),
+        (["peak-sweep", "--grid", "1e-3000000:1:3"],
+         "cannot parse '1e-3000000' as an exact rational"),
     ],
 )
 def test_bad_settings_exit_1_before_any_work(args, message, capsys, monkeypatch):
@@ -567,6 +573,11 @@ def test_bad_settings_exit_1_before_any_work(args, message, capsys, monkeypatch)
     status, out, err = run_cli(capsys, *args)
     assert (status, out) == (1, "")
     assert err.startswith(f"error: {message}")
+
+
+def test_zero_transmitters_exit_1_with_a_message(capsys):
+    status, out, err = run_cli(capsys, "peak-sweep", "--kt", "0", "--grid", "1/2:1:2")
+    assert (status, out, err) == (1, "", "error: transmitters must be a positive integer, got 0\n")
 
 
 def test_bad_settings_fail_from_files_and_direct_construction(tmp_path, capsys):
@@ -628,6 +639,11 @@ def test_pmf_cap_spares_runs_without_a_pmf():
 def test_decimal_and_sampling_caps_admit_their_limits():
     assert (cli.MAX_DECIMAL, cli.MAX_DRAWS) == (4300, 10**8)
     RunConfig("distribution", decimal=cli.MAX_DECIMAL)
+    assert cli.MAX_TRANSMITTERS == 2000
+    RunConfig("point", transmitters=cli.MAX_TRANSMITTERS, mu=F(1, 2))
+    # a command that reads no --kt is refused for the cap first, as for --decimal
+    with pytest.raises(ValueError, match="^--kt may be at most 2000, got 2001$"):
+        RunConfig("distribution", transmitters=cli.MAX_TRANSMITTERS + 1)
     # the README's example: 100,000 samples on 41 points with 20 receivers
     RunConfig("expected-sweep", mu_grid=parse_grid("1/5:1:41"), samples=100_000)
     one_point = dict(receivers=1, files=1, mu_grid=(F(1),))

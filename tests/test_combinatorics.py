@@ -2,12 +2,21 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ndtbound.combinatorics import binom, surjection_count, to_decimal
+from ndtbound.combinatorics import (
+    MAX_LITERAL_DIGITS,
+    _as_fraction,
+    binom,
+    surjection_count,
+    to_decimal,
+)
 
 
 def factorial_binom(n: int, k: int) -> int:
@@ -147,3 +156,47 @@ def test_to_decimal_round_trips_within_1e12():
 def test_to_decimal_rejects_negative_digits():
     with pytest.raises(ValueError):
         to_decimal(Fraction(1), -1)
+
+
+def test_literal_digit_limit_examples():
+    assert MAX_LITERAL_DIGITS == 4300
+    assert _as_fraction("1e-4000") == Fraction(1, 10**4000)
+    assert _as_fraction("1e-4299") == Fraction(1, 10**4299)  # 4300 digits
+    assert _as_fraction("2e-4300") == Fraction(1, 5 * 10**4299)  # reduced: 4300 digits
+    # a zero mantissa is zero whatever its exponent, and no power of ten is built
+    assert _as_fraction("-0.0e-1_000_000_000") == 0
+    for text in ("1e-4300", "1e4300", "1e-5000", "1e5000", "1e1_0000000", " 7.5e-100000000 "):
+        with pytest.raises(ValueError, match="numerator or denominator of more than 4300"):
+            _as_fraction(text)
+    # malformed literals keep Fraction's own error
+    for text in ("1/2e99999", "1e5e99999", "1e 99999"):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            _as_fraction(text)
+
+
+def digits(n: int) -> int:
+    """Decimal digits of |n|, counted past the interpreter's int-to-str limit."""
+    return len(str(Decimal(abs(n))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sign=st.sampled_from(["", "-", "+"]),
+    whole=st.text("0123456789", max_size=12),
+    fraction=st.one_of(st.none(), st.text("0123456789", max_size=12)),
+    exponent=st.integers(-9000, 9000),
+)
+def test_literal_digit_limit_is_exact(sign, whole, fraction, exponent):
+    """A decimal literal is refused exactly when its reduced value has a
+    numerator or denominator of more than MAX_LITERAL_DIGITS digits."""
+    mantissa = whole if fraction is None else f"{whole}.{fraction}"
+    if not any(ch.isdigit() for ch in mantissa):
+        mantissa = "0"
+    value = Fraction(sign + mantissa) * Fraction(10) ** exponent
+    too_long = max(digits(value.numerator), digits(value.denominator)) > MAX_LITERAL_DIGITS
+    text = f"{sign}{mantissa}e{exponent}"
+    if too_long:
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            _as_fraction(text)
+    else:
+        assert _as_fraction(text) == value
