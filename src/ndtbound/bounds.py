@@ -21,15 +21,17 @@ The proof order is never below the theorem order; both agree at every integer
 replication.
 
 Neither order needs a hull.  The bound for cut c is ``1 + (s - c)*g_c(t)``
-with ``g_c(t) = C(c - 1, t - 1) / (t*C(KT, t)) = C(c, t) / (c*C(KT, t))``, the
-coverage weight over c, which is convex on the integers 1..KT (the oracle's
-``discrete-convexity-full-range`` check).  Since ``s - c >= 0``, each
-``(s - c)*g_c`` is convex, and so is their pointwise maximum over c.  A convex
-sequence is its own envelope, so at fractional t both orders are chords
-between the neighbouring integers floor(t) and ceil(t): the theorem order
-maximizes the chords of the cuts, the proof order takes the chord of the
-maxima.  ``_cut_slopes`` holds both chord ends of every cut in integers, and
-only ``category_bound_detail`` builds a hull, for the segment it reports.
+with ``g_c(t) = C(c - 1, t - 1) / (t*C(KT, t))``, the coverage weight over c,
+which is convex on the integers 1..KT (the oracle's
+``discrete-convexity-full-range`` check); so is each ``(s - c)*g_c``, as
+``s - c >= 0``, and so is their maximum over c.  A convex sequence is its own
+envelope, so at fractional t the theorem order maximizes the cuts' chords
+between floor(t) and ceil(t), and the proof order takes the chord of the
+maxima.  The term ``(s - c)*C(c - 1, x - 1)`` grows from cut c to c + 1 exactly
+when ``c*x < s*(x - 1)`` (binomials are log-concave), so the proof order's
+maximum at an integer x is closed-form (``_top``).  The hull vertices of a
+convex sequence are its ends and its strict kinks, so ``category_bound_detail``
+finds its segment by walking from t to the nearest kinks.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -126,8 +128,7 @@ class ConvexEnvelope:
             hull.append(p)
         return cls(points=pts, vertices=tuple(hull))
 
-    def _locate(self, x) -> tuple[Fraction, int]:
-        """Checked abscissa and the index of the last vertex at or left of it."""
+    def evaluate(self, x: Fraction) -> Fraction:
         x = _as_fraction(x)
         lo, hi = self.vertices[0][0], self.vertices[-1][0]
         if not lo <= x <= hi:
@@ -135,21 +136,12 @@ class ConvexEnvelope:
         # vertex abscissae are integers, so searching for floor(x) finds the
         # same vertex as searching for x, with integer comparisons only
         floor = x.numerator // x.denominator
-        return x, bisect_right(self.vertices, floor, key=itemgetter(0)) - 1
-
-    def evaluate(self, x: Fraction) -> Fraction:
-        x, i = self._locate(x)
+        i = bisect_right(self.vertices, floor, key=itemgetter(0)) - 1
         x1, y1 = self.vertices[i]
         if x == x1:
             return y1
         x2, y2 = self.vertices[i + 1]
         return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
-
-    def bracket(self, x: Fraction) -> tuple[int, int]:
-        """Vertex abscissae of the segment active at x (equal when x is a vertex)."""
-        x, i = self._locate(x)
-        x1 = self.vertices[i][0]
-        return (x1, x1) if x == x1 else (x1, self.vertices[i + 1][0])
 
 
 def bound_expression(
@@ -176,23 +168,31 @@ def bound_expression(
 def envelope_for_cut(transmitters: int, distinct: int, cut_size: int) -> ConvexEnvelope:
     """Envelope of the per-cut bound over integer replication 1..transmitters.
 
-    The direct construction, one envelope per ``(KT, s, c)``; the category
-    functions take chords of one integer table (``_cut_slopes``) instead, and
-    the tests check them against this one."""
+    The direct construction, one envelope per ``(KT, s, c)``: the reference
+    that the tests check the category functions against."""
     return ConvexEnvelope.of_points(
         (t, bound_expression(transmitters, distinct, cut_size, t))
         for t in range(1, transmitters + 1)
     )
 
 
+def _top(transmitters: int, distinct: int, x: int, cut: int | None = None) -> int:
+    """The slope term ``(s - c)*C(c - 1, x - 1)`` of ``cut`` at integer x, or with no
+    cut its maximum over cuts 1..min(KT, s).  For x <= c < s its ratio from c to
+    c + 1, ``(s - c - 1)*c / ((s - c)*(c - x + 1))``, exceeds 1 iff ``c*x < s*(x - 1)``,
+    so the first cut at or past ``s*(x - 1)/x`` is the smallest argmax (s <= x: all 0)."""
+    if cut is None:
+        cut = min(max(1, -(-distinct * (x - 1) // x)), transmitters, distinct)
+    return (distinct - cut) * binom(cut - 1, x - 1)
+
+
 class _CutSlopes(NamedTuple):
     """Every cut's slope ``g_c(t)`` as the chord ``numerators[c-1] / denominator``
-    between ``lo = floor(t)`` and ``hi = min(lo + 1, KT)``: the chord ``weights``
-    dotted with the integer ends ``columns[c-1] = (C(c-1, lo-1), C(c-1, hi-1))``."""
+    between ``lo = floor(t)`` and ``hi = min(lo + 1, KT)``: ``ends`` holds
+    ``(lo, w_lo), (hi, w_hi)`` and ``numerators[c-1] = w_lo*C(c-1, lo-1) + w_hi*C(c-1, hi-1)``."""
 
     denominator: int
-    weights: tuple[int, int]
-    columns: tuple[tuple[int, int], ...]
+    ends: tuple[tuple[int, int], tuple[int, int]]
     numerators: tuple[int, ...]
 
 
@@ -202,15 +202,14 @@ def _cut_slopes(transmitters: int, replication: Fraction) -> _CutSlopes:
     hi = min(lo + 1, transmitters)
     p, q = (replication - lo).as_integer_ratio()
     a, b = lo * binom(transmitters, lo), hi * binom(transmitters, hi)
-    weights = ((q - p) * b, p * a)
-    columns = tuple(
-        (binom(cut - 1, lo - 1), binom(cut - 1, hi - 1)) for cut in range(1, transmitters + 1)
-    )
+    w_lo, w_hi = (q - p) * b, p * a
     return _CutSlopes(
         denominator=q * a * b,
-        weights=weights,
-        columns=columns,
-        numerators=tuple(weights[0] * x + weights[1] * y for x, y in columns),
+        ends=((lo, w_lo), (hi, w_hi)),
+        numerators=tuple(
+            w_lo * binom(cut - 1, lo - 1) + w_hi * binom(cut - 1, hi - 1)
+            for cut in range(1, transmitters + 1)
+        ),
     )
 
 
@@ -220,7 +219,7 @@ class CategoryBoundDetail:
 
     ``best_cut`` is the smallest maximizing cut size (theorem order only;
     the proof order has no single winning cut, so it reports None).
-    ``segment`` gives the envelope vertices bracketing the replication.
+    ``segment`` gives the hull vertices nearest the replication on either side.
     """
 
     value: Fraction
@@ -249,16 +248,13 @@ def _category_value(
     private so that a call of one public name never shows up in call counts as
     a call of the other."""
     table = _cut_slopes(transmitters, t)
-    cuts = range(1, min(transmitters, distinct) + 1)
     if order == "proof":
         # the chord of the maxima over cuts at floor(t) and ceil(t)
         best_cut = None
-        extra = sum(
-            weight * max((distinct - cut) * table.columns[cut - 1][end] for cut in cuts)
-            for end, weight in enumerate(table.weights)
-        )
+        extra = sum(weight * _top(transmitters, distinct, end) for end, weight in table.ends)
     else:
         # max() keeps the first maximal element, so this is the smallest argmax
+        cuts = range(1, min(transmitters, distinct) + 1)
         best_cut = max(cuts, key=lambda cut: (distinct - cut) * table.numerators[cut - 1])
         extra = (distinct - best_cut) * table.numerators[best_cut - 1]
     return Fraction(table.denominator + extra, table.denominator), best_cut
@@ -270,17 +266,18 @@ def category_bound_detail(
     """``category_bound`` with its winning cut and envelope segment."""
     t = _check_category_args(transmitters, distinct, replication, order)
     value, best_cut = _category_value(transmitters, distinct, t, order)
-    cuts = range(1, min(transmitters, distinct) + 1) if best_cut is None else (best_cut,)
-    # the hull of the slope term over integer replication; when s == c every
-    # point is zero and the hull is the flat one, with vertices 1 and KT
-    envelope = ConvexEnvelope.of_points(
-        (x, Fraction(
-            max((distinct - cut) * binom(cut - 1, x - 1) for cut in cuts),
-            x * binom(transmitters, x),
-        ))
-        for x in range(1, transmitters + 1)
-    )
-    return CategoryBoundDetail(value=value, best_cut=best_cut, segment=envelope.bracket(t))
+    # the convex slope term; when s == c it is 0, and the walk stops at 1 and KT
+    @cache
+    def h(x: int) -> Fraction:
+        return Fraction(_top(transmitters, distinct, x, best_cut), x * binom(transmitters, x))
+
+    def vertex(x: int) -> bool:
+        return x in (1, transmitters) or h(x - 1) + h(x + 1) > 2 * h(x)
+
+    floor = t.numerator // t.denominator
+    lo = next(x for x in range(floor, 0, -1) if vertex(x))
+    hi = next(x for x in range(floor + (t > floor), transmitters + 1) if vertex(x))
+    return CategoryBoundDetail(value=value, best_cut=best_cut, segment=(lo, hi))
 
 
 # typed: 1.5 == Fraction(3, 2) with equal hashes, so an untyped cache would

@@ -321,7 +321,10 @@ def _render(config: RunConfig, value):
 
 def _emit(config: RunConfig, text: str):
     if config.output_path:
-        Path(config.output_path).write_text(text)
+        try:
+            Path(config.output_path).write_text(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {config.output_path!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -164,8 +164,7 @@ def test_envelope_interpolation_is_exact():
     env = envelope_for_cut(3, 3, 1)  # vertices (1, 5/3), (2, 1), (3, 1)
     assert env.evaluate(F(3, 2)) == F(4, 3)
     assert env.evaluate(F(5, 2)) == 1
-    assert env.bracket(F(3, 2)) == (1, 2)
-    assert env.bracket(F(2)) == (2, 2)
+    assert [x for x, _ in env.vertices] == [1, 2, 3]
     with pytest.raises(ValueError):
         env.evaluate(F(1, 2))
 
@@ -235,6 +234,9 @@ def test_category_bound_detail_reports_argmax_and_segment():
     assert detail.value == F(4, 3)
     assert detail.best_cut == 1
     assert detail.segment == (1, 2)
+    # proof-order hulls with collinear runs inside: the segment spans each run
+    assert category_bound_detail(11, 12, 5, "proof").segment == (4, 6)
+    assert category_bound_detail(11, 12, 8, "proof").segment == (6, 11)
 
 
 def test_category_bound_single_transmitter_equals_distinct_count():
@@ -337,19 +339,25 @@ def per_cut_oracle(kt: int, distinct: int, t, order: str):
 
     Theorem order takes the smallest maximizing cut of ``envelope_for_cut``
     and its bracket; proof order convexifies the pointwise maximum of
-    ``bound_expression``.  Returns (value, best_cut, segment)."""
+    ``bound_expression``.  The bracket is the nearest hull vertex at or below
+    t and the nearest at or above it.  Returns (value, best_cut, segment)."""
     cuts = range(1, min(kt, distinct) + 1)
     if order == "proof":
         env = ConvexEnvelope.of_points(
             (n, max(bound_expression(kt, distinct, c, n) for c in cuts))
             for n in range(1, kt + 1)
         )
-        return env.evaluate(t), None, env.bracket(t)
+        return env.evaluate(t), None, nearest_vertices([x for x, _ in env.vertices], t)
     envelopes = [envelope_for_cut(kt, distinct, c) for c in cuts]
     values = [env.evaluate(t) for env in envelopes]
     best = max(values)
     cut = values.index(best) + 1
-    return best, cut, envelopes[cut - 1].bracket(t)
+    return best, cut, nearest_vertices([x for x, _ in envelopes[cut - 1].vertices], t)
+
+
+def nearest_vertices(abscissae, t) -> tuple[int, int]:
+    """The nearest vertex at or below t and the nearest at or above it."""
+    return max(x for x in abscissae if x <= t), min(x for x in abscissae if x >= t)
 
 
 @st.composite
@@ -381,6 +389,8 @@ def category_cases(draw):
 @example((5, 3, F(7, 3), "proof"))
 @example((4, 9, F(5, 2), "theorem"))  # s >= KT
 @example((4, 9, 3, "proof"))
+@example((11, 12, 5, "proof"))  # collinear interior runs: the hull skips 5
+@example((11, 12, 8, "proof"))  # ... and 7 through 10
 def test_category_bound_detail_matches_per_cut_oracle(case):
     kt, distinct, t, order = case
     detail = category_bound_detail(kt, distinct, t, order)
@@ -578,24 +588,9 @@ def test_sweep_builds_one_distribution_per_curve(kind, monkeypatch):
     assert calls == [kind]
 
 
-@settings(max_examples=60, deadline=None)
-@given(category_cases())
-def test_category_bound_never_brackets_an_envelope(case):
-    kt, distinct, t, _ = case
-
-    def no_bracket(self, x):
-        raise AssertionError("category_bound computed envelope evidence")
-
-    category_bound.cache_clear()
-    bounds._cut_slopes.cache_clear()
-    with patch.object(ConvexEnvelope, "bracket", no_bracket):
-        values = [category_bound(kt, distinct, t, order) for order in ENVELOPE_ORDERS]
-    details = [category_bound_detail(kt, distinct, t, order) for order in ENVELOPE_ORDERS]
-    assert values == [detail.value for detail in details]
-
-
 def test_bound_values_build_no_envelope():
-    """Both orders are chords of one integer table: no hull on the value path.
+    """Both orders are chords of one integer table, and the segment is a walk to
+    the nearest kinks: no hull for a value or for its evidence.
 
     KT = 26 is used by no other test, so no cache holds a hull built earlier."""
     kt, grid = 26, mu_grid(26, 7)
@@ -610,10 +605,21 @@ def test_bound_values_build_no_envelope():
     bounds._cut_slopes.cache_clear()
     with patch.object(ConvexEnvelope, "of_points", classmethod(no_hull)):
         values = [category_bound(kt, s, t, order) for s, t, order in cases]
+        details = [category_bound_detail(kt, s, t, order) for s, t, order in cases]
+        dist, t = distinct_distribution(9, 6), kt * grid[2]
+        expected = [
+            expected_bound_for_distribution(kt, dist, t, order) for order in ENVELOPE_ORDERS
+        ]
         curves = [
             sweep(kt, 5, 7, grid, kind, order) for kind in BOUND_KINDS for order in ENVELOPE_ORDERS
         ]
-    assert values == [per_cut_oracle(kt, s, t, order)[0] for s, t, order in cases]
+    oracle = [per_cut_oracle(kt, s, t, order) for s, t, order in cases]
+    assert values == [value for value, _, _ in oracle]
+    assert [(d.value, d.best_cut, d.segment) for d in details] == oracle
+    assert expected == [
+        sum((p * per_cut_oracle(kt, s, t, order)[0] for s, p in dist.masses.items()), F(0))
+        for order in ENVELOPE_ORDERS
+    ]
     assert [len(curve.values()) for curve in curves] == [7] * 4
 
 
@@ -631,3 +637,74 @@ def test_category_bound_detail_matches_per_cut_oracle_past_hypothesis_range():
                     assert (detail.value, detail.best_cut, detail.segment) == per_cut_oracle(
                         kt, distinct, t, order
                     ), (kt, distinct, t, order)
+
+
+def smallest_argmax_of_slope_term(kt: int, distinct: int, x: int) -> tuple[int, int]:
+    """The linear scan the closed-form cut replaces: (smallest argmax, maximum)."""
+    terms = [(distinct - c) * binom(c - 1, x - 1) for c in range(1, min(kt, distinct) + 1)]
+    best = max(terms)
+    return terms.index(best) + 1, best
+
+
+def closed_form_cut(kt: int, distinct: int, x: int) -> int:
+    """The first cut c with ``c*x >= s*(x - 1)``, clipped to [1, min(KT, s)]."""
+    return min(max(1, -(-distinct * (x - 1) // x)), kt, distinct)
+
+
+def check_closed_form_cut(kt: int, distinct: int, x: int):
+    cut, best = smallest_argmax_of_slope_term(kt, distinct, x)
+    assert bounds._top(kt, distinct, x) == best
+    assert bounds._top(kt, distinct, x, closed_form_cut(kt, distinct, x)) == best
+    if best:  # when the maximum is 0 (s <= x), every cut attains it
+        assert closed_form_cut(kt, distinct, x) == cut
+    else:
+        assert distinct <= x
+
+
+@st.composite
+def slope_term_cases(draw):
+    kt = draw(st.integers(1, 60))
+    return kt, draw(st.integers(1, 3 * kt + 2)), draw(st.integers(1, kt))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slope_term_cases())
+@example((1, 1, 1))
+@example((5, 3, 4))  # every term is 0
+@example((60, 182, 60))  # the cut clips to KT
+@example((12, 13, 12))  # ... and lands on it
+def test_closed_form_cut_is_the_smallest_argmax(case):
+    """The slope term grows from c to c + 1 iff ``c*x < s*(x - 1)``, so the
+    first cut where that fails is the smallest argmax of the linear scan."""
+    check_closed_form_cut(*case)
+
+
+def test_closed_form_cut_past_hypothesis_range():
+    rng = random.Random(500)
+    for kt in (500, 1024, 2000):
+        for _ in range(3):
+            distinct, x = rng.randint(1, 3 * kt + 2), rng.randint(1, kt)
+            check_closed_form_cut(kt, distinct, x)
+        check_closed_form_cut(kt, kt, kt // 2)
+        check_closed_form_cut(kt, 3 * kt + 2, kt)
+
+
+def one_cut_vertices(kt: int, distinct: int, cut: int) -> set[int]:
+    """Hull vertices of ``(s - c)*g_c`` over 1..KT in closed form: the slope is
+    strictly convex up to c + 1, then 0, unless it is linear (c = KT - 1),
+    constant (c = KT) or zero (s = c)."""
+    if distinct > cut and cut <= kt - 2:
+        return {*range(1, cut + 2), kt}
+    return {1, kt}
+
+
+def test_theorem_order_segment_matches_its_closed_form():
+    rng = random.Random(60)
+    for kt in range(1, 61):
+        for distinct in {1, 2, kt, kt + 1, rng.randint(1, 2 * kt + 2)}:
+            for _ in range(4):
+                q = rng.randint(1, 8)
+                t = F(rng.randint(q, kt * q), q)
+                detail = category_bound_detail(kt, distinct, t)
+                vertices = one_cut_vertices(kt, distinct, detail.best_cut)
+                assert detail.segment == nearest_vertices(vertices, t), (kt, distinct, t)

@@ -185,6 +185,24 @@ def test_outputs_are_byte_identical(tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "request_args",
+    [
+        ["distribution", "--files", "3", "--kr", "2"],
+        ["verify", "--limit", "2", "--kt-max", "1"],
+        ["point", "--kt", "3", "--kr", "3", "--files", "3", "--mu", "1/2"],
+    ],
+)
+@pytest.mark.parametrize("target", [".", "missing/x.csv"])
+def test_unwritable_out_is_an_error_line(capsys, tmp_path, request_args, target):
+    # a directory, then a path under a directory that does not exist
+    path = str(tmp_path / target)
+    status, out, err = run_cli(capsys, *request_args, "--out", path)
+    assert (status, out) == (1, "")
+    assert err.startswith(f"error: cannot write {path!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_overlay_columns_follow_registration_order(capsys):
     status, out, _ = run_cli(
         capsys,
