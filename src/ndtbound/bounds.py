@@ -25,18 +25,42 @@ with ``g_c(t) = C(c - 1, t - 1) / (t*C(KT, t))``, the coverage weight over c,
 which is convex on the integers 1..KT (the oracle's
 ``discrete-convexity-full-range`` check); so is each ``(s - c)*g_c``, as
 ``s - c >= 0``, and so is their maximum over c.  A convex sequence is its own
-envelope, so at fractional t the theorem order maximizes the cuts' chords
-between floor(t) and ceil(t), and the proof order takes the chord of the
-maxima.  The term ``(s - c)*C(c - 1, x - 1)`` grows from cut c to c + 1 exactly
-when ``c*x < s*(x - 1)`` (binomials are log-concave), so the proof order's
-maximum at an integer x is closed-form (``_top``).  The hull vertices of a
-convex sequence are its ends and its strict kinks, so ``category_bound_detail``
-finds its segment by walking from t to the nearest kinks.
+envelope, so at fractional t both orders are chords between lo = floor(t) and
+hi = min(lo + 1, KT) with positive weight w_lo and weight w_hi >= 0 (0 at
+integer t): the bound's excess over 1 is ``sum w*T_x(c)`` over the two ends x,
+up to one common denominator, with the slope term ``T_x(c) = (s - c)*C(c - 1, x - 1)``
+(``_top``).  The proof order reads each end at its own best cut, the theorem
+order reads both ends at one shared cut.  Two lemmas place those cuts.
+
+Bracket lemma.  For x <= c < s the ratio ``T_x(c + 1)/T_x(c)`` is
+``(s - c - 1)*c / ((s - c)*(c - x + 1))``, which exceeds 1 iff ``c*x < s*(x - 1)``;
+below x the term is 0.  So with ``_cut(x) = min(max(1, ceil(s*(x - 1)/x)), KT, s)``,
+when s > x the term rises (strictly from x on) up to ``_cut(x)`` and never rises
+after it: ``_cut(x)`` is the proof order's smallest argmax at x (when s <= x
+every term is 0).  ``s*(x - 1)/x`` grows with x, so ``_cut(lo) <= _cut(hi)``.
+When s > lo, below ``_cut(lo)`` the theorem objective ``w_lo*T_lo + w_hi*T_hi``
+rises strictly (w_lo > 0), and past ``_cut(hi)`` it never rises, so its smallest
+argmax lies in ``[_cut(lo), _cut(hi)]``.  When s <= lo every term is 0, and the
+smallest argmax is cut 1.
+
+Log-concavity lemma.  On that bracket lo <= c < s, and as
+``C(c - 1, lo) = C(c - 1, lo - 1)*(c - lo)/lo`` the theorem objective factors as
+``(s - c)*C(c - 1, lo - 1)*(w_lo + w_hi*(c - lo)/lo)``, a product of positive
+sequences that are log-concave in c (binomial coefficients are log-concave in
+the upper index: Stanley 1989, "Log-concave and unimodal sequences in
+algebra, combinatorics, and geometry").  So its ratio from c to c + 1 never
+increases, and the smallest argmax is the first c of the bracket with
+``f(c + 1) <= f(c)``: a bisection.
+
+The hull vertices of a convex sequence are its ends and its strict kinks, so
+``category_bound_detail`` finds its segment by walking from t to the nearest
+kinks; the slope term is 0 from its first zero on, so no x past that zero is a
+kink and the walks skip the zero tail.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -176,24 +200,27 @@ def envelope_for_cut(transmitters: int, distinct: int, cut_size: int) -> ConvexE
     )
 
 
+def _cut(transmitters: int, distinct: int, x: int) -> int:
+    """The smallest argmax over cuts 1..min(KT, s) of the slope term at integer x
+    when s > x (the bracket lemma); when s <= x every term is 0."""
+    return min(max(1, -(-distinct * (x - 1) // x)), transmitters, distinct)
+
+
 def _top(transmitters: int, distinct: int, x: int, cut: int | None = None) -> int:
     """The slope term ``(s - c)*C(c - 1, x - 1)`` of ``cut`` at integer x, or with no
-    cut its maximum over cuts 1..min(KT, s).  For x <= c < s its ratio from c to
-    c + 1, ``(s - c - 1)*c / ((s - c)*(c - x + 1))``, exceeds 1 iff ``c*x < s*(x - 1)``,
-    so the first cut at or past ``s*(x - 1)/x`` is the smallest argmax (s <= x: all 0)."""
+    cut its maximum over cuts 1..min(KT, s)."""
     if cut is None:
-        cut = min(max(1, -(-distinct * (x - 1) // x)), transmitters, distinct)
+        cut = _cut(transmitters, distinct, x)
     return (distinct - cut) * binom(cut - 1, x - 1)
 
 
 class _CutSlopes(NamedTuple):
-    """Every cut's slope ``g_c(t)`` as the chord ``numerators[c-1] / denominator``
-    between ``lo = floor(t)`` and ``hi = min(lo + 1, KT)``: ``ends`` holds
-    ``(lo, w_lo), (hi, w_hi)`` and ``numerators[c-1] = w_lo*C(c-1, lo-1) + w_hi*C(c-1, hi-1)``."""
+    """The chord of every cut's slope ``g_c(t)`` between ``lo = floor(t)`` and
+    ``hi = min(lo + 1, KT)``: ``ends`` holds ``(lo, w_lo), (hi, w_hi)``, and cut c's
+    chord is ``sum(w*C(c - 1, x - 1) for x, w in ends) / denominator``."""
 
     denominator: int
     ends: tuple[tuple[int, int], tuple[int, int]]
-    numerators: tuple[int, ...]
 
 
 @lru_cache(maxsize=1024)
@@ -202,15 +229,7 @@ def _cut_slopes(transmitters: int, replication: Fraction) -> _CutSlopes:
     hi = min(lo + 1, transmitters)
     p, q = (replication - lo).as_integer_ratio()
     a, b = lo * binom(transmitters, lo), hi * binom(transmitters, hi)
-    w_lo, w_hi = (q - p) * b, p * a
-    return _CutSlopes(
-        denominator=q * a * b,
-        ends=((lo, w_lo), (hi, w_hi)),
-        numerators=tuple(
-            w_lo * binom(cut - 1, lo - 1) + w_hi * binom(cut - 1, hi - 1)
-            for cut in range(1, transmitters + 1)
-        ),
-    )
+    return _CutSlopes(denominator=q * a * b, ends=((lo, (q - p) * b), (hi, p * a)))
 
 
 @dataclass(frozen=True)
@@ -248,16 +267,20 @@ def _category_value(
     private so that a call of one public name never shows up in call counts as
     a call of the other."""
     table = _cut_slopes(transmitters, t)
+    (lo, _), (hi, _) = table.ends
+
+    def extra(cut: int | None) -> int:
+        return sum(weight * _top(transmitters, distinct, end, cut) for end, weight in table.ends)
+
     if order == "proof":
-        # the chord of the maxima over cuts at floor(t) and ceil(t)
-        best_cut = None
-        extra = sum(weight * _top(transmitters, distinct, end) for end, weight in table.ends)
+        best_cut = None  # each end at its own best cut: the chord of the maxima
+    elif distinct <= lo:
+        best_cut = 1  # every term is 0
     else:
-        # max() keeps the first maximal element, so this is the smallest argmax
-        cuts = range(1, min(transmitters, distinct) + 1)
-        best_cut = max(cuts, key=lambda cut: (distinct - cut) * table.numerators[cut - 1])
-        extra = (distinct - best_cut) * table.numerators[best_cut - 1]
-    return Fraction(table.denominator + extra, table.denominator), best_cut
+        first = _cut(transmitters, distinct, lo)
+        cuts = range(first, _cut(transmitters, distinct, hi))
+        best_cut = first + bisect_left(cuts, True, key=lambda c: extra(c + 1) <= extra(c))
+    return Fraction(table.denominator + extra(best_cut), table.denominator), best_cut
 
 
 def category_bound_detail(
@@ -274,9 +297,14 @@ def category_bound_detail(
     def vertex(x: int) -> bool:
         return x in (1, transmitters) or h(x - 1) + h(x + 1) > 2 * h(x)
 
+    # h is 0 from x = zero on (past the cut, or from s in proof order), so no x
+    # past zero is a kink: each walk skips that tail, and the upward one ends at KT
+    zero = distinct if best_cut is None else best_cut + 1
     floor = t.numerator // t.denominator
-    lo = next(x for x in range(floor, 0, -1) if vertex(x))
-    hi = next(x for x in range(floor + (t > floor), transmitters + 1) if vertex(x))
+    down = range(floor if floor == transmitters else min(floor, zero), 0, -1)
+    lo = next(x for x in down if vertex(x))
+    up = range(floor + (t > floor), min(zero, transmitters) + 1)
+    hi = next((x for x in up if vertex(x)), transmitters)
     return CategoryBoundDetail(value=value, best_cut=best_cut, segment=(lo, hi))
 
 

@@ -62,7 +62,8 @@ MAX_PMF_CELLS = 4 * 10**6
 MAX_DRAWS = 10**8
 
 # a larger --kt is refused before any bound is computed (at the cap a 41-point
-# peak sweep takes a few seconds; the work grows about as --kt squared)
+# peak sweep computes its bounds in about 20 ms, 0.3 s with interpreter start;
+# the work grows a little faster than --kt, with the size of C(kt, x))
 MAX_TRANSMITTERS = 2000
 
 # --decimal's cap: to_decimal builds 10**digits, and its fractional part formats

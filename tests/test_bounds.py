@@ -589,7 +589,7 @@ def test_sweep_builds_one_distribution_per_curve(kind, monkeypatch):
 
 
 def test_bound_values_build_no_envelope():
-    """Both orders are chords of one integer table, and the segment is a walk to
+    """Both orders are chords of one slope term, and the segment is a walk to
     the nearest kinks: no hull for a value or for its evidence.
 
     KT = 26 is used by no other test, so no cache holds a hull built earlier."""
@@ -625,14 +625,15 @@ def test_bound_values_build_no_envelope():
 
 def test_category_bound_detail_matches_per_cut_oracle_past_hypothesis_range():
     """Seeded cases at KT 10..24, beyond the property's KT <= 9: categories at the
-    edges of the cut range and replications on the thirds and quarters grids."""
+    edges of the cut range and replications on the thirds and quarters grids,
+    up to KT itself."""
     rng = random.Random(2024)
     for kt in range(10, 25):
-        for distinct in (1, 2, kt - 2, kt - 1, kt, kt + 1, 2 * kt):
+        for distinct in (1, 2, 3, kt // 3, kt - 2, kt - 1, kt, kt + 1, 2 * kt):
             for order in ENVELOPE_ORDERS:
-                for _ in range(4):
-                    q = rng.choice((3, 4))
-                    t = F(rng.randint(q, kt * q), q)
+                qs = [rng.choice((3, 4)) for _ in range(4)]
+                # KT - 1/q and KT lie deep in the zero tail of a small category
+                for t in [F(rng.randint(q, kt * q), q) for q in qs] + [kt - F(1, qs[0]), kt]:
                     detail = category_bound_detail(kt, distinct, t, order)
                     assert (detail.value, detail.best_cut, detail.segment) == per_cut_oracle(
                         kt, distinct, t, order
@@ -708,3 +709,76 @@ def test_theorem_order_segment_matches_its_closed_form():
                 detail = category_bound_detail(kt, distinct, t)
                 vertices = one_cut_vertices(kt, distinct, detail.best_cut)
                 assert detail.segment == nearest_vertices(vertices, t), (kt, distinct, t)
+
+
+def theorem_order_by_linear_scan(kt: int, distinct: int, t) -> tuple[Fraction, int]:
+    """The linear scan the bisection replaces: the theorem-order value and its
+    smallest maximizing cut, over the chords
+    ``(s - c)*(w_lo*C(c - 1, lo - 1) + w_hi*C(c - 1, hi - 1))`` between
+    ``lo = floor(t)`` and ``hi = min(lo + 1, KT)``."""
+    t = F(t)
+    lo = t.numerator // t.denominator
+    hi = min(lo + 1, kt)
+    w_lo, w_hi = (1 - (t - lo)) / (lo * binom(kt, lo)), (t - lo) / (hi * binom(kt, hi))
+    terms = [
+        (distinct - c) * (w_lo * binom(c - 1, lo - 1) + w_hi * binom(c - 1, hi - 1))
+        for c in range(1, min(kt, distinct) + 1)
+    ]
+    best = max(terms)
+    return 1 + best, terms.index(best) + 1
+
+
+def check_theorem_order_cut(kt: int, distinct: int, t):
+    value, cut = theorem_order_by_linear_scan(kt, distinct, t)
+    detail = category_bound_detail(kt, distinct, t)
+    assert (detail.value, detail.best_cut) == (value, cut), (kt, distinct, t)
+    assert category_bound(kt, distinct, t) == value
+
+
+@st.composite
+def theorem_cut_cases(draw):
+    kt = draw(st.integers(1, 60))
+    q = draw(st.integers(1, 8))
+    return kt, draw(st.integers(1, 3 * kt + 2)), F(draw(st.integers(q, kt * q)), q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theorem_cut_cases())
+@example((10, 4, F(13, 2)))  # s <= lo: every term is 0, cut 1
+@example((10, 6, 6))  # ... at an integer t
+@example((12, 30, 5))  # integer t: one end, the closed-form cut
+@example((60, 182, 60))  # t = KT
+@example((40, 122, F(9, 8)))  # the bracket spans most cuts
+def test_theorem_order_cut_is_the_smallest_argmax(case):
+    """The bracket and log-concavity lemmas: bisection between the two ends'
+    closed-form cuts finds the linear scan's smallest argmax."""
+    check_theorem_order_cut(*case)
+
+
+def test_theorem_order_cut_past_hypothesis_range():
+    rng = random.Random(1024)
+    for kt in (500, 1024, 2000):
+        for _ in range(3):
+            q = rng.randint(1, 8)
+            check_theorem_order_cut(kt, rng.randint(1, 3 * kt + 2), F(rng.randint(q, kt * q), q))
+        check_theorem_order_cut(kt, kt, F(kt + 1, 2))
+        check_theorem_order_cut(kt, 3 * kt + 2, F(5, 4))
+
+
+@pytest.mark.parametrize("order", ENVELOPE_ORDERS)
+def test_category_bound_reads_few_binomials(order):
+    """Both orders read the slope term at two chord ends: a handful of binomials
+    per category, not a column of KT cuts (4,002 or more at KT = 2000)."""
+    calls = []
+
+    def counted(n, k):
+        calls.append((n, k))
+        return binom(n, k)
+
+    for distinct, t in [(4000, F(5, 4)), (2000, F(3, 2)), (6002, F(2001, 2)), (3, F(1999, 2))]:
+        category_bound.cache_clear()
+        bounds._cut_slopes.cache_clear()
+        calls.clear()
+        with patch.object(bounds, "binom", counted):
+            category_bound(2000, distinct, t, order)
+        assert 0 < len(calls) < 64, (distinct, t, len(calls))
