@@ -57,6 +57,11 @@ MAX_GRID_POINTS = 10**6
 # before it is built (about 5 s at the cap, 2000 receivers and files)
 MAX_PMF_CELLS = 4 * 10**6
 
+# an expected sweep past grid points * min(files, receivers) category bounds is
+# refused (a cold category bound takes 14-19 us at kt <= 20 and 136 us at
+# kt = 2000 and 2000 categories, so about 15-20 s and 2.3 min at the cap)
+MAX_CATEGORY_BOUNDS = 10**6
+
 # Monte-Carlo columns past samples * grid points * receivers draws are refused
 # (the README's 100,000-sample, 41-point, 20-receiver example draws 8.2 * 10**7)
 MAX_DRAWS = 10**8
@@ -119,6 +124,12 @@ class RunConfig:
             (self.command, self.kind) == ("point", "expected")
         )
         cells = self.receivers * min(self.files, self.receivers) if pmf else 0
+        # an expected sweep bounds every category at every point; a peak sweep
+        # bounds one category per point, which the grid cap already bounds
+        categories = (
+            len(self.mu_grid) * min(self.files, self.receivers)
+            if self.command == "expected-sweep" and self.mu_grid else 0
+        )
         # Monte-Carlo draws, counted for the commands that read --samples; sampled
         # is 0 when --samples is unset, and testing it keeps None out of the product
         draws = (
@@ -157,6 +168,9 @@ class RunConfig:
             (cells > MAX_PMF_CELLS,
              f"the pmf needs --kr * min(--files, --kr) = {cells} steps, over the cap of "
              f"{MAX_PMF_CELLS}"),
+            (categories > MAX_CATEGORY_BOUNDS,
+             f"the sweep needs grid points * min(--files, --kr) = {categories} category "
+             f"bounds, over the cap of {MAX_CATEGORY_BOUNDS}"),
             # last, so that a setting's own check speaks first
             (unread is not None, f"{self.command} does not read --{unread}"),
         ):

@@ -6,20 +6,30 @@ the delivery-time bounds, and this module computes its probability mass
 function three independent ways: analytically (exact rationals), by
 exhaustive enumeration, and by seeded Monte-Carlo sampling.
 
-Sampler contract: demands are drawn with CPython's Mersenne Twister
-(``random.Random(seed)``), one ``randint(1, files)`` call per receiver in
-receiver order.  The resulting stream is deterministic for a fixed seed and
-is part of the test contract.
+Sampler contract: demands are the stream of CPython's Mersenne Twister
+(``random.Random(seed)``) that one ``randint(1, files)`` call per receiver, in
+receiver order, would draw.  The resulting stream is deterministic for a fixed
+seed and is part of the test contract.
+
+How it is drawn: below 2**32 files, CPython's ``randint(1, files)`` (3.10
+on; the tests compare the two streams) is ``1 + r``, where ``r`` is the top
+``files.bit_length()`` bits of one 32-bit twister word, redrawn while
+``r >= files``, and ``getrandbits(32 * n)`` returns ``n`` such consecutive
+words, least significant first.  So the sampler decodes the words a fixed
+batch at a time, with C-level calls and one comprehension, instead of one
+``randint`` call per receiver.  From 2**32 files on a draw spans more than one
+word, and the sampler calls ``randint`` per draw.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, islice, product, repeat
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -28,6 +38,11 @@ from .combinatorics import _as_fraction, _check_count
 Demand = tuple[int, ...]
 
 DEFAULT_ENUMERATION_CAP = 10**7
+
+# twister words decoded per batch by sample_demands: a few thousand, so a batch
+# costs a few C calls, and memory stays flat however many samples are drawn
+_BATCH_WORDS = 4096
+_UNPACK_BATCH = struct.Struct(f"<{_BATCH_WORDS}I").unpack
 
 
 class CapExceeded(Exception):
@@ -170,5 +185,21 @@ def sample_demands(
     _check_count("receivers", receivers)
     _check_count("count", count)
     rng = random.Random(seed)
+    if files < 2**32:
+        draws = chain.from_iterable(_batched_draws(rng, files))
+    else:
+        draws = map(rng.randint, repeat(1), repeat(files))
     for _ in range(count):
-        yield tuple(rng.randint(1, files) for _ in range(receivers))
+        yield tuple(islice(draws, receivers))
+
+
+def _batched_draws(rng: random.Random, files: int) -> Iterator[list[int]]:
+    """The ``randint(1, files)`` stream for ``files < 2**32``, one list per batch
+    of words: each word's top ``files.bit_length()`` bits, plus 1, where they
+    are below ``files``."""
+    shift = 32 - files.bit_length()
+    limit = files << shift
+    while True:
+        bits = rng.getrandbits(32 * _BATCH_WORDS)
+        words = _UNPACK_BATCH(bits.to_bytes(4 * _BATCH_WORDS, "little"))
+        yield [(word >> shift) + 1 for word in words if word < limit]

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import random
 import shlex
 import sys
 from fractions import Fraction
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from ndtbound import cli
 from ndtbound.bounds import (
     NetworkConfig,
+    category_bound,
     category_bound_detail,
     expected_ndt_lower_bound,
     peak_ndt_lower_bound,
@@ -30,7 +32,7 @@ from ndtbound.cli import (
     parse_rational,
     parse_run_config,
 )
-from ndtbound.demands import distinct_distribution
+from ndtbound.demands import distinct_count, distinct_distribution
 
 F = Fraction
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -169,6 +171,29 @@ def test_expected_sweep_monte_carlo_column(capsys):
     assert lines[2] == "1,1,1"
     mc = F(lines[1].split(",")[2])
     assert 1 <= mc <= F(3, 2)
+
+
+def test_monte_carlo_column_is_the_mean_over_the_randint_stream(capsys, monkeypatch):
+    monkeypatch.chdir(PRESETS.parent)
+    status, out, err = run_cli(
+        capsys, "expected-sweep", "--config", "presets/expected_kt5_kr20_n100.cfg",
+        "--samples", "200", "--seed", "7",
+    )
+    assert (status, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "mu,value,mc_value"
+    rows = [line.split(",") for line in lines[1:]]
+    grid = parse_grid("1/5:1:41")
+    assert [F(mu) for mu, _, _ in rows] == list(grid)
+    # the column recomputed from the contract: one randint(1, 100) per receiver,
+    # each point on its own sub-seed
+    for index, (mu, (_, _, mc_value)) in enumerate(zip(grid, rows)):
+        rng = random.Random(7 * cli.SUB_SEED_STRIDE + index)
+        total = sum(
+            category_bound(5, distinct_count([rng.randint(1, 100) for _ in range(20)]), 5 * mu)
+            for _ in range(200)
+        )
+        assert F(mc_value) == total / 200
 
 
 def test_outputs_are_byte_identical(tmp_path):
@@ -577,6 +602,10 @@ SWEEP = ["--kt", "3", "--kr", "3", "--files", "3", "--grid", "1/3:1:3"]
         (["point", "--mu", "1e-100000000"], "cannot parse '1e-100000000' as an exact rational"),
         (["peak-sweep", "--grid", "1e-3000000:1:3"],
          "cannot parse '1e-3000000' as an exact rational"),
+        (["expected-sweep", "--kt", "20", "--kr", "200", "--files", "1000",
+          "--grid", "1/20:1:1000000"],
+         "the sweep needs grid points * min(--files, --kr) = 200000000 category bounds, over "
+         "the cap of 1000000"),
     ],
 )
 def test_bad_settings_exit_1_before_any_work(args, message, capsys, monkeypatch):
@@ -655,7 +684,7 @@ def test_pmf_cap_spares_runs_without_a_pmf():
 
 
 def test_decimal_and_sampling_caps_admit_their_limits():
-    assert (cli.MAX_DECIMAL, cli.MAX_DRAWS) == (4300, 10**8)
+    assert (cli.MAX_DECIMAL, cli.MAX_DRAWS, cli.MAX_CATEGORY_BOUNDS) == (4300, 10**8, 10**6)
     RunConfig("distribution", decimal=cli.MAX_DECIMAL)
     assert cli.MAX_TRANSMITTERS == 2000
     RunConfig("point", transmitters=cli.MAX_TRANSMITTERS, mu=F(1, 2))
@@ -671,6 +700,17 @@ def test_decimal_and_sampling_caps_admit_their_limits():
     # a command that reads no --samples is refused for reading it, not for its draws
     with pytest.raises(ValueError, match="^peak-sweep does not read --samples$"):
         RunConfig("peak-sweep", samples=cli.MAX_DRAWS + 1, **one_point)
+    # 1000 points * 1000 categories sit on the category-bound cap
+    on_cap = dict(receivers=1000, files=2000, mu_grid=parse_grid("1/5:1:1000"))
+    RunConfig("expected-sweep", **on_cap)
+    # categories are min(--files, --kr), and a peak sweep has one per point
+    RunConfig("expected-sweep", **on_cap | dict(receivers=2000, files=1000))
+    RunConfig("peak-sweep", **on_cap | dict(receivers=2000))
+    with pytest.raises(ValueError, match="= 1001000 category bounds, over the cap of 1000000$"):
+        RunConfig("expected-sweep", **on_cap | dict(mu_grid=parse_grid("1/5:1:1001")))
+    # the benchmark's largest sweep, kt20/kr200/N1000 on 41 points, is far inside
+    RunConfig("expected-sweep", transmitters=20, receivers=200, files=1000,
+              mu_grid=parse_grid("1/20:1:41"))
 
 
 def test_decimal_cap_renders_in_full(capsys):

@@ -6,12 +6,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ndtbound.combinatorics import binom, surjection_count
 from ndtbound.demands import (
     DEFAULT_ENUMERATION_CAP,
+    _BATCH_WORDS,
     CapExceeded,
     DistinctCountDistribution,
     distinct_count,
@@ -134,6 +135,54 @@ def test_sampler_entries_in_range():
     for demand in sample_demands(5, 4, count=200, seed=3):
         assert len(demand) == 4
         assert all(1 <= x <= 5 for x in demand)
+
+
+def randint_stream(files: int, receivers: int, count: int, seed: int) -> list[tuple[int, ...]]:
+    """Reference: the sampler contract spelled out, one randint per receiver."""
+    rng = random.Random(seed)
+    return [tuple(rng.randint(1, files) for _ in range(receivers)) for _ in range(count)]
+
+
+# one word decides a draw below 2**32 files; from 2**32 on a draw spans two words
+WORD_BOUNDARY_FILES = (
+    1, 2, 3, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    files=st.one_of(
+        st.integers(1, 300), st.integers(1, 2**34), st.sampled_from(WORD_BOUNDARY_FILES)
+    ),
+    receivers=st.integers(1, 60),
+    count=st.integers(1, 60),
+    seed=st.integers(0, 2**64),
+)
+# a 32-bit library draws whole words, and seed 0's first word is this library size,
+# the least value randint redraws
+@example(files=3626764237, receivers=3, count=1, seed=0)
+def test_sampler_draws_the_randint_stream(files, receivers, count, seed):
+    assert list(sample_demands(files, receivers, count, seed)) == randint_stream(
+        files, receivers, count, seed
+    )
+
+
+@pytest.mark.parametrize("files", WORD_BOUNDARY_FILES)
+def test_sampler_draws_the_randint_stream_across_batches(files):
+    batch = _BATCH_WORDS
+    # count * receivers spans several batches, so some demands straddle two of them;
+    # in the last case each demand is wider than two whole batches
+    for receivers, count, seed in ((20, 3 * batch // 20 + 7, 5), (7, 2 * batch // 7, 11),
+                                   (2 * batch + 3, 3, 2**40)):
+        assert list(sample_demands(files, receivers, count, seed)) == randint_stream(
+            files, receivers, count, seed
+        )
+
+
+def test_sampler_memory_does_not_grow_with_count():
+    # a batch never depends on count, so the first of 10**9 demands comes at once
+    stream = sample_demands(100, 1, 10**9, 0)
+    assert next(stream) == randint_stream(100, 1, 1, 0)[0]
 
 
 def test_sampler_mean_within_three_standard_errors():
