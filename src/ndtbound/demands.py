@@ -16,9 +16,14 @@ on; the tests compare the two streams) is ``1 + r``, where ``r`` is the top
 ``files.bit_length()`` bits of one 32-bit twister word, redrawn while
 ``r >= files``, and ``getrandbits(32 * n)`` returns ``n`` such consecutive
 words, least significant first.  So the sampler decodes the words a fixed
-batch at a time, with C-level calls and one comprehension, instead of one
-``randint`` call per receiver.  From 2**32 files on a draw spans more than one
-word, and the sampler calls ``randint`` per draw.
+batch at a time instead of calling ``randint`` once per receiver.  Below 256
+files those top bits lie in the word's top byte, so a batch is decoded in C
+alone: the top bytes, sliced from the little-endian batch, go through
+``bytes.translate`` with a table that maps each byte to its draw and a delete
+set that drops the bytes ``randint`` would redraw.  From 256 files on, the
+words are unpacked with ``struct`` and decoded in one comprehension.  From
+2**32 files on a draw spans more than one word, and the sampler calls
+``randint`` per draw.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, islice, product, repeat
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .combinatorics import _as_fraction, _check_count
 
@@ -179,11 +184,18 @@ def sample_demands(
 ) -> Iterator[Demand]:
     """Yield ``count`` i.i.d. uniform demand vectors, deterministic per seed.
 
-    See the module docstring for the exact generator contract.
+    The seed is a non-negative int: ``random.Random`` would seed with the
+    absolute value of a negative one, hash a float or a string, and draw a fresh
+    stream on every call for ``None``.  See the module docstring for the exact
+    generator contract.
     """
     _check_count("files", files)
     _check_count("receivers", receivers)
     _check_count("count", count)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise TypeError(f"seed must be an int, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
     rng = random.Random(seed)
     if files < 2**32:
         draws = chain.from_iterable(_batched_draws(rng, files))
@@ -193,13 +205,22 @@ def sample_demands(
         yield tuple(islice(draws, receivers))
 
 
-def _batched_draws(rng: random.Random, files: int) -> Iterator[list[int]]:
-    """The ``randint(1, files)`` stream for ``files < 2**32``, one list per batch
-    of words: each word's top ``files.bit_length()`` bits, plus 1, where they
-    are below ``files``."""
+def _batched_draws(rng: random.Random, files: int) -> Iterator[Iterable[int]]:
+    """The ``randint(1, files)`` stream for ``files < 2**32``, one decoded batch
+    of words per step: each word's top ``files.bit_length()`` bits, plus 1, where
+    they are below ``files``."""
     shift = 32 - files.bit_length()
     limit = files << shift
+    # below 256 files shift >= 24, so a word's top byte alone decides its draw
+    by_top_byte = files < 256
+    if by_top_byte:
+        top = [byte >> (shift - 24) for byte in range(256)]
+        # a deleted byte's table entry is never read
+        table = bytes((r + 1) % 256 for r in top)
+        delete = bytes(byte for byte, r in enumerate(top) if r >= files)
     while True:
-        bits = rng.getrandbits(32 * _BATCH_WORDS)
-        words = _UNPACK_BATCH(bits.to_bytes(4 * _BATCH_WORDS, "little"))
-        yield [(word >> shift) + 1 for word in words if word < limit]
+        raw = rng.getrandbits(32 * _BATCH_WORDS).to_bytes(4 * _BATCH_WORDS, "little")
+        if by_top_byte:
+            yield raw[3::4].translate(table, delete)
+        else:
+            yield [(word >> shift) + 1 for word in _UNPACK_BATCH(raw) if word < limit]

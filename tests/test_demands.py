@@ -13,6 +13,7 @@ from ndtbound.combinatorics import binom, surjection_count
 from ndtbound.demands import (
     DEFAULT_ENUMERATION_CAP,
     _BATCH_WORDS,
+    _batched_draws,
     CapExceeded,
     DistinctCountDistribution,
     distinct_count,
@@ -147,12 +148,17 @@ def randint_stream(files: int, receivers: int, count: int, seed: int) -> list[tu
 WORD_BOUNDARY_FILES = (
     1, 2, 3, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3
 )
+# below 256 files a word's top byte alone decides a draw; these straddle that
+# switch and take the top byte at bit lengths 1, 2, 7 and 8
+BYTE_BOUNDARY_FILES = (1, 2, 127, 128, 255, 256)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     files=st.one_of(
-        st.integers(1, 300), st.integers(1, 2**34), st.sampled_from(WORD_BOUNDARY_FILES)
+        st.integers(1, 300),
+        st.integers(1, 2**34),
+        st.sampled_from(WORD_BOUNDARY_FILES + BYTE_BOUNDARY_FILES),
     ),
     receivers=st.integers(1, 60),
     count=st.integers(1, 60),
@@ -161,13 +167,16 @@ WORD_BOUNDARY_FILES = (
 # a 32-bit library draws whole words, and seed 0's first word is this library size,
 # the least value randint redraws
 @example(files=3626764237, receivers=3, count=1, seed=0)
+# the last library decoded from the top byte, and the first decoded from words
+@example(files=255, receivers=60, count=60, seed=1)
+@example(files=256, receivers=60, count=60, seed=1)
 def test_sampler_draws_the_randint_stream(files, receivers, count, seed):
     assert list(sample_demands(files, receivers, count, seed)) == randint_stream(
         files, receivers, count, seed
     )
 
 
-@pytest.mark.parametrize("files", WORD_BOUNDARY_FILES)
+@pytest.mark.parametrize("files", sorted(set(WORD_BOUNDARY_FILES + BYTE_BOUNDARY_FILES)))
 def test_sampler_draws_the_randint_stream_across_batches(files):
     batch = _BATCH_WORDS
     # count * receivers spans several batches, so some demands straddle two of them;
@@ -177,6 +186,15 @@ def test_sampler_draws_the_randint_stream_across_batches(files):
         assert list(sample_demands(files, receivers, count, seed)) == randint_stream(
             files, receivers, count, seed
         )
+
+
+@pytest.mark.parametrize("files, route", [(1, bytes), (255, bytes), (256, list), (2**32 - 1, list)])
+def test_batches_below_256_files_are_translated_bytes(files, route):
+    # both routes draw the same stream; this pins which one is taken,
+    # since below 256 files the byte route is the one with no Python code per draw
+    batch = next(_batched_draws(random.Random(0), files))
+    assert type(batch) is route
+    assert list(batch) == [d for (d,) in randint_stream(files, 1, len(batch), 0)]
 
 
 def test_sampler_memory_does_not_grow_with_count():
@@ -204,6 +222,11 @@ def test_validation_errors():
         enumerate_demands(2, 0)
     with pytest.raises(ValueError):
         list(sample_demands(2, 2, count=0, seed=0))
+    # random.Random seeds with |seed|, so -1 would replay seed 1
+    stream = sample_demands(2, 2, count=1, seed=-1)
+    with pytest.raises(ValueError):
+        next(stream)
+    assert next(sample_demands(2, 2, count=1, seed=0)) == randint_stream(2, 2, 1, 0)[0]
 
 
 def test_counts_must_be_ints():
@@ -214,6 +237,12 @@ def test_counts_must_be_ints():
         lambda: enumerate_demands(2, True),
         lambda: next(sample_demands(True, 2, count=3, seed=0)),
         lambda: next(sample_demands(2, 2, count=3.0, seed=0)),
+        # None draws a fresh stream per call, True replays seed 1, and a float
+        # or a string is hashed
+        lambda: next(sample_demands(2, 2, count=3, seed=None)),
+        lambda: next(sample_demands(2, 2, count=3, seed=True)),
+        lambda: next(sample_demands(2, 2, count=3, seed=0.5)),
+        lambda: next(sample_demands(2, 2, count=3, seed="x")),
     ]
     for call in inexact:
         with pytest.raises(TypeError):
