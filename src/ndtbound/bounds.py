@@ -67,7 +67,7 @@ from functools import cache, lru_cache
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .combinatorics import _as_fraction, _check_count, binom
+from .combinatorics import _as_fraction, _check_count, _check_int, binom
 from .demands import DistinctCountDistribution, distinct_distribution
 
 ENVELOPE_ORDERS = ("theorem", "proof")
@@ -175,6 +175,7 @@ def bound_expression(
     _check_count("transmitters", transmitters)
     _check_count("distinct", distinct)
     _check_count("replication", replication)
+    _check_int("cut_size", cut_size)
     if replication > transmitters:
         raise ValueError(
             f"replication must be an integer in [1, {transmitters}], got {replication}"
@@ -188,7 +189,9 @@ def bound_expression(
     return Fraction(base + extra, base)
 
 
-@lru_cache(maxsize=1024)
+# typed: True == 1 with equal hashes, so an untyped cache would answer a bool
+# cut from an int's entry and skip the type check
+@lru_cache(maxsize=1024, typed=True)
 def envelope_for_cut(transmitters: int, distinct: int, cut_size: int) -> ConvexEnvelope:
     """Envelope of the per-cut bound over integer replication 1..transmitters.
 
@@ -217,19 +220,19 @@ def _top(transmitters: int, distinct: int, x: int, cut: int | None = None) -> in
 class _CutSlopes(NamedTuple):
     """The chord of every cut's slope ``g_c(t)`` between ``lo = floor(t)`` and
     ``hi = min(lo + 1, KT)``: ``ends`` holds ``(lo, w_lo), (hi, w_hi)``, and cut c's
-    chord is ``sum(w*C(c - 1, x - 1) for x, w in ends) / denominator``."""
+    chord is ``sum(w*C(c - 1, x - 1) for x, w in ends) / denominator``.  Keyed by
+    the replication's integer ratio ``p/q``, so a lookup hashes no ``Fraction``."""
 
     denominator: int
     ends: tuple[tuple[int, int], tuple[int, int]]
 
 
 @lru_cache(maxsize=1024)
-def _cut_slopes(transmitters: int, replication: Fraction) -> _CutSlopes:
-    lo = replication.numerator // replication.denominator
+def _cut_slopes(transmitters: int, p: int, q: int) -> _CutSlopes:
+    lo, r = divmod(p, q)  # t - lo == r/q
     hi = min(lo + 1, transmitters)
-    p, q = (replication - lo).as_integer_ratio()
     a, b = lo * binom(transmitters, lo), hi * binom(transmitters, hi)
-    return _CutSlopes(denominator=q * a * b, ends=((lo, (q - p) * b), (hi, p * a)))
+    return _CutSlopes(denominator=q * a * b, ends=((lo, (q - r) * b), (hi, r * a)))
 
 
 @dataclass(frozen=True)
@@ -246,31 +249,38 @@ class CategoryBoundDetail:
     segment: tuple[int, int]
 
 
-def _check_category_args(transmitters: int, distinct: int, replication, order: str):
+def _check_category_args(
+    transmitters: int, distinct: int, replication, order: str
+) -> tuple[int, int]:
+    """The checked replication as its integer ratio ``(p, q)``, ``q >= 1``."""
     if order not in ENVELOPE_ORDERS:
         raise ValueError(f"order must be one of {ENVELOPE_ORDERS}, got {order!r}")
     _check_count("transmitters", transmitters)
     _check_count("distinct", distinct)
     t = _as_fraction(replication)
-    if not 1 <= t <= transmitters:
+    p, q = t.as_integer_ratio()
+    if not q <= p <= transmitters * q:
         raise ValueError(
             f"replication must lie in [1, {transmitters}], got {t}"
         )
-    return t
+    return p, q
 
 
 def _category_value(
-    transmitters: int, distinct: int, t: Fraction, order: str
+    transmitters: int, distinct: int, p: int, q: int, order: str
 ) -> tuple[Fraction, int | None]:
     """Shared body of ``category_bound`` and ``category_bound_detail``, on checked
-    arguments: the value and the winning cut (None in proof order).  Kept
-    private so that a call of one public name never shows up in call counts as
-    a call of the other."""
-    table = _cut_slopes(transmitters, t)
-    (lo, _), (hi, _) = table.ends
+    arguments (the replication as ``p/q``): the value and the winning cut (None
+    in proof order).  Kept private so that a call of one public name never shows
+    up in call counts as a call of the other."""
+    table = _cut_slopes(transmitters, p, q)
+    (lo, w_lo), (hi, w_hi) = table.ends
 
     def extra(cut: int | None) -> int:
-        return sum(weight * _top(transmitters, distinct, end, cut) for end, weight in table.ends)
+        return (
+            w_lo * _top(transmitters, distinct, lo, cut)
+            + w_hi * _top(transmitters, distinct, hi, cut)
+        )
 
     if order == "proof":
         best_cut = None  # each end at its own best cut: the chord of the maxima
@@ -287,23 +297,28 @@ def category_bound_detail(
     transmitters: int, distinct: int, replication, order: str = "theorem"
 ) -> CategoryBoundDetail:
     """``category_bound`` with its winning cut and envelope segment."""
-    t = _check_category_args(transmitters, distinct, replication, order)
-    value, best_cut = _category_value(transmitters, distinct, t, order)
-    # the convex slope term; when s == c it is 0, and the walk stops at 1 and KT
+    p, q = _check_category_args(transmitters, distinct, replication, order)
+    value, best_cut = _category_value(transmitters, distinct, p, q, order)
+    # the convex slope term as (numerator, denominator); when s == c it is 0,
+    # and the walk stops at 1 and KT
     @cache
-    def h(x: int) -> Fraction:
-        return Fraction(_top(transmitters, distinct, x, best_cut), x * binom(transmitters, x))
+    def h(x: int) -> tuple[int, int]:
+        return _top(transmitters, distinct, x, best_cut), x * binom(transmitters, x)
 
     def vertex(x: int) -> bool:
-        return x in (1, transmitters) or h(x - 1) + h(x + 1) > 2 * h(x)
+        if x in (1, transmitters):
+            return True
+        # h(x - 1) + h(x + 1) > 2*h(x), times the three positive denominators
+        (left, d_left), (mid, d_mid), (right, d_right) = h(x - 1), h(x), h(x + 1)
+        return (left * d_right + right * d_left) * d_mid > 2 * mid * d_left * d_right
 
     # h is 0 from x = zero on (past the cut, or from s in proof order), so no x
     # past zero is a kink: each walk skips that tail, and the upward one ends at KT
     zero = distinct if best_cut is None else best_cut + 1
-    floor = t.numerator // t.denominator
+    floor = p // q
     down = range(floor if floor == transmitters else min(floor, zero), 0, -1)
     lo = next(x for x in down if vertex(x))
-    up = range(floor + (t > floor), min(zero, transmitters) + 1)
+    up = range(floor + (q > 1), min(zero, transmitters) + 1)
     hi = next((x for x in up if vertex(x)), transmitters)
     return CategoryBoundDetail(value=value, best_cut=best_cut, segment=(lo, hi))
 
@@ -315,8 +330,8 @@ def category_bound(
     transmitters: int, distinct: int, replication, order: str = "theorem"
 ) -> Fraction:
     """Bound for the category of demands with ``distinct`` different files."""
-    t = _check_category_args(transmitters, distinct, replication, order)
-    return _category_value(transmitters, distinct, t, order)[0]
+    p, q = _check_category_args(transmitters, distinct, replication, order)
+    return _category_value(transmitters, distinct, p, q, order)[0]
 
 
 def bound_distribution(config: NetworkConfig, kind: str) -> DistinctCountDistribution:

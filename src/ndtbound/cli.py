@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -368,27 +369,29 @@ def _emit_table(config: RunConfig, columns: dict[str, Sequence]):
 def _mc_column(config: RunConfig, grid: tuple[Fraction, ...]) -> list[Fraction]:
     """Per-point sample mean of the per-demand category bound.
 
-    Each point tallies the bound values its samples return, and sums the at
-    most ``min(files, receivers)`` distinct values once, times their counts:
-    one exact sum per point instead of one ``Fraction`` addition per sample.
-    Each sample still calls ``category_bound`` (a cache hit after the first of
-    its distinct count), because the benchmark pins one call per sample; a
-    histogram of distinct counts that calls it once per count waits for those
-    pins to be re-derived.
+    Each point tallies the integer ratios ``(p, q)`` of the bound values its
+    samples return (a tuple of ints hashes in C, a ``Fraction`` in Python), and
+    sums the at most ``min(files, receivers)`` distinct values once, times their
+    counts, as one integer sum over the lcm of their denominators.  Each sample
+    still calls ``category_bound`` (a cache hit after the first of its distinct
+    count), because the benchmark pins one call per sample; a histogram of
+    distinct counts that calls it once per count waits for those pins to be
+    re-derived.
     """
     means = []
     for index, mu in enumerate(grid):
         sub_seed = config.seed * SUB_SEED_STRIDE + index
         demands = sample_demands(config.files, config.receivers, config.samples, sub_seed)
-        tally = Counter(map(
+        tally = Counter(map(Fraction.as_integer_ratio, map(
             category_bound,
             repeat(config.transmitters),
             map(distinct_count, demands),
             repeat(config.transmitters * mu),
             repeat(config.envelope_order),
-        ))
-        total = sum(value * count for value, count in tally.items())
-        means.append(Fraction(total, config.samples))
+        )))
+        common = math.lcm(*(q for _, q in tally))
+        total = sum(count * p * (common // q) for (p, q), count in tally.items())
+        means.append(Fraction(total, config.samples * common))
     return means
 
 

@@ -35,10 +35,15 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _check_count(name: str, value) -> None:
-    """Reject anything but a positive int; bools are ints to Python, not counts."""
+def _check_int(name: str, value) -> None:
+    """Reject anything but an int; bools are ints to Python, not counts."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def _check_count(name: str, value) -> None:
+    """Reject anything but a positive int (``_check_int``)."""
+    _check_int(name, value)
     if value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
@@ -81,8 +86,8 @@ def surjection_count(k: int, s: int) -> int:
     Inclusion-exclusion:  sum_{i=0..s} (-1)^i C(s, i) (s - i)^k.
     The sum itself evaluates to 0 whenever s > k (no map can be onto).
     """
-    if k < 1 or s < 1:
-        raise ValueError(f"k and s must be positive, got k={k}, s={s}")
+    _check_count("k", k)
+    _check_count("s", s)
     total = 0
     for i in range(s + 1):
         term = binom(s, i) * (s - i) ** k
@@ -94,8 +99,11 @@ def to_decimal(value: Fraction, digits: int) -> str:
     """Render an exact rational as a fixed-point decimal string.
 
     Lossy by design (round half to even on the last digit); used only when
-    emitting CSV/JSON for consumers that want decimals.
+    emitting CSV/JSON for consumers that want decimals.  ``value`` is an exact
+    rational (``_as_fraction``) and ``digits`` an int, not a float or a bool.
     """
+    value = _as_fraction(value)
+    _check_int("digits", digits)
     if digits < 0:
         raise ValueError(f"digits must be nonnegative, got {digits}")
     negative = value < 0

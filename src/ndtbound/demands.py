@@ -23,7 +23,10 @@ alone: the top bytes, sliced from the little-endian batch, go through
 set that drops the bytes ``randint`` would redraw.  From 256 files on, the
 words are unpacked with ``struct`` and decoded in one comprehension.  From
 2**32 files on a draw spans more than one word, and the sampler calls
-``randint`` per draw.
+``randint`` per draw.  Either way the draws form one iterator, and one
+``zip`` over ``receivers`` references to it groups them into demands: each
+demand tuple takes the next ``receivers`` draws, built in C with no Python
+code per demand.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from itertools import chain, islice, product, repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .combinatorics import _as_fraction, _check_count
+from .combinatorics import _as_fraction, _check_count, _check_int
 
 Demand = tuple[int, ...]
 
@@ -192,8 +195,7 @@ def sample_demands(
     _check_count("files", files)
     _check_count("receivers", receivers)
     _check_count("count", count)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise TypeError(f"seed must be an int, got {seed!r}")
+    _check_int("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed!r}")
     rng = random.Random(seed)
@@ -201,8 +203,7 @@ def sample_demands(
         draws = chain.from_iterable(_batched_draws(rng, files))
     else:
         draws = map(rng.randint, repeat(1), repeat(files))
-    for _ in range(count):
-        yield tuple(islice(draws, receivers))
+    yield from islice(zip(*[draws] * receivers), count)
 
 
 def _batched_draws(rng: random.Random, files: int) -> Iterator[Iterable[int]]:

@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .bounds import ConvexEnvelope
-from .combinatorics import _as_fraction, binom
+from .combinatorics import _as_fraction, _check_count, _check_int, binom
 
 
 class Infeasible(ValueError):
@@ -225,6 +225,13 @@ def _record(name: str, scope: str, outcomes: Iterable[str | None]) -> CheckRecor
     return CheckRecord(name, scope, len(outcomes), counterexample is None, counterexample)
 
 
+def _check_size(name: str, value, top: int) -> None:
+    """A suite's size: an int (not a bool) in [1, top]."""
+    _check_int(name, value)
+    if not 1 <= value <= top:
+        raise ValueError(f"{name} must lie in [1, {top}], got {value}")
+
+
 def _pairs(top: int):
     """Every (k, c) with 1 <= c <= k <= top: a transmitter count and a cut size."""
     return ((k, c) for k in range(1, top + 1) for c in range(1, k + 1))
@@ -243,8 +250,7 @@ def check_averaging_identities(limit: int = 16) -> CheckReport:
     * cut-avoidance probability: the closed binomial form matches direct
       enumeration over every cut subset (subset sizes capped at 8).
     """
-    if not 1 <= limit <= 16:
-        raise ValueError(f"limit must lie in [1, 16], got {limit}")
+    _check_size("limit", limit, 16)
     subset_cap = min(limit, 8)
 
     def complement():
@@ -296,10 +302,7 @@ def lp_matches_corner_claim(max_transmitters: int = 6) -> CheckReport:
     """LP optimum equals the corner weight at integer replication and the
     envelope interpolation of neighbouring corners at fractional replication
     (quarter grid)."""
-    if not 1 <= max_transmitters <= 10:
-        raise ValueError(
-            f"max_transmitters must lie in [1, 10], got {max_transmitters}"
-        )
+    _check_size("max_transmitters", max_transmitters, 10)
 
     def corners():
         for kt, cut in _pairs(max_transmitters):
@@ -338,10 +341,7 @@ def lp_matches_corner_claim(max_transmitters: int = 6) -> CheckReport:
 
 def check_convexity_sweep(max_transmitters: int = 8) -> CheckReport:
     """Run both convexity checks over every (transmitters, cut size) pair."""
-    if not 1 <= max_transmitters <= 16:
-        raise ValueError(
-            f"max_transmitters must lie in [1, 16], got {max_transmitters}"
-        )
+    _check_size("max_transmitters", max_transmitters, 16)
     scope = f"all KT <= {max_transmitters}, all cut sizes"
     return CheckReport(
         records=tuple(
@@ -363,6 +363,8 @@ def check_lp_against_grid_scan(
     max_transmitters: int = 5, steps: int = 64
 ) -> CheckReport:
     """Vertex optimum vs. naive grid scan on a quarter replication grid."""
+    _check_size("max_transmitters", max_transmitters, 10)
+    _check_count("steps", steps)
     resolution = Fraction(1, steps)
 
     def outcomes():

@@ -95,6 +95,40 @@ def test_cache_hit_does_not_bypass_exactness_check():
         category_bound(3, 3, 1.5)
 
 
+def test_cut_size_must_be_an_int():
+    # True == 1, so a bool cut was read as cut 1
+    for cut in (True, 1.0, F(1)):
+        with pytest.raises(TypeError):
+            bound_expression(3, 3, cut, 1)
+        with pytest.raises(TypeError):
+            envelope_for_cut(3, 3, cut)
+
+
+def test_envelope_cache_hit_does_not_bypass_cut_type_check():
+    # True == 1 and both hash alike, so an untyped cache would answer it
+    assert envelope_for_cut(3, 3, 1).points[0] == (1, F(5, 3))
+    with pytest.raises(TypeError):
+        envelope_for_cut(3, 3, True)
+
+
+def test_category_miss_path_hashes_no_fraction():
+    """``_cut_slopes`` is keyed by the replication's integer ratio."""
+
+    def unhashable(self):
+        raise AssertionError("a Fraction was hashed")
+
+    bounds._cut_slopes.cache_clear()
+    with patch.object(F, "__hash__", unhashable):
+        details = [
+            category_bound_detail(7, s, t, order)
+            for s in (1, 4, 9) for t in (F(7, 3), 3, "5/2") for order in ENVELOPE_ORDERS
+        ]
+    assert details == [
+        category_bound_detail(7, s, t, order)
+        for s in (1, 4, 9) for t in (F(7, 3), 3, "5/2") for order in ENVELOPE_ORDERS
+    ]
+
+
 def test_caches_are_bounded():
     for cached in (
         bounds.category_bound,
@@ -398,6 +432,33 @@ def test_category_bound_detail_matches_per_cut_oracle(case):
         kt, distinct, t, order
     )
     assert category_bound(kt, distinct, t, order) == detail.value
+
+
+@st.composite
+def slope_term_cases(draw):
+    kt = draw(st.integers(1, 40))
+    distinct = draw(st.integers(1, 3 * kt + 2))
+    return kt, distinct, draw(replications(kt)), draw(st.sampled_from(ENVELOPE_ORDERS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(slope_term_cases())
+@example((3, 3, F(3, 2), "theorem"))  # cut 2: 1/3, 1/6, 0 are collinear
+@example((11, 12, 5, "proof"))  # collinear interior runs: the hull skips 5
+@example((11, 12, 8, "proof"))  # ... and 7 through 10
+@example((40, 1, F(79, 2), "theorem"))  # s = 1: the slope term is 0 throughout
+def test_segment_kink_test_matches_hull_of_slope_term(case):
+    """The walk's cross-multiplied integer kink test against the Fraction hull:
+    the segment is the pair of ``ConvexEnvelope.of_points`` vertices nearest t
+    of the slope term ``h(x) = T_x(c)/(x*C(KT, x))``, at the winning cut in
+    theorem order and at each x's own best cut in proof order."""
+    kt, distinct, t, order = case
+    detail = category_bound_detail(kt, distinct, t, order)
+    hull = ConvexEnvelope.of_points(
+        (x, F(bounds._top(kt, distinct, x, detail.best_cut), x * binom(kt, x)))
+        for x in range(1, kt + 1)
+    )
+    assert detail.segment == nearest_vertices([x for x, _ in hull.vertices], t)
 
 
 @settings(max_examples=25, deadline=None)

@@ -200,23 +200,27 @@ def test_monte_carlo_column_is_the_mean_over_the_randint_stream(capsys, monkeypa
 @pytest.mark.parametrize("order", ["theorem", "proof"])
 @pytest.mark.parametrize("files", [100, 255, 256])
 def test_monte_carlo_column_is_the_running_fraction_sum(capsys, files, order):
-    status, out, err = run_cli(
-        capsys, "expected-sweep", "--kt", "5", "--kr", "20", "--files", str(files),
-        "--grid", "1/5:1:11", "--samples", "150", "--seed", "3", "--envelope-order", order,
-    )
-    assert (status, err) == (0, "")
-    rows = [line.split(",") for line in out.splitlines()[1:]]
-    grid = parse_grid("1/5:1:11")
-    assert [F(mu) for mu, _, _ in rows] == list(grid)
-    # the reference: one randint(1, files) per receiver and one Fraction addition
-    # per sample, each point on its own sub-seed
-    for index, (mu, (_, _, mc_value)) in enumerate(zip(grid, rows)):
-        rng = random.Random(3 * cli.SUB_SEED_STRIDE + index)
-        total = Fraction(0)
-        for _ in range(150):
-            demand = [rng.randint(1, files) for _ in range(20)]
-            total += category_bound(5, distinct_count(demand), 5 * mu, order)
-        assert F(mc_value) == total / 150
+    # 1/5:1:9 puts every other point on an integer replication t = 5*mu, and
+    # --kr 1 groups each demand from the stream by a zip over one iterator
+    for receivers, grid_text in [(20, "1/5:1:11"), (20, "1/5:1:9"), (1, "1/5:1:9")]:
+        status, out, err = run_cli(
+            capsys, "expected-sweep", "--kt", "5", "--kr", str(receivers),
+            "--files", str(files), "--grid", grid_text, "--samples", "150", "--seed", "3",
+            "--envelope-order", order,
+        )
+        assert (status, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        grid = parse_grid(grid_text)
+        assert [F(mu) for mu, _, _ in rows] == list(grid)
+        # the reference: one randint(1, files) per receiver and one Fraction
+        # addition per sample, each point on its own sub-seed
+        for index, (mu, (_, _, mc_value)) in enumerate(zip(grid, rows)):
+            rng = random.Random(3 * cli.SUB_SEED_STRIDE + index)
+            total = Fraction(0)
+            for _ in range(150):
+                demand = [rng.randint(1, files) for _ in range(receivers)]
+                total += category_bound(5, distinct_count(demand), 5 * mu, order)
+            assert F(mc_value) == total / 150, (receivers, grid_text, mu)
 
 
 def test_outputs_are_byte_identical(tmp_path):

@@ -105,6 +105,12 @@ def test_surjection_rejects_nonpositive_args():
         surjection_count(1, 0)
 
 
+def test_surjection_rejects_floats_and_bools():
+    for k, s in [(2.0, 1), (True, 1), (1, True), (2, 1.0)]:
+        with pytest.raises(TypeError):
+            surjection_count(k, s)
+
+
 def random_fractions(count: int, seed: int) -> list[Fraction]:
     rng = random.Random(seed)
     out = []
@@ -200,3 +206,15 @@ def test_literal_digit_limit_is_exact(sign, whole, fraction, exponent):
             _as_fraction(text)
     else:
         assert _as_fraction(text) == value
+
+
+def test_to_decimal_rejects_inexact_input():
+    # a float or bool digit count reached the format spec; a float value had no
+    # numerator
+    for value, digits in [
+        (Fraction(1, 3), 2.0), (Fraction(1, 3), True), (0.5, 2), (True, 2), (Fraction(1, 3), "2"),
+    ]:
+        with pytest.raises(TypeError):
+            to_decimal(value, digits)
+    assert to_decimal(3, 1) == "3.0"
+    assert to_decimal("1/3", 2) == "0.33"

@@ -222,6 +222,35 @@ def test_corner_claim_report():
         lp_matches_corner_claim(11)
 
 
+def test_grid_scan_suite_checks_its_size_and_steps():
+    # size 0 reported PASS over 0 tuples, and steps = 0 divided by zero
+    for size in (0, 11):
+        with pytest.raises(ValueError):
+            check_lp_against_grid_scan(size)
+    for steps in (0, -1):
+        with pytest.raises(ValueError):
+            check_lp_against_grid_scan(2, steps)
+    with pytest.raises(TypeError):
+        check_lp_against_grid_scan(2, True)
+    assert check_lp_against_grid_scan(1, 1).passed
+    assert check_lp_against_grid_scan(10, 1).records[0].checked == sum(
+        k * (4 * k - 3) for k in range(1, 11)
+    )
+
+
+def test_suites_reject_bool_and_float_sizes():
+    suites = [
+        check_averaging_identities,
+        lp_matches_corner_claim,
+        check_convexity_sweep,
+        check_lp_against_grid_scan,
+    ]
+    for suite in suites:
+        for size in (True, 2.0):
+            with pytest.raises(TypeError):
+                suite(size)
+
+
 def test_placement_profile_validation():
     PlacementProfile(alphas=(F(1, 2), F(1, 2)), replication=F(3, 2))
     with pytest.raises(ValueError):
