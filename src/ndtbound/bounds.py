@@ -250,20 +250,18 @@ class CategoryBoundDetail:
 
 
 def _check_category_args(
-    transmitters: int, distinct: int, replication, order: str
-) -> tuple[int, int]:
-    """The checked replication as its integer ratio ``(p, q)``, ``q >= 1``."""
+    transmitters: int, distinct: int, p: int, q: int, order: str
+) -> None:
+    """Check the arguments of a category bound, the replication as its integer
+    ratio ``p/q`` (in lowest terms, ``q >= 1``)."""
     if order not in ENVELOPE_ORDERS:
         raise ValueError(f"order must be one of {ENVELOPE_ORDERS}, got {order!r}")
     _check_count("transmitters", transmitters)
     _check_count("distinct", distinct)
-    t = _as_fraction(replication)
-    p, q = t.as_integer_ratio()
     if not q <= p <= transmitters * q:
         raise ValueError(
-            f"replication must lie in [1, {transmitters}], got {t}"
+            f"replication must lie in [1, {transmitters}], got {Fraction(p, q)}"
         )
-    return p, q
 
 
 def _category_value(
@@ -297,7 +295,8 @@ def category_bound_detail(
     transmitters: int, distinct: int, replication, order: str = "theorem"
 ) -> CategoryBoundDetail:
     """``category_bound`` with its winning cut and envelope segment."""
-    p, q = _check_category_args(transmitters, distinct, replication, order)
+    p, q = _as_fraction(replication).as_integer_ratio()
+    _check_category_args(transmitters, distinct, p, q, order)
     value, best_cut = _category_value(transmitters, distinct, p, q, order)
     # the convex slope term as (numerator, denominator); when s == c it is 0,
     # and the walk stops at 1 and KT
@@ -323,15 +322,26 @@ def category_bound_detail(
     return CategoryBoundDetail(value=value, best_cut=best_cut, segment=(lo, hi))
 
 
-# typed: 1.5 == Fraction(3, 2) with equal hashes, so an untyped cache would
-# answer a float from a Fraction's entry and skip the exactness check
-@lru_cache(maxsize=4096, typed=True)
 def category_bound(
     transmitters: int, distinct: int, replication, order: str = "theorem"
 ) -> Fraction:
     """Bound for the category of demands with ``distinct`` different files."""
-    p, q = _check_category_args(transmitters, distinct, replication, order)
+    p, q = _as_fraction(replication).as_integer_ratio()
+    return _category_bound(transmitters, distinct, p, q, order)
+
+
+# Keyed by the replication's integer ratio, so a hit hashes ints and the order's
+# str in C, never a Fraction (whose __hash__ is Python code).  category_bound
+# refuses floats and bools in _as_fraction on every call, hit or miss; typed, so
+# a bool count is not answered from an int's entry.
+@lru_cache(maxsize=4096, typed=True)
+def _category_bound(transmitters: int, distinct: int, p: int, q: int, order: str) -> Fraction:
+    _check_category_args(transmitters, distinct, p, q, order)
     return _category_value(transmitters, distinct, p, q, order)[0]
+
+
+category_bound.cache_info = _category_bound.cache_info
+category_bound.cache_clear = _category_bound.cache_clear
 
 
 def bound_distribution(config: NetworkConfig, kind: str) -> DistinctCountDistribution:

@@ -45,7 +45,7 @@ from .bounds import (
 )
 from .combinatorics import _as_fraction, to_decimal
 from .comparator import Unavailable, default_registry
-from .demands import distinct_count, distinct_distribution, sample_demands
+from .demands import distinct_distribution, sample_demands
 from .oracle import full_verification
 
 # fixed stride mixing the user seed with the grid index for per-point
@@ -369,14 +369,15 @@ def _emit_table(config: RunConfig, columns: dict[str, Sequence]):
 def _mc_column(config: RunConfig, grid: tuple[Fraction, ...]) -> list[Fraction]:
     """Per-point sample mean of the per-demand category bound.
 
-    Each point tallies the integer ratios ``(p, q)`` of the bound values its
-    samples return (a tuple of ints hashes in C, a ``Fraction`` in Python), and
-    sums the at most ``min(files, receivers)`` distinct values once, times their
-    counts, as one integer sum over the lcm of their denominators.  Each sample
-    still calls ``category_bound`` (a cache hit after the first of its distinct
-    count), because the benchmark pins one call per sample; a histogram of
-    distinct counts that calls it once per count waits for those pins to be
-    re-derived.
+    Each sample's distinct count is ``len(set(demand))``, mapped in C.  Each
+    point tallies the integer ratios ``(p, q)`` of the bound values its samples
+    return (a tuple of ints hashes in C, a ``Fraction`` in Python), and sums the
+    at most ``min(files, receivers)`` distinct values once, times their counts,
+    as one integer sum over the lcm of their denominators.  Each sample still
+    calls ``category_bound``, because the benchmark pins one call per sample;
+    after the first sample of each distinct count that call is a cache hit
+    keyed by ints, which hashes no ``Fraction``.  A histogram of distinct counts
+    that calls it once per count waits for those pins to be re-derived.
     """
     means = []
     for index, mu in enumerate(grid):
@@ -385,7 +386,7 @@ def _mc_column(config: RunConfig, grid: tuple[Fraction, ...]) -> list[Fraction]:
         tally = Counter(map(Fraction.as_integer_ratio, map(
             category_bound,
             repeat(config.transmitters),
-            map(distinct_count, demands),
+            map(len, map(set, demands)),
             repeat(config.transmitters * mu),
             repeat(config.envelope_order),
         )))

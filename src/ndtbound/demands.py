@@ -140,8 +140,10 @@ def _stirling_row(k: int, top: int) -> list[int]:
 
 
 # typed: True == 1 with equal hashes, so an untyped cache would answer a bool
-# from an int's entry and skip the count check
-@lru_cache(maxsize=64, typed=True)
+# from an int's entry and skip the count check.  One pmf at 2000 files and 2000
+# receivers holds about 16 MB (tracemalloc), so 4 entries of that size pin
+# about 64 MB; a CLI run builds one pmf
+@lru_cache(maxsize=4, typed=True)
 def distinct_distribution(files: int, receivers: int) -> DistinctCountDistribution:
     """Analytic pmf: P(S = s) = C(files, s) * surjections(receivers, s) / files^receivers.
 

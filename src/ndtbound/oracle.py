@@ -126,6 +126,7 @@ def grid_scan_min_placement(
     never beat the vertex optimum.  Returns None if no scanned profile
     meets the replication constraint exactly.
     """
+    _check_count("steps", steps)
     t, weights = _placement_inputs(transmitters, cut_size, replication)
     # the pair weight a1 = j/steps is admitted when a1*n1 + (1 - a1)*n2 == t,
     # tested in integers; only admitted weights become Fractions

@@ -89,10 +89,27 @@ def test_floats_and_bools_are_rejected():
 
 
 def test_cache_hit_does_not_bypass_exactness_check():
-    # 1.5 == F(3, 2) and both hash alike, so an untyped cache would answer it
+    # 1.5 == F(3, 2) and True == 1, and each pair hashes alike, so a cache
+    # consulted before the checks would answer the float or the bool
     assert category_bound(3, 3, F(3, 2)) == F(4, 3)
-    with pytest.raises(TypeError):
-        category_bound(3, 3, 1.5)
+    assert category_bound(1, 3, 1) == 3
+    for call in (
+        lambda: category_bound(3, 3, 1.5),
+        lambda: category_bound(True, 3, 1),
+        lambda: category_bound(3, True, 1),
+    ):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_equal_replications_share_one_cache_entry():
+    category_bound.cache_clear()
+    value = category_bound(3, 3, F(3, 2))
+    for replication in (F(6, 4), "3/2", "1.5"):
+        hits = category_bound.cache_info().hits
+        assert category_bound(3, 3, replication) == value
+        assert category_bound.cache_info().hits == hits + 1
+    assert category_bound.cache_info().currsize == 1
 
 
 def test_cut_size_must_be_an_int():
@@ -112,21 +129,24 @@ def test_envelope_cache_hit_does_not_bypass_cut_type_check():
 
 
 def test_category_miss_path_hashes_no_fraction():
-    """``_cut_slopes`` is keyed by the replication's integer ratio."""
+    """``_cut_slopes`` and ``category_bound``'s cache are keyed by the
+    replication's integer ratio, so neither a miss nor a hit hashes a Fraction."""
 
     def unhashable(self):
         raise AssertionError("a Fraction was hashed")
 
-    bounds._cut_slopes.cache_clear()
-    with patch.object(F, "__hash__", unhashable):
-        details = [
-            category_bound_detail(7, s, t, order)
-            for s in (1, 4, 9) for t in (F(7, 3), 3, "5/2") for order in ENVELOPE_ORDERS
-        ]
-    assert details == [
-        category_bound_detail(7, s, t, order)
-        for s in (1, 4, 9) for t in (F(7, 3), 3, "5/2") for order in ENVELOPE_ORDERS
+    cases = [
+        (s, t, order) for s in (1, 4, 9) for t in (F(7, 3), 3, "5/2") for order in ENVELOPE_ORDERS
     ]
+    bounds._cut_slopes.cache_clear()
+    category_bound.cache_clear()
+    with patch.object(F, "__hash__", unhashable):
+        details = [category_bound_detail(7, *case) for case in cases]
+        misses = [category_bound(7, *case) for case in cases]
+        hits = [category_bound(7, *case) for case in cases]
+    assert category_bound.cache_info().hits == len(cases)
+    assert details == [category_bound_detail(7, *case) for case in cases]
+    assert misses == hits == [detail.value for detail in details]
 
 
 def test_caches_are_bounded():

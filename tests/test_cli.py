@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ndtbound import cli
+from ndtbound import bounds, cli
 from ndtbound.bounds import (
     NetworkConfig,
     category_bound,
@@ -194,6 +194,27 @@ def test_monte_carlo_column_is_the_mean_over_the_randint_stream(capsys, monkeypa
             for _ in range(200)
         )
         assert F(mc_value) == total / 200
+
+
+def test_sampled_sweep_hashes_no_fraction(capsys, monkeypatch):
+    """Every cache on the sampled path, hit or miss, is keyed by ints, so the
+    per-sample ``category_bound`` hits hash no ``Fraction`` replication."""
+    monkeypatch.chdir(PRESETS.parent)
+    args = (
+        "expected-sweep", "--config", "presets/expected_kt5_kr20_n100.cfg",
+        "--samples", "200", "--seed", "7",
+    )
+
+    def unhashable(self):
+        raise AssertionError("a Fraction was hashed")
+
+    for cached in (category_bound, bounds._cut_slopes, distinct_distribution):
+        cached.cache_clear()
+    with monkeypatch.context() as patched:
+        patched.setattr(Fraction, "__hash__", unhashable)
+        hashless = run_cli(capsys, *args)
+    assert hashless[0] == 0
+    assert hashless == run_cli(capsys, *args)
 
 
 # 100 and 255 files are drawn from each word's top byte, 256 from whole words

@@ -259,6 +259,22 @@ def test_cache_hit_does_not_bypass_count_check():
         distinct_distribution(True, 2)
 
 
+def test_distinct_distribution_cache_evicts_the_oldest_pmf():
+    # a large pmf holds megabytes, so the cache keeps only a few of them
+    distinct_distribution.cache_clear()
+    size = distinct_distribution.cache_info().maxsize
+    assert size <= 4
+    first = distinct_distribution(3, 1)
+    for receivers in range(2, size + 1):
+        distinct_distribution(3, receivers)
+    assert distinct_distribution(3, 1) is first  # still cached: a hit
+    for receivers in range(2, size + 2):
+        distinct_distribution(3, receivers)
+    misses = distinct_distribution.cache_info().misses
+    assert distinct_distribution(3, 1) is not first
+    assert distinct_distribution.cache_info().misses == misses + 1
+
+
 def inclusion_exclusion_pmf(files: int, receivers: int) -> dict[int, Fraction]:
     """Oracle: C(files, s) * surjection_count(receivers, s) / files^receivers."""
     total = files**receivers

@@ -238,6 +238,18 @@ def test_grid_scan_suite_checks_its_size_and_steps():
     )
 
 
+def test_grid_scan_checks_its_steps():
+    # steps = 0 divided by zero, -2 scanned nothing and returned None, and
+    # True scanned as steps = 1
+    for steps in (0, -2):
+        with pytest.raises(ValueError):
+            grid_scan_min_placement(3, 2, 2, steps=steps)
+    for steps in (True, 2.0):
+        with pytest.raises(TypeError):
+            grid_scan_min_placement(3, 2, 2, steps=steps)
+    assert grid_scan_min_placement(3, 2, 2, steps=1) == F(1, 3)
+
+
 def test_suites_reject_bool_and_float_sizes():
     suites = [
         check_averaging_identities,
