@@ -61,13 +61,12 @@ kink and the walks skip the zero tail.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .combinatorics import _as_fraction, _check_count, _check_int, binom
+from .combinatorics import _as_fraction, _check_count, _check_int, _Checked, binom
 from .demands import DistinctCountDistribution, distinct_distribution
 
 ENVELOPE_ORDERS = ("theorem", "proof")
@@ -82,8 +81,14 @@ class InfeasibleLibrary(Exception):
     """Peak bound requested with fewer files than receivers."""
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
+class _NetworkConfig(NamedTuple):
+    transmitters: int
+    receivers: int
+    files: int
+    cache_fraction: Fraction
+
+
+class NetworkConfig(_Checked, _NetworkConfig):
     """One network instance: transmitter/receiver counts, library size, cache size.
 
     ``cache_fraction`` is the normalized per-transmitter cache size (cache
@@ -92,20 +97,17 @@ class NetworkConfig:
     is never used.  Out-of-range values are rejected, not clamped.
     """
 
-    transmitters: int
-    receivers: int
-    files: int
-    cache_fraction: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _checked(self):
         for name in ("transmitters", "receivers", "files"):
             _check_count(name, getattr(self, name))
         mu = _as_fraction(self.cache_fraction)
-        object.__setattr__(self, "cache_fraction", mu)
         if not Fraction(1, self.transmitters) <= mu <= 1:
             raise ValueError(
                 f"cache_fraction must lie in [1/{self.transmitters}, 1], got {mu}"
             )
+        return *self[:3], mu
 
     @property
     def replication(self) -> Fraction:
@@ -114,14 +116,13 @@ class NetworkConfig:
 
 
 def _abscissa(t) -> int:
-    x = int(t)
-    if x != t:
+    x = _as_fraction(t)  # floats and bools raise TypeError
+    if x.denominator != 1:
         raise ValueError(f"envelope abscissae must be integers, got {t!r}")
-    return x
+    return x.numerator
 
 
-@dataclass(frozen=True)
-class ConvexEnvelope:
+class ConvexEnvelope(NamedTuple):
     """Lower convex envelope of points with integer abscissae.
 
     ``points`` are the raw (t, value) pairs; ``vertices`` are the envelope
@@ -235,8 +236,7 @@ def _cut_slopes(transmitters: int, p: int, q: int) -> _CutSlopes:
     return _CutSlopes(denominator=q * a * b, ends=((lo, (q - r) * b), (hi, r * a)))
 
 
-@dataclass(frozen=True)
-class CategoryBoundDetail:
+class CategoryBoundDetail(NamedTuple):
     """Category bound plus the evidence behind it.
 
     ``best_cut`` is the smallest maximizing cut size (theorem order only;
@@ -395,25 +395,32 @@ def expected_ndt_lower_bound(config: NetworkConfig, order: str = "theorem") -> F
     )
 
 
-@dataclass(frozen=True)
-class BoundCurve:
-    """One bound evaluated over a cache-size grid."""
-
+class _BoundCurve(NamedTuple):
     kind: str  # "peak" | "expected"
     transmitters: int
     receivers: int
     files: int
     samples: tuple[tuple[Fraction, Fraction], ...]
 
-    def __post_init__(self):
+
+class BoundCurve(_Checked, _BoundCurve):
+    """One bound evaluated over a cache-size grid."""
+
+    __slots__ = ()
+
+    def _checked(self):
         if self.kind not in BOUND_KINDS:
             raise ValueError(f"kind must be 'peak' or 'expected', got {self.kind!r}")
-        mus = [mu for mu, _ in self.samples]
+        for name in ("transmitters", "receivers", "files"):
+            _check_count(name, getattr(self, name))
+        samples = tuple((_as_fraction(mu), _as_fraction(v)) for mu, v in self.samples)
+        mus = [mu for mu, _ in samples]
         if any(b <= a for a, b in zip(mus, mus[1:])):
             raise ValueError("cache-size grid must be strictly increasing")
-        values = [v for _, v in self.samples]
+        values = [v for _, v in samples]
         if any(b > a for a, b in zip(values, values[1:])):
             raise ValueError("bound values must be non-increasing in cache size")
+        return *self[:4], samples
 
     def values(self) -> tuple[Fraction, ...]:
         return tuple(v for _, v in self.samples)

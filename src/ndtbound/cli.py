@@ -25,7 +25,6 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import repeat
@@ -43,7 +42,7 @@ from .bounds import (
     category_bound_detail,
     sweep,
 )
-from .combinatorics import _as_fraction, to_decimal
+from .combinatorics import _as_fraction, _Checked, to_decimal
 from .comparator import Unavailable, default_registry
 from .demands import distinct_distribution, sample_demands
 from .oracle import full_verification
@@ -83,10 +82,7 @@ class CliError(Exception):
     """Invalid configuration; maps to exit status 1."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI run; the field defaults are the CLI defaults."""
-
+class _RunConfig(NamedTuple):
     command: str
     transmitters: int = 5
     receivers: int = 20
@@ -104,12 +100,21 @@ class RunConfig:
     limit: int = 16
     max_transmitters: int = 6
 
-    def __post_init__(self):
+
+class RunConfig(_Checked, _RunConfig):
+    """One CLI run; the field defaults (``_field_defaults``) are the CLI defaults."""
+
+    __slots__ = ()
+
+    def _checked(self):
         if self.command not in _COMMANDS:
             raise ValueError(f"command must be one of {tuple(_COMMANDS)}, got {self.command!r}")
         row = _COMMANDS[self.command]
-        if self.output_format is None:
-            object.__setattr__(self, "output_format", row.formats[0])
+        # checked as normalized, on the plain record, whose _replace checks nothing
+        self = _RunConfig._make(self)._replace(
+            output_format=row.formats[0] if self.output_format is None else self.output_format,
+            overlays=tuple(self.overlays),
+        )
         for name, allowed in (
             ("output_format", row.formats),
             ("envelope_order", ENVELOPE_ORDERS),
@@ -118,7 +123,6 @@ class RunConfig:
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
-        object.__setattr__(self, "overlays", tuple(self.overlays))
         known = default_registry().names()
         unknown = next((name for name in self.overlays if name not in known), None)
         sampled = len(self.mu_grid) if self.samples and self.mu_grid else 0
@@ -142,7 +146,7 @@ class RunConfig:
         unread = next((
             key for key, option in _OPTIONS.items()
             if option.field not in read
-            and getattr(self, option.field) != getattr(RunConfig, option.field)
+            and getattr(self, option.field) != RunConfig._field_defaults[option.field]
         ), None)
         # the other settings, one row each, all checked before any bound is computed
         for bad, message in (
@@ -179,8 +183,8 @@ class RunConfig:
         ):
             if bad:
                 raise ValueError(message)
-        if self.mu_grid is not None:  # a colon grid's points, built once every check passed
-            object.__setattr__(self, "mu_grid", tuple(self.mu_grid))
+        # a colon grid's points, built once every check passed
+        return self if self.mu_grid is None else self._replace(mu_grid=tuple(self.mu_grid))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -257,7 +261,7 @@ def build_parser() -> _Parser:
         command.add_argument("--config", help="flat key=value config file; flags override it")
         for key in row.options:
             field, text, keywords = _OPTIONS[key][:3]
-            default = getattr(RunConfig, field)
+            default = RunConfig._field_defaults[field]
             text += "" if default in (None, ()) else f" (default {default})"
             metavar = None if "choices" in keywords else key.upper().replace("-", "_")
             command.add_argument(f"--{key}", dest=field, metavar=metavar, help=text, **keywords)

@@ -48,6 +48,21 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
+class _Checked:
+    """First base of a ``NamedTuple`` subclass whose ``_checked`` checks the bound
+    fields and returns the values to keep; ``_make``, and the ``_replace`` that
+    calls it, go through the constructor, so no record skips the checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return tuple.__new__(cls, super().__new__(cls, *args, **kwargs)._checked())
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 def _as_fraction(value) -> Fraction:
     """Exact rational from an int, Fraction or decimal string; floats and bools
     are rejected rather than silently widened to their binary expansion, and a

@@ -9,11 +9,11 @@ as a missing value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .bounds import NetworkConfig
+from .combinatorics import _Checked
 
 
 class DuplicateName(ValueError):
@@ -40,17 +40,25 @@ CurveValue = Union[Fraction, Unavailable]
 CurveEvaluator = Callable[[NetworkConfig], CurveValue]
 
 
-@dataclass(frozen=True)
-class ReferenceCurve:
+class _ReferenceCurve(NamedTuple):
     name: str
     kind: str  # "achievable" | "converse"
     evaluator: CurveEvaluator
 
-    def __post_init__(self):
+
+class ReferenceCurve(_Checked, _ReferenceCurve):
+    __slots__ = ()
+
+    def _checked(self):
+        if not isinstance(self.name, str):
+            raise TypeError(f"name must be a str, got {self.name!r}")
         if self.kind not in ("achievable", "converse"):
             raise ValueError(
                 f"kind must be 'achievable' or 'converse', got {self.kind!r}"
             )
+        if not callable(self.evaluator):
+            raise TypeError(f"evaluator must be callable, got {self.evaluator!r}")
+        return self
 
 
 def baseline_interference_free(config: NetworkConfig) -> Fraction:
@@ -79,14 +87,14 @@ def sengupta_cutset_bound(config: NetworkConfig) -> CurveValue:
     return UNAVAILABLE
 
 
-@dataclass
 class CurveRegistry:
     """Ordered, name-unique collection of reference curves.
 
     Built once at startup; registration order fixes overlay column order.
     """
 
-    _curves: dict[str, ReferenceCurve] = field(default_factory=dict)
+    def __init__(self):
+        self._curves: dict[str, ReferenceCurve] = {}
 
     def register(self, curve: ReferenceCurve) -> str:
         if curve.name in self._curves:

@@ -34,14 +34,13 @@ from __future__ import annotations
 import math
 import random
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, islice, product, repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .combinatorics import _as_fraction, _check_count, _check_int
+from .combinatorics import _as_fraction, _check_count, _check_int, _Checked
 
 Demand = tuple[int, ...]
 
@@ -70,29 +69,33 @@ class Weights(NamedTuple):
     counts: Mapping[int, int]
 
 
-@dataclass(frozen=True)
-class DistinctCountDistribution:
+class _DistinctCountDistribution(NamedTuple):
+    files: int
+    receivers: int
+    masses: Mapping[int, Fraction]
+
+
+class DistinctCountDistribution(_Checked, _DistinctCountDistribution):
     """Exact pmf of the distinct-file count over uniform random demands.
 
     ``masses`` maps each attainable count s in [1, min(receivers, files)]
     to an exact probability; counts outside the support are implicitly 0.
     The constructor keeps a read-only copy of the masses, each an exact
     rational (floats and bools raise TypeError), so the ``weights`` derived
-    from them on first use never go stale.
+    from them on first use never go stale (in the instance ``__dict__``).
     """
 
-    files: int
-    receivers: int
-    masses: Mapping[int, Fraction]
-
-    def __post_init__(self):
+    def _checked(self):
         _check_count("files", self.files)
         _check_count("receivers", self.receivers)
         masses = {}
         for s, p in self.masses.items():
             _check_count("distinct count", s)
             masses[s] = _as_fraction(p)
-        object.__setattr__(self, "masses", MappingProxyType(masses))
+        return self.files, self.receivers, MappingProxyType(masses)
+
+    def __setattr__(self, name, value):  # cached_property writes __dict__ directly
+        raise AttributeError(f"cannot assign to {name!r}: the record is immutable")
 
     @cached_property
     def weights(self) -> Weights:

@@ -16,14 +16,13 @@ them as human-readable text or machine-readable JSON lines.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .bounds import ConvexEnvelope
-from .combinatorics import _as_fraction, _check_count, _check_int, binom
+from .combinatorics import _as_fraction, _check_count, _check_int, _Checked, binom
 
 
 class Infeasible(ValueError):
@@ -37,46 +36,63 @@ def coverage_weight(transmitters: int, cut_size: int, copies: int) -> Fraction:
     contains all ``copies`` caches holding a given bit; zero once the bit is
     replicated more widely than the cut.
     """
+    for name, value in (("transmitters", transmitters), ("cut_size", cut_size), ("copies", copies)):
+        _check_int(name, value)
     if not 1 <= copies <= transmitters:
         raise ValueError(f"copies must lie in [1, {transmitters}], got {copies}")
     if not 1 <= cut_size <= transmitters:
         raise ValueError(f"cut_size must lie in [1, {transmitters}], got {cut_size}")
+    return _coverage_weight(transmitters, cut_size, copies)
+
+
+def _coverage_weight(transmitters: int, cut_size: int, copies: int) -> Fraction:
+    """``coverage_weight`` on checked arguments."""
     return Fraction(binom(cut_size, copies), binom(transmitters, copies))
 
 
-@dataclass(frozen=True)
-class PlacementProfile:
-    """Exclusive-storage profile: alphas[i] is the library fraction stored
-    at exactly i+1 transmitter caches."""
-
+class _PlacementProfile(NamedTuple):
     alphas: tuple[Fraction, ...]
     replication: Fraction
 
-    def __post_init__(self):
-        if any(a < 0 for a in self.alphas):
+
+class PlacementProfile(_Checked, _PlacementProfile):
+    """Exclusive-storage profile: alphas[i] is the library fraction stored
+    at exactly i+1 transmitter caches."""
+
+    __slots__ = ()
+
+    def _checked(self):
+        alphas = tuple(map(_as_fraction, self.alphas))
+        replication = _as_fraction(self.replication)
+        if any(a < 0 for a in alphas):
             raise ValueError("storage fractions must be nonnegative")
-        total = sum(self.alphas, Fraction(0))
+        total = sum(alphas, Fraction(0))
         if total != 1:
             raise ValueError(f"storage fractions must sum to 1, got {total}")
         weighted = sum(
-            ((i + 1) * a for i, a in enumerate(self.alphas)), Fraction(0)
+            ((i + 1) * a for i, a in enumerate(alphas)), Fraction(0)
         )
-        if weighted != self.replication:
+        if weighted != replication:
             raise ValueError(
                 f"profile replication {weighted} does not match declared "
-                f"{self.replication}"
+                f"{replication}"
             )
+        return alphas, replication
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class _LpSolution(NamedTuple):
     optimum: Fraction
     profile: PlacementProfile
     support: frozenset[int]
 
-    def __post_init__(self):
+
+class LpSolution(_Checked, _LpSolution):
+    __slots__ = ()
+
+    def _checked(self):
         if len(self.support) > 2:
             raise ValueError("basic solutions have at most two nonzero fractions")
+        return self
 
 
 def lp_min_placement(transmitters: int, cut_size: int, replication) -> LpSolution:
@@ -141,10 +157,14 @@ def grid_scan_min_placement(
 
 
 def _weights(transmitters: int, cut_size: int) -> dict[int, Fraction]:
-    """Coverage weight of each copy count 1..transmitters at one cut size."""
+    """Coverage weight of each copy count 1..transmitters at one cut size.  The
+    public functions that read the weights check their counts here, once per
+    call, not once per weight."""
+    _check_int("transmitters", transmitters)
+    _check_int("cut_size", cut_size)
     if not 1 <= cut_size <= transmitters:
         raise ValueError(f"cut_size must lie in [1, {transmitters}], got {cut_size}")
-    return {n: coverage_weight(transmitters, cut_size, n) for n in range(1, transmitters + 1)}
+    return {n: _coverage_weight(transmitters, cut_size, n) for n in range(1, transmitters + 1)}
 
 
 def _placement_inputs(transmitters: int, cut_size: int, replication):
@@ -180,8 +200,7 @@ def check_discrete_convexity_full(transmitters: int, cut_size: int) -> bool:
     return _convex_through(_weights(transmitters, cut_size), transmitters - 1)
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     name: str
     scope: str
     checked: int
@@ -189,7 +208,7 @@ class CheckRecord:
     counterexample: str | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        return json.dumps(self._asdict())
 
     def to_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -199,8 +218,7 @@ class CheckRecord:
         return line
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     records: tuple[CheckRecord, ...]
 
     @property

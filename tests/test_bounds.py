@@ -655,6 +655,35 @@ def test_bound_curve_invariants():
         BoundCurve("sideways", 2, 2, 2, ((F(1), F(1)),))
 
 
+def test_bound_curve_rejects_inexact_values_and_bool_counts():
+    samples = ((F(1, 3), F(3, 2)), (F(2, 3), F(5, 4)))
+    assert BoundCurve("peak", 3, 3, 3, samples).values() == (F(3, 2), F(5, 4))
+    for bad in (
+        lambda: BoundCurve("peak", 3, 3, 3, ((F(1, 3), 1.5), (F(2, 3), 1.25))),
+        lambda: BoundCurve("peak", 3, 3, 3, ((0.25, F(3, 2)), (F(2, 3), F(5, 4)))),
+        lambda: BoundCurve("peak", True, 3, 3, samples),
+        lambda: BoundCurve("peak", 3, 3, 3.0, samples),
+    ):
+        with pytest.raises(TypeError):
+            bad()
+    # ints and decimal strings are exact, and become Fractions
+    curve = BoundCurve("expected", 3, 3, 3, (("0.5", 2), (1, "1.5")))
+    assert curve.samples == ((F(1, 2), F(2)), (F(1), F(3, 2)))
+    assert all(type(x) is F for sample in curve.samples for x in sample)
+
+
+def test_envelope_abscissae_are_exact_integers():
+    for points in ([(1.0, F(1)), (2, F(1, 2))], [(True, F(1)), (2, F(1, 2))]):
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            ConvexEnvelope.of_points(points)
+    with pytest.raises(ValueError, match=r"abscissae must be integers, got Fraction\(3, 2\)"):
+        ConvexEnvelope.of_points([(F(3, 2), F(1)), (F(5, 2), F(2))])
+    # an integral Fraction is an integer abscissa, and is kept as an int
+    envelope = ConvexEnvelope.of_points([(F(1), F(1)), (2, F(1, 2))])
+    assert envelope.vertices == ((1, F(1)), (2, F(1, 2)))
+    assert all(type(x) is int for x, _ in envelope.points)
+
+
 @pytest.mark.parametrize("kind", ["peak", "expected"])
 def test_sweep_builds_one_distribution_per_curve(kind, monkeypatch):
     calls = []

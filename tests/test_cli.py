@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
+import os
 import random
 import shlex
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -83,6 +84,62 @@ def test_verify_json_lines(capsys):
     for line in out.strip().splitlines():
         record = json.loads(line)
         assert record["passed"] is True
+
+
+# verify --format json at the default sizes, byte for byte, with its JSON written out
+VERIFY_JSON = "".join(
+    f'{{"name": "{name}", "scope": "{scope}", "checked": {checked}, "passed": true, '
+    '"counterexample": null}\n'
+    for name, scope, checked in (
+        ("complement-subset-symmetry", "all K <= 16, 0 <= n,l <= K", 1784),
+        ("receiver-averaging-count", "all 1 <= cut <= s <= 16", 136),
+        ("cut-avoidance-probability",
+         "subset enumeration for all K <= 8, cut and marked set sizes <= K", 204),
+        ("lp-corner-integer-replication", "all KT <= 6, cut sizes, integer replication", 91),
+        ("lp-envelope-fractional-replication",
+         "all KT <= 6, cut sizes, quarter-step replication", 301),
+        ("discrete-convexity-claimed-region", "all KT <= 8, all cut sizes", 36),
+        ("discrete-convexity-full-range", "all KT <= 8, all cut sizes", 36),
+        ("lp-vertex-vs-grid-scan", "all KT <= 5, quarter-step replication, 1/64 scan", 175),
+    )
+)
+
+
+def test_verify_json_bytes(capsys):
+    status, out, err = run_cli(capsys, "verify", "--format", "json")
+    assert (status, out, err) == (0, VERIFY_JSON, "")
+
+
+@pytest.mark.parametrize(
+    "request_args",
+    [
+        ["peak-sweep", "--grid", "1/5:1:3"],
+        ["expected-sweep", "--grid", "1/5:1:3"],
+        ["distribution", "--files", "2", "--kr", "2"],
+        ["verify", "--limit", "1", "--kt-max", "1"],
+        ["point", "--mu", "1/2"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_requests_import_neither_dataclasses_nor_inspect(request_args):
+    """Each import costs every request start-up time (``inspect`` pulls in ``ast``,
+    ``dis`` and ``tokenize``).  Checked in a fresh interpreter, because pytest and
+    hypothesis import both modules into this one."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ndtbound.cli", *request_args],
+        capture_output=True, text=True, timeout=60, env=os.environ | {"PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    # -X importtime writes "import time: self | cumulative | module" lines to stderr
+    modules = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "ndtbound.bounds" in modules
+    assert not modules & {"dataclasses", "inspect"}
 
 
 def test_peak_sweep_infeasible_exit_2(capsys):
@@ -549,7 +606,7 @@ def _accepted(action):
 
 def test_command_table_contract():
     # every RunConfig setting but the three every command has comes from one option
-    fields = [field.name for field in dataclasses.fields(RunConfig)]
+    fields = list(RunConfig._fields)
     fields = sorted(set(fields) - {"command", "output_format", "output_path"})
     assert sorted(option.field for option in cli._OPTIONS.values()) == fields
     # every option is read by some command, and every command reads only options
@@ -831,7 +888,7 @@ def test_run_config_refuses_settings_its_command_does_not_read(command):
                 RunConfig(command, **setting)
         # a setting left at its default is not a request
         if field not in required:
-            RunConfig(command, **required | {field: getattr(RunConfig, field)})
+            RunConfig(command, **required | {field: RunConfig._field_defaults[field]})
 
 
 def test_unread_settings_are_refused_last():

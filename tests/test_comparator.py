@@ -128,3 +128,10 @@ def test_achievable_curves_dominate_our_converse_when_available():
             if isinstance(value, Unavailable) or curve.kind != "achievable":
                 continue
             assert value >= peak_ndt_lower_bound(config)
+
+
+def test_reference_curve_rejects_a_non_str_name_and_a_non_callable_evaluator():
+    with pytest.raises(TypeError, match="^name must be a str, got 3$"):
+        ReferenceCurve(name=3, kind="converse", evaluator=None)
+    with pytest.raises(TypeError, match="^evaluator must be callable, got None$"):
+        ReferenceCurve(name="x", kind="converse", evaluator=None)

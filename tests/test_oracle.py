@@ -273,6 +273,56 @@ def test_placement_profile_validation():
         PlacementProfile(alphas=(F(1, 2), F(1, 2)), replication=F(1))
 
 
+def test_placement_profile_rejects_inexact_values():
+    for alphas, replication in (
+        ((0.5, 0.5), 1.5),
+        ((True,), True),
+        ((F(1, 2), F(1, 2)), 1.5),
+        ((F(1, 2), 0.5), F(3, 2)),
+    ):
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            PlacementProfile(alphas=alphas, replication=replication)
+    # ints are exact, and become Fractions
+    profile = PlacementProfile(alphas=(0, 1), replication=2)
+    assert profile == ((0, 1), 2) and all(type(a) is F for a in profile.alphas)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0])
+def test_public_oracle_functions_refuse_bool_and_float_counts(bad):
+    for call in (
+        lambda: coverage_weight(bad, 1, 1),
+        lambda: coverage_weight(3, bad, 1),
+        lambda: coverage_weight(3, 1, bad),
+        lambda: lp_min_placement(bad, 1, 1),
+        lambda: lp_min_placement(3, bad, 1),
+        lambda: grid_scan_min_placement(bad, 1, 1),
+        lambda: grid_scan_min_placement(3, bad, 1),
+        lambda: check_discrete_convexity(bad, 1),
+        lambda: check_discrete_convexity(3, bad),
+        lambda: check_discrete_convexity_full(bad, 1),
+        lambda: check_discrete_convexity_full(3, bad),
+    ):
+        with pytest.raises(TypeError, match=f" must be an int, got {bad}$"):
+            call()
+
+
+def test_counts_are_checked_once_per_call_not_once_per_weight(monkeypatch):
+    names = []
+    real = oracle._check_int
+    monkeypatch.setattr(
+        oracle, "_check_int", lambda name, value: names.append(name) or real(name, value)
+    )
+    for kt in (3, 9):
+        for call in (
+            lambda: check_discrete_convexity(kt, 2),
+            lambda: lp_min_placement(kt, 2, F(3, 2)),
+            lambda: grid_scan_min_placement(kt, 2, F(3, 2), steps=4),
+        ):
+            names.clear()
+            call()
+            assert names == ["transmitters", "cut_size"]
+
+
 def test_full_verification_report_formats():
     report = full_verification(limit=8, max_transmitters=4)
     assert report.passed
@@ -294,7 +344,7 @@ def test_report_rendering_of_failures(monkeypatch):
     # one primitive broken per family: each record counts every tuple of its
     # family and reports its first counterexample, whether or not the other
     # families of its suite fail
-    real_binom, real_lp, real_weight = binom, lp_min_placement, coverage_weight
+    real_binom, real_lp, real_weight = binom, lp_min_placement, oracle._coverage_weight
     monkeypatch.setattr(oracle, "binom", lambda n, k: real_binom(n, k) + ((n, k) == (3, 1)))
     assert check_averaging_identities(4).to_text() == (
         "FAIL complement-subset-symmetry: all K <= 4, 0 <= n,l <= K (54 tuples) "
@@ -328,7 +378,7 @@ def test_report_rendering_of_failures(monkeypatch):
     bumped = {(4, 3, 2), (4, 2, 3)}
     monkeypatch.setattr(
         oracle,
-        "coverage_weight",
+        "_coverage_weight",
         lambda kt, cut, n: real_weight(kt, cut, n) + F((kt, cut, n) in bumped, 10),
     )
     report = check_convexity_sweep(5)

@@ -1,0 +1,138 @@
+"""Record semantics: every record is a ``NamedTuple``, and a checked one runs its
+constructor's checks on every way in (the constructor, ``_make``, ``_replace``)."""
+
+from __future__ import annotations
+
+import re
+from fractions import Fraction
+
+import pytest
+
+from ndtbound.bounds import BoundCurve, CategoryBoundDetail, ConvexEnvelope, NetworkConfig
+from ndtbound.cli import RunConfig
+from ndtbound.comparator import CurveRegistry, ReferenceCurve, baseline_interference_free
+from ndtbound.demands import DistinctCountDistribution
+from ndtbound.oracle import CheckRecord, CheckReport, LpSolution, PlacementProfile
+
+F = Fraction
+PROFILE = PlacementProfile((F(1, 2), F(1, 2)), F(3, 2))
+RECORD = CheckRecord("identity", "all K <= 2", 3, True)
+
+# (class, positional arguments, a field, a value of it that the constructor refuses,
+# the error it raises); a record with no checks has no such value
+RECORDS = [
+    (NetworkConfig, (3, 3, 3, F(1, 3)), "cache_fraction", 0.5, TypeError),
+    (
+        BoundCurve, ("peak", 3, 3, 3, ((F(1, 3), F(5, 3)), (F(2, 3), F(7, 6)))),
+        "kind", "sideways", ValueError,
+    ),
+    (DistinctCountDistribution, (3, 3, {3: F(2, 9), 2: F(2, 3), 1: F(1, 9)}), "files", True,
+     TypeError),
+    (ReferenceCurve, ("baseline", "converse", baseline_interference_free), "kind", "upper",
+     ValueError),
+    (PlacementProfile, ((F(1, 2), F(1, 2)), F(3, 2)), "replication", F(1), ValueError),
+    (LpSolution, (F(1, 3), PROFILE, frozenset({1, 2})), "support", frozenset({1, 2, 3}),
+     ValueError),
+    (RunConfig, ("peak-sweep", 3, 3, 3, (F(1, 3), F(1))), "limit", 0, ValueError),
+    (ConvexEnvelope, (((1, F(2)), (2, F(1))), ((1, F(2)), (2, F(1)))), None, None, None),
+    (CategoryBoundDetail, (F(5, 3), 1, (1, 2)), None, None, None),
+    (CheckRecord, ("identity", "all K <= 2", 3, True), None, None, None),
+    (CheckReport, ((RECORD,),), None, None, None),
+]
+CHECKED = [case for case in RECORDS if case[2] is not None]
+
+
+def _ids(case):
+    return case[0].__name__
+
+
+@pytest.mark.parametrize("case", RECORDS, ids=_ids)
+def test_record_builds_positionally_and_by_keyword(case):
+    cls, args = case[:2]
+    record = cls(*args)
+    assert type(record) is cls
+    assert record == cls(**dict(zip(cls._fields, args)))
+    # records are tuples: equal to the plain tuple of their fields, and they unpack
+    fields = tuple(getattr(record, name) for name in cls._fields)
+    assert record == fields
+    first, *_ = record
+    assert first == args[0]
+
+
+@pytest.mark.parametrize("case", RECORDS, ids=_ids)
+def test_record_fields_are_read_only(case):
+    cls, args = case[:2]
+    record = cls(*args)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
+@pytest.mark.parametrize("case", CHECKED, ids=_ids)
+def test_replace_and_make_run_the_constructor_checks(case):
+    cls, args, field, bad, error = case
+    record = cls(*args)
+    bad_args = [bad if name == field else value for name, value in zip(cls._fields, record)]
+    with pytest.raises(error) as refused:
+        cls(*bad_args)
+    with pytest.raises(error, match=f"^{re.escape(str(refused.value))}$"):
+        record._replace(**{field: bad})
+    with pytest.raises(error):
+        cls._make(bad_args)
+    # a good value goes through the same checks and normalization
+    assert type(record._replace()) is cls and record._replace() == record
+    assert cls._make(record) == record
+
+
+def test_replace_normalizes_as_the_constructor_does():
+    config = NetworkConfig(3, 3, 3, F(1, 3))._replace(cache_fraction="2/3")
+    assert config.cache_fraction == F(2, 3) and type(config.cache_fraction) is F
+    run = RunConfig("verify")._replace(overlays=[])
+    assert run.overlays == () and run.output_format == "text"
+    with pytest.raises(ValueError, match="unexpected field names"):
+        NetworkConfig(3, 3, 3, F(1, 3))._replace(cache=F(1))
+
+
+@pytest.mark.parametrize("case", RECORDS, ids=_ids)
+def test_repr_names_the_class_and_its_fields(case):
+    cls, args = case[:2]
+    assert repr(cls(*args)).startswith(f"{cls.__name__}({cls._fields[0]}=")
+
+
+def test_repr_reads_like_the_constructor_call():
+    assert repr(NetworkConfig(3, 3, 3, F(1, 3))) == (
+        "NetworkConfig(transmitters=3, receivers=3, files=3, cache_fraction=Fraction(1, 3))"
+    )
+    assert repr(CategoryBoundDetail(F(5, 3), None, (1, 2))) == (
+        "CategoryBoundDetail(value=Fraction(5, 3), best_cut=None, segment=(1, 2))"
+    )
+
+
+def test_distinct_count_distribution_takes_no_new_attributes():
+    dist = DistinctCountDistribution(3, 3, {3: F(2, 9), 2: F(2, 3), 1: F(1, 9)})
+    with pytest.raises(AttributeError):
+        dist.note = "x"
+    with pytest.raises(AttributeError):
+        del dist.files
+    # the lazy weights are still cached on first use, and cannot be replaced
+    assert dist.weights is dist.weights
+    assert dist.weights == (9, {3: 2, 2: 6, 1: 1})
+    with pytest.raises(AttributeError):
+        dist.weights = None
+
+
+def test_checked_records_hold_no_instance_dict():
+    """Only DistinctCountDistribution, whose cached weights need one, has a ``__dict__``."""
+    for cls, args, *_ in RECORDS:
+        assert hasattr(cls(*args), "__dict__") == (cls is DistinctCountDistribution)
+
+
+def test_method_hooks_stay_on_their_classes():
+    """The benchmark wraps ``vars(ConvexEnvelope)["of_points"]`` and
+    ``vars(CurveRegistry)["evaluate"]``."""
+    assert isinstance(vars(ConvexEnvelope)["of_points"], classmethod)
+    assert callable(vars(CurveRegistry)["evaluate"])
+    a, b = CurveRegistry(), CurveRegistry()
+    a.register(ReferenceCurve("baseline", "converse", baseline_interference_free))
+    assert a.names() == ("baseline",) and b.names() == ()
+
