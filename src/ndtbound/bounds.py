@@ -360,9 +360,7 @@ def bound_distribution(config: NetworkConfig, kind: str) -> DistinctCountDistrib
             "peak bound needs at least as many files as receivers "
             f"(files={config.files} < receivers={config.receivers})"
         )
-    return DistinctCountDistribution(
-        files=config.files, receivers=config.receivers, masses={config.receivers: Fraction(1)}
-    )
+    return DistinctCountDistribution(config.files, config.receivers, 1, {config.receivers: 1})
 
 
 def peak_ndt_lower_bound(config: NetworkConfig, order: str = "theorem") -> Fraction:
@@ -380,11 +378,11 @@ def expected_bound_for_distribution(
     order: str = "theorem",
 ) -> Fraction:
     """Average the per-category bound against an arbitrary distinct-count pmf:
-    one ``category_bound`` per support element, in masses order, then one
+    one ``category_bound`` per support element, in counts order, then one
     integer sum (``DistinctCountDistribution.weighted_sum``)."""
     t = _as_fraction(replication)
     return distribution.weighted_sum(
-        [category_bound(transmitters, s, t, order) for s in distribution.masses]
+        [category_bound(transmitters, s, t, order) for s in distribution.counts]
     )
 
 

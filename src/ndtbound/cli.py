@@ -29,7 +29,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from . import __version__
 from .bounds import (
@@ -351,7 +351,7 @@ def _emit(config: RunConfig, text: str):
         sys.stdout.write(text)
 
 
-def _emit_table(config: RunConfig, columns: dict[str, Sequence]):
+def _emit_table(config: RunConfig, columns: dict[str, Iterable]):
     header = list(columns)
     rows = [[str(_render(config, value)) for value in row] for row in zip(*columns.values())]
     if config.output_format == "csv":
@@ -419,7 +419,7 @@ def _run_sweep(config: RunConfig) -> int:
 def _run_distribution(config: RunConfig) -> int:
     dist = distinct_distribution(config.files, config.receivers)
     support = dist.support()
-    _emit_table(config, {"s": support, "mass": [dist.masses[s] for s in support]})
+    _emit_table(config, {"s": support, "mass": map(dist.mass, support)})
     return 0
 
 
@@ -444,10 +444,10 @@ def _run_point(config: RunConfig) -> int:
     }
     dist = bound_distribution(net, config.kind)
     categories = []
-    for s in dist.masses:
+    for s in dist.counts:
         detail = category_bound_detail(net.transmitters, s, net.replication, config.envelope_order)
         evidence = {"argmax_cut": detail.best_cut, "segment": list(detail.segment)}
-        categories.append({"s": s, "mass": dist.masses[s], "bound": detail.value} | evidence)
+        categories.append({"s": s, "mass": dist.mass(s), "bound": detail.value} | evidence)
     fields["value"] = dist.weighted_sum([entry["bound"] for entry in categories])
     if config.kind == "peak":  # the one category, s = kr: its evidence is the point's
         fields |= evidence

@@ -3,8 +3,9 @@
 A demand is one file index per receiver, drawn independently and uniformly
 from a library of ``files`` titles.  The number of distinct indices drives
 the delivery-time bounds, and this module computes its probability mass
-function three independent ways: analytically (exact rationals), by
-exhaustive enumeration, and by seeded Monte-Carlo sampling.
+function three independent ways: analytically (integer counts over
+``files**receivers``), by exhaustive enumeration, and by seeded Monte-Carlo
+sampling.
 
 Sampler contract: demands are the stream of CPython's Mersenne Twister
 (``random.Random(seed)``) that one ``randint(1, files)`` call per receiver, in
@@ -35,7 +36,7 @@ import math
 import random
 import struct
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, islice, product, repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -61,73 +62,72 @@ def distinct_count(demand: Sequence[int]) -> int:
     return len(set(demand))
 
 
-class Weights(NamedTuple):
-    """A distribution's masses as integer counts over one total:
-    ``masses[s] == Fraction(counts[s], total)``, the counts in masses order."""
-
+class _DistinctCountDistribution(NamedTuple):
+    files: int
+    receivers: int
     total: int
     counts: Mapping[int, int]
 
 
-class _DistinctCountDistribution(NamedTuple):
-    files: int
-    receivers: int
-    masses: Mapping[int, Fraction]
-
-
 class DistinctCountDistribution(_Checked, _DistinctCountDistribution):
-    """Exact pmf of the distinct-file count over uniform random demands.
+    """Exact pmf of the distinct-file count, as integer counts over one total.
 
-    ``masses`` maps each attainable count s in [1, min(receivers, files)]
-    to an exact probability; counts outside the support are implicitly 0.
-    The constructor keeps a read-only copy of the masses, each an exact
-    rational (floats and bools raise TypeError), so the ``weights`` derived
-    from them on first use never go stale (in the instance ``__dict__``).
+    ``counts`` maps each attainable count s in [1, min(files, receivers)] to a
+    nonnegative int, and the mass of s is ``Fraction(counts[s], total)``; counts
+    outside the support are implicitly 0.  The constructor keeps a read-only
+    copy of the counts in the given key order (floats and bools raise
+    TypeError).  The counts need not sum to the total.
     """
+
+    __slots__ = ()
 
     def _checked(self):
         _check_count("files", self.files)
         _check_count("receivers", self.receivers)
-        masses = {}
-        for s, p in self.masses.items():
+        _check_count("total", self.total)
+        top = min(self.files, self.receivers)
+        counts = dict(self.counts)
+        for s, count in counts.items():
             _check_count("distinct count", s)
-            masses[s] = _as_fraction(p)
-        return self.files, self.receivers, MappingProxyType(masses)
+            _check_int("count", count)
+            if s > top:
+                raise ValueError(f"distinct count {s} exceeds min(files, receivers) = {top}")
+            if count < 0:
+                raise ValueError(f"count of {s} must be nonnegative, got {count}")
+        return self.files, self.receivers, self.total, MappingProxyType(counts)
 
-    def __setattr__(self, name, value):  # cached_property writes __dict__ directly
-        raise AttributeError(f"cannot assign to {name!r}: the record is immutable")
-
-    @cached_property
-    def weights(self) -> Weights:
-        total = math.lcm(*(p.denominator for p in self.masses.values()))
-        counts = {s: p.numerator * (total // p.denominator) for s, p in self.masses.items()}
-        return Weights(total, MappingProxyType(counts))
+    @property
+    def masses(self) -> Mapping[int, Fraction]:
+        """Each count over the total, in counts order, built on every read."""
+        return MappingProxyType({s: Fraction(c, self.total) for s, c in self.counts.items()})
 
     def mass(self, s: int) -> Fraction:
-        return self.masses.get(s, Fraction(0))
+        _check_int("distinct count", s)
+        return Fraction(self.counts.get(s, 0), self.total)
 
     def mass_below(self, s: int) -> Fraction:
         """Total probability of counts strictly smaller than s."""
-        return sum(
-            (p for value, p in self.masses.items() if value < s), Fraction(0)
-        )
+        _check_int("distinct count", s)
+        return Fraction(sum(c for value, c in self.counts.items() if value < s), self.total)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.masses))
+        return tuple(sorted(self.counts))
 
     def mean(self) -> Fraction:
-        return self.weighted_sum(tuple(self.masses))
+        return self.weighted_sum(tuple(self.counts))
 
     def weighted_sum(self, values: Sequence[Fraction]) -> Fraction:
-        """``sum(masses[s] * value)`` with the values given in masses order, as one
-        integer sum over one denominator: the counts over their total, the values
-        over the lcm of their denominators."""
+        """``sum(mass(s) * value)`` with the values given in counts order, each an
+        exact rational (``_as_fraction``), as one integer sum over one
+        denominator: the counts over their total, the values over the lcm of
+        their denominators."""
+        values = [_as_fraction(value) for value in values]
         common = math.lcm(*(value.denominator for value in values))
         numerator = sum(
             count * value.numerator * (common // value.denominator)
-            for count, value in zip(self.weights.counts.values(), values, strict=True)
+            for count, value in zip(self.counts.values(), values, strict=True)
         )
-        return Fraction(numerator, self.weights.total * common)
+        return Fraction(numerator, self.total * common)
 
 
 def _stirling_row(k: int, top: int) -> list[int]:
@@ -144,8 +144,8 @@ def _stirling_row(k: int, top: int) -> list[int]:
 
 # typed: True == 1 with equal hashes, so an untyped cache would answer a bool
 # from an int's entry and skip the count check.  One pmf at 2000 files and 2000
-# receivers holds about 16 MB (tracemalloc), so 4 entries of that size pin
-# about 64 MB; a CLI run builds one pmf
+# receivers holds about 5.5 MB of integer counts (tracemalloc), so 4 entries of
+# that size pin about 22 MB; a CLI run builds one pmf
 @lru_cache(maxsize=4, typed=True)
 def distinct_distribution(files: int, receivers: int) -> DistinctCountDistribution:
     """Analytic pmf: P(S = s) = C(files, s) * surjections(receivers, s) / files^receivers.
@@ -153,20 +153,20 @@ def distinct_distribution(files: int, receivers: int) -> DistinctCountDistributi
     The surjection count is s! * S(receivers, s), so the count of demands with s
     distinct files is the falling factorial files*(files-1)*...*(files-s+1)
     times one Stirling row; ``surjection_count`` (inclusion-exclusion) is the
-    oracle the tests compare against.  Uniform popularity is hard-coded: every
-    receiver picks each file with probability 1/files.
+    oracle the tests compare against.  The pmf keeps those counts over the
+    total files**receivers and builds no ``Fraction``.  Uniform popularity is
+    hard-coded: every receiver picks each file with probability 1/files.
     """
     _check_count("files", files)
     _check_count("receivers", receivers)
     top = min(files, receivers)
     stirling = _stirling_row(receivers, top)
-    total = files**receivers
-    masses, falling = {}, 1
+    counts, falling = {}, 1
     for s in range(1, top + 1):
         falling *= files - s + 1
-        masses[s] = Fraction(falling * stirling[s], total)
+        counts[s] = falling * stirling[s]
     # instances are cached and shared; the constructor makes the mapping read-only
-    return DistinctCountDistribution(files=files, receivers=receivers, masses=masses)
+    return DistinctCountDistribution(files, receivers, files**receivers, counts)
 
 
 def enumerate_demands(

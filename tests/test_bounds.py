@@ -499,9 +499,6 @@ def test_expected_bound_matches_per_cut_oracle(kt, files, receivers, order, data
     assert expected_bound_for_distribution(kt, dist, t, order) == oracle
 
 
-positive_fractions = st.builds(F, st.integers(1, 10**12), st.integers(1, 10**12))
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     kt=st.integers(1, 7),
@@ -510,17 +507,18 @@ positive_fractions = st.builds(F, st.integers(1, 10**12), st.integers(1, 10**12)
     data=st.data(),
 )
 def test_integer_average_matches_the_fraction_sum(kt, kr, order, data):
-    # hand-built, unnormalised masses on a random support in any key order
+    # hand-built, unnormalised counts on a random support in any key order
     support = data.draw(st.lists(st.integers(1, kr), unique=True))
-    masses = {s: data.draw(positive_fractions) for s in support}
-    dist = DistinctCountDistribution(files=kr, receivers=kr, masses=masses)
+    counts = {s: data.draw(st.integers(0, 10**12)) for s in support}
+    total = data.draw(st.integers(1, 10**12))
+    dist = DistinctCountDistribution(files=kr, receivers=kr, total=total, counts=counts)
     t = data.draw(replications(kt))
-    oracle = sum((p * category_bound(kt, s, t, order) for s, p in masses.items()), F(0))
+    oracle = sum((F(c, total) * category_bound(kt, s, t, order) for s, c in counts.items()), F(0))
     before = category_bound.cache_info()
     assert expected_bound_for_distribution(kt, dist, t, order) == oracle
     after = category_bound.cache_info()
     # one category_bound lookup per category, hit or miss
-    assert (after.hits + after.misses) - (before.hits + before.misses) == len(masses)
+    assert (after.hits + after.misses) - (before.hits + before.misses) == len(counts)
 
 
 def test_one_category_bound_lookup_per_category():
@@ -529,24 +527,25 @@ def test_one_category_bound_lookup_per_category():
         before = category_bound.cache_info()
         expected_bound_for_distribution(4, dist, t)
         after = category_bound.cache_info()
-        assert (after.hits + after.misses) - (before.hits + before.misses) == len(dist.masses)
+        assert (after.hits + after.misses) - (before.hits + before.misses) == len(dist.counts)
 
 
 def test_inexact_masses_never_reach_the_average():
+    for counts in ({3: 0.5, 2: 0.5}, {3: F(1, 2)}, {3: True}):
+        with pytest.raises(TypeError):
+            expected_bound_for_distribution(3, DistinctCountDistribution(3, 3, 2, counts), 1)
     with pytest.raises(TypeError):
-        expected_bound_for_distribution(
-            3, DistinctCountDistribution(3, 3, {3: 0.5, 2: 0.5}), 1
-        )
+        expected_bound_for_distribution(3, DistinctCountDistribution(3, 3, 2.0, {3: 1}), 1)
     peak = bound_distribution(NetworkConfig(3, 3, 3, F(1, 3)), "peak")
+    with pytest.raises(TypeError):
+        peak.counts[3] = 2  # type: ignore[index]
     with pytest.raises(TypeError):
         peak.masses[3] = F(2)  # type: ignore[index]
 
 
 def test_point_mass_distribution_recovers_peak_bound():
     for kt, kr, mu in [(2, 2, F(1, 2)), (3, 3, F(2, 3)), (4, 6, F(1, 2)), (5, 20, F(2, 5))]:
-        point_mass = DistinctCountDistribution(
-            files=kr, receivers=kr, masses={kr: F(1)}
-        )
+        point_mass = DistinctCountDistribution(files=kr, receivers=kr, total=1, counts={kr: 1})
         expected = expected_bound_for_distribution(kt, point_mass, kt * mu)
         peak = peak_ndt_lower_bound(NetworkConfig(kt, kr, kr, mu))
         assert expected == peak
@@ -554,6 +553,7 @@ def test_point_mass_distribution_recovers_peak_bound():
         # and the expected bound as the exact pmf
         for files in (kr, 3 * kr):
             config = NetworkConfig(kt, kr, files, mu)
+            assert bound_distribution(config, "peak") == (files, kr, 1, {kr: 1})
             assert dict(bound_distribution(config, "peak").masses) == {kr: F(1)}
             assert bound_distribution(config, "expected") == distinct_distribution(files, kr)
             assert category_bound(kt, kr, kt * mu) == peak

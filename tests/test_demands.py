@@ -275,65 +275,122 @@ def test_distinct_distribution_cache_evicts_the_oldest_pmf():
     assert distinct_distribution.cache_info().misses == misses + 1
 
 
-def inclusion_exclusion_pmf(files: int, receivers: int) -> dict[int, Fraction]:
-    """Oracle: C(files, s) * surjection_count(receivers, s) / files^receivers."""
-    total = files**receivers
+def inclusion_exclusion_counts(files: int, receivers: int) -> dict[int, int]:
+    """Oracle: C(files, s) * surjection_count(receivers, s) demands of files^receivers
+    have s distinct files."""
     return {
-        s: Fraction(binom(files, s) * surjection_count(receivers, s), total)
+        s: binom(files, s) * surjection_count(receivers, s)
         for s in range(1, min(files, receivers) + 1)
     }
+
+
+def assert_matches_inclusion_exclusion(files: int, receivers: int) -> None:
+    dist = distinct_distribution(files, receivers)
+    # the same counts in the same key order, 1..min(files, receivers), over files^receivers
+    assert dist.total == files**receivers
+    assert list(dist.counts.items()) == list(inclusion_exclusion_counts(files, receivers).items())
+    assert sum(dist.counts.values()) == dist.total
+    assert all(type(c) is int for c in dist.counts.values())
+    assert list(dist.masses.items()) == [(s, Fraction(c, dist.total)) for s, c in dist.counts.items()]
 
 
 @settings(max_examples=60, deadline=None)
 @given(files=st.integers(1, 80), receivers=st.integers(1, 80))
 def test_stirling_row_pmf_matches_inclusion_exclusion(files, receivers):
-    dist = distinct_distribution(files, receivers)
-    # the same masses in the same key order, 1..min(files, receivers)
-    assert list(dist.masses.items()) == list(inclusion_exclusion_pmf(files, receivers).items())
-    total, counts = dist.weights
-    assert list(counts) == list(dist.masses)
-    assert sum(counts.values()) == total
-    assert all(Fraction(counts[s], total) == p for s, p in dist.masses.items())
+    assert_matches_inclusion_exclusion(files, receivers)
 
 
 def test_stirling_row_pmf_matches_inclusion_exclusion_at_scale():
     rng = random.Random(8)
-    files, receivers = rng.randint(290, 310), rng.randint(115, 125)
-    dist = distinct_distribution(files, receivers)
-    assert list(dist.masses.items()) == list(inclusion_exclusion_pmf(files, receivers).items())
-    assert sum(dist.weights.counts.values()) == dist.weights.total
+    assert_matches_inclusion_exclusion(rng.randint(290, 310), rng.randint(115, 125))
 
 
 def test_masses_must_be_exact_counts_to_rationals():
-    for masses in ({3: 0.5, 2: 0.5}, {3: True}, {3.0: Fraction(1)}, {True: Fraction(1)}):
+    # the masses are int counts over an int total: floats, bools, Fractions and
+    # strings are refused as counts, totals and keys
+    for counts in ({3: 0.5, 2: 0.5}, {3: True}, {3: Fraction(1)}, {3: "1"}, {3.0: 1}, {True: 1}):
         with pytest.raises(TypeError):
-            DistinctCountDistribution(3, 3, masses)
+            DistinctCountDistribution(3, 3, 1, counts)
+    for total in (1.0, True, Fraction(1), "1"):
+        with pytest.raises(TypeError):
+            DistinctCountDistribution(3, 3, total, {3: 1})
     with pytest.raises(ValueError):
-        DistinctCountDistribution(3, 3, {0: Fraction(1)})
-    # ints and decimal strings are exact, and become Fractions
-    dist = DistinctCountDistribution(3, 3, {3: 1, 2: "0.5"})
+        DistinctCountDistribution(3, 3, 1, {0: 1})
+    with pytest.raises(ValueError):
+        DistinctCountDistribution(3, 3, 0, {3: 1})
+    dist = DistinctCountDistribution(3, 3, 2, {3: 2, 2: 1})
     assert list(dist.masses.items()) == [(3, Fraction(1)), (2, Fraction(1, 2))]
     assert all(type(p) is Fraction for p in dist.masses.values())
 
 
+def test_counts_above_the_support_are_rejected():
+    # at most min(files, receivers) distinct files: 3 here, from either side
+    for files, receivers in ((3, 3), (3, 5), (5, 3)):
+        with pytest.raises(ValueError, match="exceeds min"):
+            DistinctCountDistribution(files, receivers, 1, {5: 1})
+        with pytest.raises(ValueError, match="exceeds min"):
+            DistinctCountDistribution(files, receivers, 1, {4: 1})
+        assert DistinctCountDistribution(files, receivers, 1, {3: 1}).support() == (3,)
+
+
+def test_negative_counts_are_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        DistinctCountDistribution(3, 3, 1, {1: -1})
+    # a zero count is a support element of mass 0
+    assert DistinctCountDistribution(3, 3, 1, {1: 0, 2: 1}).mean() == 2
+
+
 def test_masses_are_a_read_only_copy():
-    source = {2: Fraction(1, 2), 3: Fraction(1, 2)}
-    dist = DistinctCountDistribution(3, 3, source)
-    source[3] = Fraction(7)
+    source = {2: 1, 3: 1}
+    dist = DistinctCountDistribution(3, 3, 2, source)
+    source[3] = 7
+    assert dict(dist.counts) == {2: 1, 3: 1}
     assert dict(dist.masses) == {2: Fraction(1, 2), 3: Fraction(1, 2)}
-    assert dist.weights == (2, {2: 1, 3: 1})
+    with pytest.raises(TypeError):
+        dist.counts[3] = 2  # type: ignore[index]
     with pytest.raises(TypeError):
         dist.masses[3] = Fraction(1)  # type: ignore[index]
+    with pytest.raises(TypeError):
+        distinct_distribution(3, 3).counts[1] = 1  # type: ignore[index]
     with pytest.raises(TypeError):
         distinct_distribution(3, 3).masses[1] = Fraction(1)  # type: ignore[index]
 
 
-def test_weights_are_the_masses_over_one_total():
-    dist = DistinctCountDistribution(5, 5, {4: Fraction(2, 3), 1: Fraction(3, 4), 2: Fraction(0)})
-    assert dist.weights.total == 12
-    assert list(dist.weights.counts.items()) == [(4, 8), (1, 9), (2, 0)]
+def test_masses_are_the_counts_over_one_total():
+    dist = DistinctCountDistribution(5, 5, 12, {4: 8, 1: 9, 2: 0})
+    assert list(dist.masses.items()) == [(4, Fraction(2, 3)), (1, Fraction(3, 4)), (2, 0)]
     assert dist.weighted_sum([5, Fraction(1, 3), 7]) == Fraction(2, 3) * 5 + Fraction(3, 4) / 3
     with pytest.raises(ValueError):
         dist.weighted_sum([5, Fraction(1, 3)])  # one value per support element
-    empty = DistinctCountDistribution(5, 5, {})
-    assert empty.weights == (1, {}) and empty.weighted_sum([]) == 0 == empty.mean()
+    empty = DistinctCountDistribution(5, 5, 1, {})
+    assert empty.masses == {} and empty.weighted_sum([]) == 0 == empty.mean()
+
+
+def test_mass_takes_an_int_count():
+    dist = distinct_distribution(3, 2)
+    for s in (True, 1.0, Fraction(1), "1"):
+        with pytest.raises(TypeError):
+            dist.mass(s)
+    assert dist.mass(1) == Fraction(1, 3)
+
+
+def test_mass_below_takes_an_int_count():
+    dist = distinct_distribution(3, 2)
+    for s in (2.5, 2.0, True):
+        with pytest.raises(TypeError):
+            dist.mass_below(s)
+    assert dist.mass_below(2) == Fraction(1, 3)
+
+
+def test_weighted_sum_rejects_bool_values():
+    dist = distinct_distribution(3, 2)
+    with pytest.raises(TypeError):
+        dist.weighted_sum([True, 2])
+    assert dist.weighted_sum([1, 2]) == Fraction(5, 3)
+
+
+def test_weighted_sum_rejects_float_values():
+    dist = distinct_distribution(3, 2)
+    with pytest.raises(TypeError, match="exact rational"):
+        dist.weighted_sum([1.5, 2])
+    assert dist.weighted_sum([Fraction(3, 2), 2]) == Fraction(11, 6)

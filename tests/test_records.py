@@ -26,8 +26,7 @@ RECORDS = [
         BoundCurve, ("peak", 3, 3, 3, ((F(1, 3), F(5, 3)), (F(2, 3), F(7, 6)))),
         "kind", "sideways", ValueError,
     ),
-    (DistinctCountDistribution, (3, 3, {3: F(2, 9), 2: F(2, 3), 1: F(1, 9)}), "files", True,
-     TypeError),
+    (DistinctCountDistribution, (3, 3, 9, {3: 2, 2: 6, 1: 1}), "files", True, TypeError),
     (ReferenceCurve, ("baseline", "converse", baseline_interference_free), "kind", "upper",
      ValueError),
     (PlacementProfile, ((F(1, 2), F(1, 2)), F(3, 2)), "replication", F(1), ValueError),
@@ -109,22 +108,20 @@ def test_repr_reads_like_the_constructor_call():
 
 
 def test_distinct_count_distribution_takes_no_new_attributes():
-    dist = DistinctCountDistribution(3, 3, {3: F(2, 9), 2: F(2, 3), 1: F(1, 9)})
+    dist = DistinctCountDistribution(3, 3, 9, {3: 2, 2: 6, 1: 1})
     with pytest.raises(AttributeError):
         dist.note = "x"
     with pytest.raises(AttributeError):
         del dist.files
-    # the lazy weights are still cached on first use, and cannot be replaced
-    assert dist.weights is dist.weights
-    assert dist.weights == (9, {3: 2, 2: 6, 1: 1})
+    # the masses are derived from the counts on every read, and cannot be replaced
+    assert dist.masses == {3: F(2, 9), 2: F(2, 3), 1: F(1, 9)}
     with pytest.raises(AttributeError):
-        dist.weights = None
+        dist.masses = None
 
 
-def test_checked_records_hold_no_instance_dict():
-    """Only DistinctCountDistribution, whose cached weights need one, has a ``__dict__``."""
+def test_no_record_holds_an_instance_dict():
     for cls, args, *_ in RECORDS:
-        assert hasattr(cls(*args), "__dict__") == (cls is DistinctCountDistribution)
+        assert not hasattr(cls(*args), "__dict__")
 
 
 def test_method_hooks_stay_on_their_classes():
