@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import combinations
-from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .bounds import ConvexEnvelope
@@ -64,14 +63,15 @@ class PlacementProfile(_Checked, _PlacementProfile):
     def _checked(self):
         alphas = tuple(map(_as_fraction, self.alphas))
         replication = _as_fraction(self.replication)
-        if any(a < 0 for a in alphas):
+        # zero fractions add nothing to either sum, and a basic solution has
+        # at most two nonzero ones
+        stored = [(copies, a) for copies, a in enumerate(alphas, 1) if a]
+        if any(a < 0 for _, a in stored):
             raise ValueError("storage fractions must be nonnegative")
-        total = sum(alphas, Fraction(0))
+        total = sum((a for _, a in stored), Fraction(0))
         if total != 1:
             raise ValueError(f"storage fractions must sum to 1, got {total}")
-        weighted = sum(
-            ((i + 1) * a for i, a in enumerate(alphas)), Fraction(0)
-        )
+        weighted = sum((copies * a for copies, a in stored), Fraction(0))
         if weighted != replication:
             raise ValueError(
                 f"profile replication {weighted} does not match declared "
@@ -87,12 +87,25 @@ class _LpSolution(NamedTuple):
 
 
 class LpSolution(_Checked, _LpSolution):
+    """A basic optimum of the placement LP: its value, its profile, and the
+    copy counts (1-based) that the profile stores a nonzero fraction at."""
+
     __slots__ = ()
 
     def _checked(self):
-        if len(self.support) > 2:
+        optimum = _as_fraction(self.optimum)
+        if not isinstance(self.profile, PlacementProfile):
+            raise TypeError(f"profile must be a PlacementProfile, got {self.profile!r}")
+        support = frozenset(self.support)
+        stored = {copies for copies, a in enumerate(self.profile.alphas, 1) if a}
+        if support != stored:
+            raise ValueError(
+                f"support {sorted(support)} is not the profile's nonzero copy "
+                f"counts {sorted(stored)}"
+            )
+        if len(support) > 2:
             raise ValueError("basic solutions have at most two nonzero fractions")
-        return self
+        return optimum, self.profile, support
 
 
 def lp_min_placement(transmitters: int, cut_size: int, replication) -> LpSolution:
@@ -103,32 +116,40 @@ def lp_min_placement(transmitters: int, cut_size: int, replication) -> LpSolutio
     it, so the global minimum falls out of plain vertex enumeration.
     Ties resolve to the singleton first, then to the lexicographically
     smallest pair.
+
+    Each candidate is scored in integers as a (numerator, denominator) pair
+    and compared by cross-multiplication; only the winner becomes Fractions.
+    With t = p/q, the pair (n1, n2) stores (n2*q - p)/((n2 - n1)*q) of the
+    library at n1 copies and the rest at n2.
     """
-    t, weights = _placement_inputs(transmitters, cut_size, replication)
-    candidates: list[tuple[Fraction, dict[int, Fraction]]] = []
-    if t.denominator == 1:
-        n = int(t)
-        candidates.append((weights[n], {n: Fraction(1)}))
-    for n1 in range(1, transmitters + 1):
-        for n2 in range(n1 + 1, transmitters + 1):
-            if not n1 <= t <= n2:
-                continue
-            a1 = Fraction(n2 - t, n2 - n1)
-            a2 = 1 - a1
-            value = a1 * weights[n1] + a2 * weights[n2]
-            candidates.append((value, {n1: a1, n2: a2}))
+    t, covered, total = _placement_inputs(transmitters, cut_size, replication)
+    p, q = t.numerator, t.denominator
+    best = best_pair = None
+    if q == 1:
+        best = covered[p], total[p]
+    for n1 in range(1, p // q + 1):
+        for n2 in range(max(n1 + 1, -(-p // q)), transmitters + 1):
+            w1, w2 = n2 * q - p, p - n1 * q
+            score = (
+                w1 * covered[n1] * total[n2] + w2 * covered[n2] * total[n1],
+                (n2 - n1) * q * total[n1] * total[n2],
+            )
+            # strict: the first of equal values wins, which gives the tie order above
+            if best is None or score[0] * best[1] < best[0] * score[1]:
+                best, best_pair = score, (n1, n2)
 
-    # min keeps the first of equal values, which gives the tie order above
-    best_value, best_alloc = min(candidates, key=itemgetter(0))
-
-    alphas = tuple(
-        best_alloc.get(n, Fraction(0)) for n in range(1, transmitters + 1)
-    )
-    support = frozenset(n for n, a in best_alloc.items() if a > 0)
+    if best_pair is None:
+        stored = {p: Fraction(1)}
+    else:
+        n1, n2 = best_pair
+        a1 = Fraction(n2 * q - p, (n2 - n1) * q)
+        stored = {n1: a1, n2: 1 - a1}
+    zero = Fraction(0)
+    alphas = tuple(stored.get(n, zero) for n in range(1, transmitters + 1))
     return LpSolution(
-        optimum=best_value,
+        optimum=Fraction(*best),
         profile=PlacementProfile(alphas=alphas, replication=t),
-        support=support,
+        support=frozenset(n for n, a in stored.items() if a),
     )
 
 
@@ -143,37 +164,55 @@ def grid_scan_min_placement(
     meets the replication constraint exactly.
     """
     _check_count("steps", steps)
-    t, weights = _placement_inputs(transmitters, cut_size, replication)
+    t, covered, total = _placement_inputs(transmitters, cut_size, replication)
+    q, target = t.denominator, t.numerator * steps
     # the pair weight a1 = j/steps is admitted when a1*n1 + (1 - a1)*n2 == t,
-    # tested in integers; only admitted weights become Fractions
+    # tested in integers; an admitted point scores
+    # (j*covered[n1]*total[n2] + (steps - j)*covered[n2]*total[n1]) / (steps*total[n1]*total[n2])
     admitted = (
-        Fraction(j, steps) * weights[n1] + Fraction(steps - j, steps) * weights[n2]
+        (
+            j * covered[n1] * total[n2] + (steps - j) * covered[n2] * total[n1],
+            steps * total[n1] * total[n2],
+        )
         for n1 in range(1, transmitters + 1)
         for n2 in range(n1, transmitters + 1)
         for j in range(steps + 1)
-        if t.denominator * (j * n1 + (steps - j) * n2) == t.numerator * steps
+        if q * (j * n1 + (steps - j) * n2) == target
     )
-    return min(admitted, default=None)
+    best = next(admitted, None)
+    if best is None:
+        return None
+    for score in admitted:
+        if score[0] * best[1] < best[0] * score[1]:
+            best = score
+    return Fraction(*best)
 
 
-def _weights(transmitters: int, cut_size: int) -> dict[int, Fraction]:
-    """Coverage weight of each copy count 1..transmitters at one cut size.  The
-    public functions that read the weights check their counts here, once per
-    call, not once per weight."""
+def _check_cut(transmitters: int, cut_size: int) -> None:
+    """Check a transmitter count and a cut size.  The public functions that
+    read the weights check them here, once per call, not once per weight."""
     _check_int("transmitters", transmitters)
     _check_int("cut_size", cut_size)
     if not 1 <= cut_size <= transmitters:
         raise ValueError(f"cut_size must lie in [1, {transmitters}], got {cut_size}")
+
+
+def _weights(transmitters: int, cut_size: int) -> dict[int, Fraction]:
+    """Coverage weight of each copy count 1..transmitters at one cut size."""
+    _check_cut(transmitters, cut_size)
     return {n: _coverage_weight(transmitters, cut_size, n) for n in range(1, transmitters + 1)}
 
 
 def _placement_inputs(transmitters: int, cut_size: int, replication):
-    """The checked replication as a Fraction, and the weights the LP averages."""
-    weights = _weights(transmitters, cut_size)
+    """The checked replication as a Fraction, and the two integer columns of
+    the weights the LP averages, indexed by copy count n: C(cut_size, n) and
+    C(transmitters, n), so that weight n is their ratio."""
+    _check_cut(transmitters, cut_size)
     t = _as_fraction(replication)
     if not 1 <= t <= transmitters:
         raise Infeasible(f"replication must lie in [1, {transmitters}], got {t}")
-    return t, weights
+    copies = range(transmitters + 1)
+    return t, [binom(cut_size, n) for n in copies], [binom(transmitters, n) for n in copies]
 
 
 def _convex_through(f: dict[int, Fraction], last: int) -> bool:

@@ -14,6 +14,7 @@ from ndtbound.combinatorics import binom
 from ndtbound.oracle import (
     CheckReport,
     Infeasible,
+    LpSolution,
     PlacementProfile,
     check_averaging_identities,
     check_convexity_sweep,
@@ -157,6 +158,83 @@ def test_grid_scan_matches_fraction_admission(case):
     assert grid_scan_min_placement(kt, cut, t, steps) == fraction_admission_scan(
         kt, cut, t, steps
     )
+
+
+def fraction_vertex_enumeration(transmitters, cut_size, t):
+    """Reference vertex enumeration: every candidate's weights and value are
+    Fractions, and ``min`` keeps the first of equal values (the singleton,
+    then the lexicographically smallest straddling pair)."""
+    weights = {
+        n: coverage_weight(transmitters, cut_size, n) for n in range(1, transmitters + 1)
+    }
+    candidates = []
+    if t.denominator == 1:
+        candidates.append((weights[int(t)], {int(t): F(1)}))
+    for n1 in range(1, transmitters + 1):
+        for n2 in range(n1 + 1, transmitters + 1):
+            if not n1 <= t <= n2:
+                continue
+            a1 = F(n2 - t, n2 - n1)
+            candidates.append((a1 * weights[n1] + (1 - a1) * weights[n2], {n1: a1, n2: 1 - a1}))
+    value, alloc = min(candidates, key=lambda candidate: candidate[0])
+    alphas = tuple(alloc.get(n, F(0)) for n in range(1, transmitters + 1))
+    return LpSolution(
+        optimum=value,
+        profile=PlacementProfile(alphas=alphas, replication=t),
+        support=frozenset(n for n, a in alloc.items() if a > 0),
+    )
+
+
+@st.composite
+def lp_cases(draw):
+    kt = draw(st.integers(1, 8))
+    cut = draw(st.integers(1, kt))
+    denominator = draw(st.integers(1, 12))
+    return kt, cut, F(draw(st.integers(denominator, kt * denominator)), denominator)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_cases())
+@example((4, 2, F(3)))  # every candidate weighs 0: the singleton wins
+@example((4, 1, F(5, 2)))  # pairs (2, 3) and (2, 4) tie at 0: the first wins
+@example((5, 5, F(3)))  # every weight is 1: the singleton wins
+@example((6, 3, F(2)))  # pair (1, 2) at a1 = 0 ties the singleton
+@example((1, 1, F(1)))
+def test_lp_matches_fraction_vertex_enumeration(case):
+    # equal records: the same optimum, profile and support, so the tie order too
+    kt, cut, t = case
+    solution = lp_min_placement(kt, cut, t)
+    assert solution == fraction_vertex_enumeration(kt, cut, t)
+    assert type(solution.optimum) is F and type(solution.support) is frozenset
+
+
+def test_lp_oracles_build_one_fraction_per_call_not_per_candidate(monkeypatch):
+    built = []
+
+    def counting_fraction(*args):
+        built.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(oracle, "Fraction", counting_fraction)
+
+    def count(call):
+        built.clear()
+        call()
+        return len(built)
+
+    # 2 straddling pairs against 25, a singleton and 3 pairs against a singleton
+    # and 29 pairs, and 1 admitted grid point against more than 65 (every j at
+    # n1 = n2 = 5)
+    for few, many in (
+        (lambda: lp_min_placement(3, 2, F(3, 2)), lambda: lp_min_placement(10, 5, F(11, 2))),
+        (lambda: lp_min_placement(3, 2, F(2)), lambda: lp_min_placement(10, 5, F(5))),
+        (
+            lambda: grid_scan_min_placement(3, 2, F(3, 2), steps=2),
+            lambda: grid_scan_min_placement(10, 5, F(5), steps=64),
+        ),
+    ):
+        assert count(few) == count(many) > 0
+    assert count(lambda: grid_scan_min_placement(10, 5, F(5), steps=64)) == 1
 
 
 def test_lp_optimum_feeds_the_bound_expression():
@@ -332,6 +410,22 @@ def test_full_verification_report_formats():
         record = json.loads(line)
         assert record["passed"] is True
         assert set(record) == {"name", "scope", "checked", "passed", "counterexample"}
+
+
+def test_largest_full_verification_passes():
+    # verify --limit 16 --kt-max 10, the largest request the CLI accepts
+    report = full_verification(16, 10)
+    assert report.passed
+    assert {record.name: record.checked for record in report.records} == {
+        "complement-subset-symmetry": sum((k + 1) ** 2 for k in range(1, 17)),  # 1784
+        "receiver-averaging-count": 136,  # 1 <= cut <= s <= 16
+        "cut-avoidance-probability": sum(k * k for k in range(1, 9)),  # 204
+        "lp-corner-integer-replication": sum(k * k for k in range(1, 11)),  # 385
+        "lp-envelope-fractional-replication": sum(k * (4 * k - 3) for k in range(1, 11)),
+        "discrete-convexity-claimed-region": 55,  # 1 <= cut <= KT <= 10
+        "discrete-convexity-full-range": 55,
+        "lp-vertex-vs-grid-scan": sum(k * (4 * k - 3) for k in range(1, 6)),  # 175
+    }
 
 
 def test_report_rendering_of_failures(monkeypatch):

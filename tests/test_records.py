@@ -83,6 +83,31 @@ def test_replace_and_make_run_the_constructor_checks(case):
     assert cls._make(record) == record
 
 
+def test_lp_solution_refuses_inexact_or_mismatched_fields():
+    good = LpSolution(F(1, 3), PROFILE, frozenset({1, 2}))
+    for fields, error in (
+        ({"optimum": 0.5, "profile": None, "support": frozenset({7})}, TypeError),
+        ({"optimum": 0.5}, TypeError),
+        ({"optimum": True}, TypeError),
+        ({"profile": None}, TypeError),
+        ({"profile": tuple(PROFILE)}, TypeError),  # a plain tuple is not checked
+        ({"support": frozenset({7})}, ValueError),
+        ({"support": frozenset({1})}, ValueError),
+        ({"support": frozenset()}, ValueError),
+        ({"support": "12"}, ValueError),
+        ({"support": 12}, TypeError),
+    ):
+        with pytest.raises(error):
+            LpSolution(**{**good._asdict(), **fields})
+        with pytest.raises(error):
+            good._replace(**fields)
+    # a mutable set is kept as the frozenset of the same indices, and an int optimum
+    # as a Fraction
+    solution = LpSolution(0, PROFILE, {2, 1})
+    assert solution == good._replace(optimum=F(0))
+    assert type(solution.support) is frozenset and type(solution.optimum) is F
+
+
 def test_replace_normalizes_as_the_constructor_does():
     config = NetworkConfig(3, 3, 3, F(1, 3))._replace(cache_fraction="2/3")
     assert config.cache_fraction == F(2, 3) and type(config.cache_fraction) is F
