@@ -125,17 +125,17 @@ class RunConfig(_Checked, _RunConfig):
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
         known = default_registry().names()
         unknown = next((name for name in self.overlays if name not in known), None)
-        sampled = len(self.mu_grid) if self.samples and self.mu_grid else 0
+        points = 0 if self.mu_grid is None else len(self.mu_grid)
+        sampled = points if self.samples else 0
         # the commands that build the exact pmf; point --kind peak needs no pmf
         pmf = self.command in ("distribution", "expected-sweep") or (
             (self.command, self.kind) == ("point", "expected")
         )
         cells = self.receivers * min(self.files, self.receivers) if pmf else 0
         # an expected sweep bounds every category at every point; a peak sweep
-        # bounds one category per point, which the grid cap already bounds
+        # bounds one category per point, which the grid-size row below bounds
         categories = (
-            len(self.mu_grid) * min(self.files, self.receivers)
-            if self.command == "expected-sweep" and self.mu_grid else 0
+            points * min(self.files, self.receivers) if self.command == "expected-sweep" else 0
         )
         # Monte-Carlo draws, counted for the commands that read --samples; sampled
         # is 0 when --samples is unset, and testing it keeps None out of the product
@@ -152,6 +152,9 @@ class RunConfig(_Checked, _RunConfig):
         for bad, message in (
             ("grid" in row.options and self.mu_grid is None, "missing required options: --grid"),
             ("mu" in row.options and self.mu is None, "missing required options: --mu"),
+            # the parser's check, also for a grid built in code; len builds no point
+            (points > MAX_GRID_POINTS,
+             f"a grid may have at most {MAX_GRID_POINTS} points, got {points}"),
             (self.samples is not None and self.samples < 1,
              f"--samples must be positive, got {self.samples}"),
             # random.Random seeds with |seed|, so seed -1 would replay seed 1

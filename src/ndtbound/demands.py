@@ -54,7 +54,7 @@ _UNPACK_BATCH = struct.Struct(f"<{_BATCH_WORDS}I").unpack
 
 
 class CapExceeded(Exception):
-    """Exhaustive enumeration would exceed the configured vector cap."""
+    """Exhaustive enumeration would exceed the vector cap."""
 
 
 def distinct_count(demand: Sequence[int]) -> int:
@@ -169,20 +169,20 @@ def distinct_distribution(files: int, receivers: int) -> DistinctCountDistributi
     return DistinctCountDistribution(files, receivers, files**receivers, counts)
 
 
-def enumerate_demands(
-    files: int, receivers: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[Demand]:
+def enumerate_demands(files: int, receivers: int) -> Iterator[Demand]:
     """Yield every demand vector in [1..files]^receivers exactly once.
 
-    Raises CapExceeded when files^receivers > cap, signalling the caller to
-    fall back to sampling.
+    The cap is fixed: raises CapExceeded when files^receivers exceeds
+    DEFAULT_ENUMERATION_CAP, before any vector is built, signalling the caller
+    to fall back to sampling.
     """
     _check_count("files", files)
     _check_count("receivers", receivers)
     total = files**receivers
-    if total > cap:
+    if total > DEFAULT_ENUMERATION_CAP:
         raise CapExceeded(
-            f"{files}^{receivers} = {total} demand vectors exceed the cap of {cap}"
+            f"{files}^{receivers} = {total} demand vectors exceed the cap of "
+            f"{DEFAULT_ENUMERATION_CAP}"
         )
     return iter(product(range(1, files + 1), repeat=receivers))
 

@@ -35,17 +35,10 @@ def coverage_weight(transmitters: int, cut_size: int, copies: int) -> Fraction:
     contains all ``copies`` caches holding a given bit; zero once the bit is
     replicated more widely than the cut.
     """
-    for name, value in (("transmitters", transmitters), ("cut_size", cut_size), ("copies", copies)):
-        _check_int(name, value)
+    _check_cut(transmitters, cut_size)
+    _check_int("copies", copies)
     if not 1 <= copies <= transmitters:
         raise ValueError(f"copies must lie in [1, {transmitters}], got {copies}")
-    if not 1 <= cut_size <= transmitters:
-        raise ValueError(f"cut_size must lie in [1, {transmitters}], got {cut_size}")
-    return _coverage_weight(transmitters, cut_size, copies)
-
-
-def _coverage_weight(transmitters: int, cut_size: int, copies: int) -> Fraction:
-    """``coverage_weight`` on checked arguments."""
     return Fraction(binom(cut_size, copies), binom(transmitters, copies))
 
 
@@ -83,12 +76,10 @@ class PlacementProfile(_Checked, _PlacementProfile):
 class _LpSolution(NamedTuple):
     optimum: Fraction
     profile: PlacementProfile
-    support: frozenset[int]
 
 
 class LpSolution(_Checked, _LpSolution):
-    """A basic optimum of the placement LP: its value, its profile, and the
-    copy counts (1-based) that the profile stores a nonzero fraction at."""
+    """A basic optimum of the placement LP: its value and its profile."""
 
     __slots__ = ()
 
@@ -96,16 +87,14 @@ class LpSolution(_Checked, _LpSolution):
         optimum = _as_fraction(self.optimum)
         if not isinstance(self.profile, PlacementProfile):
             raise TypeError(f"profile must be a PlacementProfile, got {self.profile!r}")
-        support = frozenset(self.support)
-        stored = {copies for copies, a in enumerate(self.profile.alphas, 1) if a}
-        if support != stored:
-            raise ValueError(
-                f"support {sorted(support)} is not the profile's nonzero copy "
-                f"counts {sorted(stored)}"
-            )
-        if len(support) > 2:
+        if len(self.support) > 2:
             raise ValueError("basic solutions have at most two nonzero fractions")
-        return optimum, self.profile, support
+        return optimum, self.profile
+
+    @property
+    def support(self) -> frozenset[int]:
+        """The copy counts (1-based) that the profile stores a nonzero fraction at."""
+        return frozenset(copies for copies, a in enumerate(self.profile.alphas, 1) if a)
 
 
 def lp_min_placement(transmitters: int, cut_size: int, replication) -> LpSolution:
@@ -149,7 +138,6 @@ def lp_min_placement(transmitters: int, cut_size: int, replication) -> LpSolutio
     return LpSolution(
         optimum=Fraction(*best),
         profile=PlacementProfile(alphas=alphas, replication=t),
-        support=frozenset(n for n, a in stored.items() if a),
     )
 
 
@@ -197,25 +185,32 @@ def _check_cut(transmitters: int, cut_size: int) -> None:
         raise ValueError(f"cut_size must lie in [1, {transmitters}], got {cut_size}")
 
 
-def _weights(transmitters: int, cut_size: int) -> dict[int, Fraction]:
-    """Coverage weight of each copy count 1..transmitters at one cut size."""
+def _columns(transmitters: int, cut_size: int) -> tuple[list[int], list[int]]:
+    """The two integer columns of the coverage weights, indexed by copy count
+    n = 0..transmitters: C(cut_size, n) and C(transmitters, n), so that weight
+    n is their ratio."""
     _check_cut(transmitters, cut_size)
-    return {n: _coverage_weight(transmitters, cut_size, n) for n in range(1, transmitters + 1)}
+    copies = range(transmitters + 1)
+    return [binom(cut_size, n) for n in copies], [binom(transmitters, n) for n in copies]
+
+
+def _weights(transmitters: int, cut_size: int) -> list[Fraction]:
+    """The coverage weights at one cut size as Fractions, indexed by copy
+    count n = 0..transmitters."""
+    return list(map(Fraction, *_columns(transmitters, cut_size)))
 
 
 def _placement_inputs(transmitters: int, cut_size: int, replication):
     """The checked replication as a Fraction, and the two integer columns of
-    the weights the LP averages, indexed by copy count n: C(cut_size, n) and
-    C(transmitters, n), so that weight n is their ratio."""
-    _check_cut(transmitters, cut_size)
+    the weights the LP averages (see ``_columns``)."""
+    covered, total = _columns(transmitters, cut_size)
     t = _as_fraction(replication)
     if not 1 <= t <= transmitters:
         raise Infeasible(f"replication must lie in [1, {transmitters}], got {t}")
-    copies = range(transmitters + 1)
-    return t, [binom(cut_size, n) for n in copies], [binom(transmitters, n) for n in copies]
+    return t, covered, total
 
 
-def _convex_through(f: dict[int, Fraction], last: int) -> bool:
+def _convex_through(f: list[Fraction], last: int) -> bool:
     """f[n+1] + f[n-1] >= 2 f[n] for every n in [2, last]."""
     return all(f[n + 1] + f[n - 1] >= 2 * f[n] for n in range(2, last + 1))
 
@@ -269,9 +264,6 @@ class CheckReport(NamedTuple):
 
     def to_json_lines(self) -> str:
         return "\n".join(record.to_json() for record in self.records)
-
-    def merged_with(self, other: "CheckReport") -> "CheckReport":
-        return CheckReport(records=self.records + other.records)
 
 
 def _record(name: str, scope: str, outcomes: Iterable[str | None]) -> CheckRecord:
@@ -364,16 +356,17 @@ def lp_matches_corner_claim(max_transmitters: int = 6) -> CheckReport:
 
     def corners():
         for kt, cut in _pairs(max_transmitters):
+            weights = _weights(kt, cut)
             for t in range(1, kt + 1):
                 got = lp_min_placement(kt, cut, t).optimum
-                want = Fraction(binom(cut, t), binom(kt, t))
+                want = weights[t]
                 yield None if got == want else (
                     f"KT={kt}, cut={cut}, t={t}: lp={got}, corner={want}"
                 )
 
     def interpolations():
         for kt, cut in _pairs(max_transmitters):
-            envelope = ConvexEnvelope.of_points(_weights(kt, cut).items())
+            envelope = ConvexEnvelope.of_points(enumerate(_weights(kt, cut)[1:], 1))
             for t in _quarter_steps(kt):
                 got = lp_min_placement(kt, cut, t).optimum
                 want = envelope.evaluate(t)
@@ -448,10 +441,10 @@ def check_lp_against_grid_scan(
 
 def full_verification(limit: int = 16, max_transmitters: int = 6) -> CheckReport:
     """Every oracle suite in one report (the CLI `verify` surface)."""
-    report = check_averaging_identities(limit)
-    report = report.merged_with(lp_matches_corner_claim(max_transmitters))
-    report = report.merged_with(check_convexity_sweep(max(max_transmitters, 8)))
-    report = report.merged_with(
-        check_lp_against_grid_scan(min(max_transmitters, 5))
+    suites = (
+        check_averaging_identities(limit),
+        lp_matches_corner_claim(max_transmitters),
+        check_convexity_sweep(max(max_transmitters, 8)),
+        check_lp_against_grid_scan(min(max_transmitters, 5)),
     )
-    return report
+    return CheckReport(records=tuple(record for suite in suites for record in suite.records))

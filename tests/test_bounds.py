@@ -165,6 +165,11 @@ def test_bound_expression_examples():
     assert bound_expression(3, 3, 3, 3) == 1
 
 
+def test_bound_expression_replication_out_of_range():
+    with pytest.raises(ValueError, match=r"^replication must be an integer in \[1, 3\], got 4$"):
+        bound_expression(3, 2, 1, 4)
+
+
 def test_bound_expression_cut_out_of_range():
     with pytest.raises(DomainError):
         bound_expression(3, 3, 4, 1)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import random
@@ -108,6 +109,22 @@ VERIFY_JSON = "".join(
 def test_verify_json_bytes(capsys):
     status, out, err = run_cli(capsys, "verify", "--format", "json")
     assert (status, out, err) == (0, VERIFY_JSON, "")
+
+
+@pytest.mark.parametrize(
+    "output_format, digest",
+    [
+        ("text", "0cfaeb20bbc0ff4134065ad1b62e59b23042f61b0928c63b8903d694891e5c63"),
+        ("json", "fecf3dde1a29db5babaf1e543dc620851e74c9721a0b1599f08fa212b8427b2c"),
+    ],
+)
+def test_largest_verify_bytes(output_format, digest, capsys):
+    # verify --limit 16 --kt-max 10, the largest request the CLI accepts, by SHA-256
+    status, out, err = run_cli(
+        capsys, "verify", "--limit", "16", "--kt-max", "10", "--format", output_format
+    )
+    assert (status, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -498,6 +515,9 @@ def test_preset_run_line_matches_flags(preset, capsys, monkeypatch):
         ("format", "xml", "invalid choice: 'xml'"),
         ("envelope-order", "sideways", "invalid choice: 'sideways'"),
         ("grid", "1/3:1:x", "grid count must be an integer"),
+        ("grid", "1:2", "colon grid form must be start:stop:count, got '1:2'"),
+        ("grid", "1/5:1:0", "grid count must be positive, got 0"),
+        ("grid", "1/5:1:1", "grid of one point needs start == stop"),
     ],
 )
 def test_bad_file_value_fails_like_the_flag(key, value, message, tmp_path, capsys):
@@ -920,6 +940,20 @@ def test_grid_size_is_capped_in_both_forms(monkeypatch):
         with pytest.raises(CliError, match="a grid may have at most 2 points, got 3"):
             parse_grid(text)
     assert parse_grid("1/2:1:2") == parse_grid("1/2,1") == (F(1, 2), F(1))
+
+
+def test_run_config_caps_a_grid_built_in_code(monkeypatch):
+    # the parser's cap holds for a RunConfig built in code, read from the module
+    # when the record is checked, and before any grid point is built
+    def no_points(_grid):
+        raise AssertionError("grid points built before the grid size was checked")
+
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 3)
+    accepted = RunConfig("peak-sweep", mu_grid=cli._Spaced(F(1, 5), F(1), 3))
+    assert accepted.mu_grid == (F(1, 5), F(3, 5), F(1))
+    monkeypatch.setattr(cli._Spaced, "__iter__", no_points)
+    with pytest.raises(ValueError, match="^a grid may have at most 3 points, got 4$"):
+        RunConfig("peak-sweep", mu_grid=cli._Spaced(F(1, 5), F(1), 4))
 
 
 def test_a_rejected_request_never_builds_its_grid(capsys, monkeypatch):

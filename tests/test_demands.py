@@ -109,14 +109,21 @@ def test_enumeration_yields_unique_valid_vectors():
 
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
-        enumerate_demands(10, 10)  # 10^10 > default cap of 10^7
+        enumerate_demands(10, 10)  # 10^10 > the cap of 10^7
     assert DEFAULT_ENUMERATION_CAP == 10**7
-    # the cap is caller-configurable
-    with pytest.raises(CapExceeded):
-        enumerate_demands(2, 2, cap=3)
-    # 10^7 vectors sit exactly on the default cap: allowed, lazily yielded
-    stream = enumerate_demands(10, 7, cap=10**7)
+    # 2^24 > 10^7 is refused before any vector is built
+    refused = r"^2\^24 = 16777216 demand vectors exceed the cap of 10000000$"
+    with pytest.raises(CapExceeded, match=refused):
+        enumerate_demands(2, 24)
+    # 10^7 vectors sit exactly on the cap: allowed, lazily yielded
+    stream = enumerate_demands(10, 7)
     assert next(stream) == (1,) * 7
+
+
+def test_enumeration_cap_is_fixed():
+    # one cap for every caller: no keyword can raise or lower it
+    with pytest.raises(TypeError):
+        enumerate_demands(2, 2, cap=4)
 
 
 def test_sampler_single_file_library():

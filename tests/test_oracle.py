@@ -45,10 +45,21 @@ def test_coverage_weight_examples():
 
 
 def test_coverage_weight_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^copies must lie in \[1, 3\], got 0$"):
         coverage_weight(3, 2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cut_size must lie in \[1, 3\], got 4$"):
         coverage_weight(3, 4, 1)
+
+
+def test_cut_size_past_the_transmitters_is_refused():
+    for call in (
+        lambda: check_discrete_convexity(3, 4),
+        lambda: check_discrete_convexity_full(3, 4),
+        lambda: lp_min_placement(3, 4, 1),
+        lambda: grid_scan_min_placement(3, 4, 1),
+    ):
+        with pytest.raises(ValueError, match=r"^cut_size must lie in \[1, 3\], got 4$"):
+            call()
 
 
 def test_lp_examples():
@@ -178,11 +189,7 @@ def fraction_vertex_enumeration(transmitters, cut_size, t):
             candidates.append((a1 * weights[n1] + (1 - a1) * weights[n2], {n1: a1, n2: 1 - a1}))
     value, alloc = min(candidates, key=lambda candidate: candidate[0])
     alphas = tuple(alloc.get(n, F(0)) for n in range(1, transmitters + 1))
-    return LpSolution(
-        optimum=value,
-        profile=PlacementProfile(alphas=alphas, replication=t),
-        support=frozenset(n for n, a in alloc.items() if a > 0),
-    )
+    return LpSolution(value, PlacementProfile(alphas=alphas, replication=t))
 
 
 @st.composite
@@ -201,7 +208,7 @@ def lp_cases(draw):
 @example((6, 3, F(2)))  # pair (1, 2) at a1 = 0 ties the singleton
 @example((1, 1, F(1)))
 def test_lp_matches_fraction_vertex_enumeration(case):
-    # equal records: the same optimum, profile and support, so the tie order too
+    # equal records: the same optimum and profile, so the same support and tie order
     kt, cut, t = case
     solution = lp_min_placement(kt, cut, t)
     assert solution == fraction_vertex_enumeration(kt, cut, t)
@@ -438,7 +445,7 @@ def test_report_rendering_of_failures(monkeypatch):
     # one primitive broken per family: each record counts every tuple of its
     # family and reports its first counterexample, whether or not the other
     # families of its suite fail
-    real_binom, real_lp, real_weight = binom, lp_min_placement, oracle._coverage_weight
+    real_binom, real_lp, real_weights = binom, lp_min_placement, oracle._weights
     monkeypatch.setattr(oracle, "binom", lambda n, k: real_binom(n, k) + ((n, k) == (3, 1)))
     assert check_averaging_identities(4).to_text() == (
         "FAIL complement-subset-symmetry: all K <= 4, 0 <= n,l <= K (54 tuples) "
@@ -465,6 +472,19 @@ def test_report_rendering_of_failures(monkeypatch):
         "FAIL lp-vertex-vs-grid-scan: all KT <= 3, quarter-step replication, 1/64 scan "
         "(38 tuples) counterexample: KT=3, cut=1, t=5/4: vertex=13/50, scan=1/4"
     )
+
+    # the quarter grid holds the integers too, so an offset there fails both families
+    def off_at_integer_kt2(kt, cut, t):
+        shift = F(1, 100) if kt == 2 and F(t).denominator == 1 else 0
+        return SimpleNamespace(optimum=real_lp(kt, cut, t).optimum + shift)
+
+    monkeypatch.setattr(oracle, "lp_min_placement", off_at_integer_kt2)
+    assert lp_matches_corner_claim(3).to_text() == (
+        "FAIL lp-corner-integer-replication: all KT <= 3, cut sizes, integer replication "
+        "(14 tuples) counterexample: KT=2, cut=1, t=1: lp=51/100, corner=1/2\n"
+        "FAIL lp-envelope-fractional-replication: all KT <= 3, cut sizes, quarter-step "
+        "replication (38 tuples) counterexample: KT=2, cut=1, t=1: lp=51/100, envelope=1/2"
+    )
     monkeypatch.setattr(oracle, "lp_min_placement", real_lp)
 
     # raising f[2] at (KT=4, cut=3) breaks convexity inside the claimed region,
@@ -472,8 +492,10 @@ def test_report_rendering_of_failures(monkeypatch):
     bumped = {(4, 3, 2), (4, 2, 3)}
     monkeypatch.setattr(
         oracle,
-        "_coverage_weight",
-        lambda kt, cut, n: real_weight(kt, cut, n) + F((kt, cut, n) in bumped, 10),
+        "_weights",
+        lambda kt, cut: [
+            w + F((kt, cut, n) in bumped, 10) for n, w in enumerate(real_weights(kt, cut))
+        ],
     )
     report = check_convexity_sweep(5)
     assert report.to_text() == (
