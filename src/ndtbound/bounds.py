@@ -236,7 +236,13 @@ def _cut_slopes(transmitters: int, p: int, q: int) -> _CutSlopes:
     return _CutSlopes(denominator=q * a * b, ends=((lo, (q - r) * b), (hi, r * a)))
 
 
-class CategoryBoundDetail(NamedTuple):
+class _CategoryBoundDetail(NamedTuple):
+    value: Fraction
+    best_cut: int | None
+    segment: tuple[int, int]
+
+
+class CategoryBoundDetail(_Checked, _CategoryBoundDetail):
     """Category bound plus the evidence behind it.
 
     ``best_cut`` is the smallest maximizing cut size (theorem order only;
@@ -244,9 +250,17 @@ class CategoryBoundDetail(NamedTuple):
     ``segment`` gives the hull vertices nearest the replication on either side.
     """
 
-    value: Fraction
-    best_cut: int | None
-    segment: tuple[int, int]
+    __slots__ = ()
+
+    def _checked(self):
+        if self.best_cut is not None:
+            _check_count("best_cut", self.best_cut)
+        segment = tuple(self.segment)
+        if len(segment) != 2:
+            raise ValueError(f"segment must hold two copy counts, got {segment!r}")
+        for end in segment:
+            _check_count("segment", end)
+        return _as_fraction(self.value), self.best_cut, segment
 
 
 def _check_category_args(

@@ -42,7 +42,7 @@ from .bounds import (
     category_bound_detail,
     sweep,
 )
-from .combinatorics import _as_fraction, _Checked, to_decimal
+from .combinatorics import MAX_LITERAL_DIGITS, _as_fraction, _check_int, _Checked, to_decimal
 from .comparator import Unavailable, default_registry
 from .demands import distinct_distribution, sample_demands
 from .oracle import full_verification
@@ -74,8 +74,8 @@ MAX_DRAWS = 10**8
 MAX_TRANSMITTERS = 2000
 
 # --decimal's cap: to_decimal builds 10**digits, and its fractional part formats
-# within CPython's default 4300-digit int-to-str limit
-MAX_DECIMAL = 4300
+# within CPython's default int-to-str limit, the library's limit on literals
+MAX_DECIMAL = MAX_LITERAL_DIGITS
 
 
 class CliError(Exception):
@@ -123,6 +123,11 @@ class RunConfig(_Checked, _RunConfig):
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+        # flags and config files parse ints; a config built in code may hold a bool or a float
+        for key, option in _OPTIONS.items():
+            value = getattr(self, option.field)
+            if option.keywords.get("type") is int and value is not None:
+                _check_int(f"--{key}", value)
         known = default_registry().names()
         unknown = next((name for name in self.overlays if name not in known), None)
         points = 0 if self.mu_grid is None else len(self.mu_grid)
@@ -273,22 +278,21 @@ def build_parser() -> _Parser:
         command.add_argument(
             "--out", dest="output_path", metavar="OUT", help="output path (default standard output)"
         )
-    # per command, the keys a config file may set: its long flag names without dashes
-    parser.file_keys = {
-        name: frozenset((*row.options, "format", "out")) for name, row in _COMMANDS.items()
-    }
     return parser
 
 
-def _file_tokens(parser: _Parser, command: str, path: str) -> list[str]:
+def _file_tokens(command: str, path: str) -> list[str]:
     """The flat key=value file as ``--key=value`` flags of ``command``; '#' starts
-    a comment.  Keys that only other commands take are skipped, keys that no
-    command takes are errors, and no key is read as an abbreviation."""
+    a comment.  A command's keys are its long flag names without dashes.  Keys
+    that only other commands take are skipped, keys that no command takes are
+    errors, and no key is read as an abbreviation."""
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise CliError(f"cannot read config file {path!r}: {exc}") from None
-    known = frozenset().union(*parser.file_keys.values())
+    # every command takes --format and --out, and some command takes each option
+    taken = {"format", "out", *_COMMANDS[command].options}
+    known = taken | _OPTIONS.keys()
     tokens = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -299,7 +303,7 @@ def _file_tokens(parser: _Parser, command: str, path: str) -> list[str]:
             raise CliError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         if key not in known:
             raise CliError(f"{path}:{lineno}: no command takes the key {key!r}")
-        if key in parser.file_keys[command]:
+        if key in taken:
             if key == "overlay":  # the one repeatable option takes a comma list
                 names = (name.strip() for name in value.split(","))
                 tokens.extend(f"--overlay={name}" for name in names if name)
@@ -315,7 +319,7 @@ def parse_run_config(argv=None) -> RunConfig:
     args = parser.parse_args(argv)
     from_file = argparse.Namespace()
     if args.config is not None:
-        tokens = _file_tokens(parser, args.command, args.config)
+        tokens = _file_tokens(args.command, args.config)
         try:
             from_file = parser.parse_args([args.command, *tokens])
         except CliError as exc:

@@ -26,8 +26,11 @@ def binom(n: int, k: int) -> int:
 
     The bound expressions rely on C(c - 1, t - 1) vanishing once the
     replication t exceeds the cut size c, so k < 0 and k > n return 0
-    instead of raising.
+    instead of raising.  Both are ints, not floats or bools.
     """
+    # inline rather than _check_int: a sweep makes tens of thousands of calls
+    if not (type(n) is int and type(k) is int):
+        raise TypeError(f"n and k must be ints, got {n!r} and {k!r}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if k < 0 or k > n:
@@ -35,10 +38,13 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _check_int(name: str, value) -> None:
-    """Reject anything but an int; bools are ints to Python, not counts."""
+def _check_int(name: str, value, low: int | None = None, high: int | None = None) -> None:
+    """Reject anything but an int, and, when a range is given, an int outside
+    [low, high]; bools are ints to Python, not counts."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an int, got {value!r}")
+    if low is not None and not low <= value <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
 
 
 def _check_count(name: str, value) -> None:

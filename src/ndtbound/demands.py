@@ -58,7 +58,10 @@ class CapExceeded(Exception):
 
 
 def distinct_count(demand: Sequence[int]) -> int:
-    """Number of distinct file indices in a demand."""
+    """Number of distinct file indices in a demand; each index is an int, since
+    a float or a bool equal to an int would count as that int."""
+    for index in demand:
+        _check_int("file index", index)
     return len(set(demand))
 
 

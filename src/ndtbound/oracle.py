@@ -24,6 +24,10 @@ from .bounds import ConvexEnvelope
 from .combinatorics import _as_fraction, _check_count, _check_int, _Checked, binom
 
 
+# the grid scan's resolution: pair weights are multiples of 1/SCAN_STEPS
+SCAN_STEPS = 64
+
+
 class Infeasible(ValueError):
     """Replication outside [1, transmitters]; the LP has no feasible point."""
 
@@ -36,9 +40,7 @@ def coverage_weight(transmitters: int, cut_size: int, copies: int) -> Fraction:
     replicated more widely than the cut.
     """
     _check_cut(transmitters, cut_size)
-    _check_int("copies", copies)
-    if not 1 <= copies <= transmitters:
-        raise ValueError(f"copies must lie in [1, {transmitters}], got {copies}")
+    _check_int("copies", copies, 1, transmitters)
     return Fraction(binom(cut_size, copies), binom(transmitters, copies))
 
 
@@ -142,7 +144,7 @@ def lp_min_placement(transmitters: int, cut_size: int, replication) -> LpSolutio
 
 
 def grid_scan_min_placement(
-    transmitters: int, cut_size: int, replication, steps: int = 64
+    transmitters: int, cut_size: int, replication, steps: int = SCAN_STEPS
 ) -> Fraction | None:
     """Naive cross-check: scan pair-supported profiles on a weight grid.
 
@@ -180,9 +182,7 @@ def _check_cut(transmitters: int, cut_size: int) -> None:
     """Check a transmitter count and a cut size.  The public functions that
     read the weights check them here, once per call, not once per weight."""
     _check_int("transmitters", transmitters)
-    _check_int("cut_size", cut_size)
-    if not 1 <= cut_size <= transmitters:
-        raise ValueError(f"cut_size must lie in [1, {transmitters}], got {cut_size}")
+    _check_int("cut_size", cut_size, 1, transmitters)
 
 
 def _columns(transmitters: int, cut_size: int) -> tuple[list[int], list[int]]:
@@ -234,12 +234,32 @@ def check_discrete_convexity_full(transmitters: int, cut_size: int) -> bool:
     return _convex_through(_weights(transmitters, cut_size), transmitters - 1)
 
 
-class CheckRecord(NamedTuple):
+class _CheckRecord(NamedTuple):
     name: str
     scope: str
     checked: int
     passed: bool
     counterexample: str | None = None
+
+
+class CheckRecord(_Checked, _CheckRecord):
+    """One check family's outcome: how many tuples it checked, whether all
+    passed, and the first counterexample if not."""
+
+    __slots__ = ()
+
+    def _checked(self):
+        for name in ("name", "scope"):
+            if not isinstance(getattr(self, name), str):
+                raise TypeError(f"{name} must be a str, got {getattr(self, name)!r}")
+        _check_int("checked", self.checked)
+        if self.checked < 0:
+            raise ValueError(f"checked must be nonnegative, got {self.checked}")
+        if not isinstance(self.passed, bool):
+            raise TypeError(f"passed must be a bool, got {self.passed!r}")
+        if not (self.counterexample is None or isinstance(self.counterexample, str)):
+            raise TypeError(f"counterexample must be None or a str, got {self.counterexample!r}")
+        return self
 
     def to_json(self) -> str:
         return json.dumps(self._asdict())
@@ -275,13 +295,6 @@ def _record(name: str, scope: str, outcomes: Iterable[str | None]) -> CheckRecor
     return CheckRecord(name, scope, len(outcomes), counterexample is None, counterexample)
 
 
-def _check_size(name: str, value, top: int) -> None:
-    """A suite's size: an int (not a bool) in [1, top]."""
-    _check_int(name, value)
-    if not 1 <= value <= top:
-        raise ValueError(f"{name} must lie in [1, {top}], got {value}")
-
-
 def _pairs(top: int):
     """Every (k, c) with 1 <= c <= k <= top: a transmitter count and a cut size."""
     return ((k, c) for k in range(1, top + 1) for c in range(1, k + 1))
@@ -300,7 +313,7 @@ def check_averaging_identities(limit: int = 16) -> CheckReport:
     * cut-avoidance probability: the closed binomial form matches direct
       enumeration over every cut subset (subset sizes capped at 8).
     """
-    _check_size("limit", limit, 16)
+    _check_int("limit", limit, 1, 16)
     subset_cap = min(limit, 8)
 
     def complement():
@@ -352,7 +365,7 @@ def lp_matches_corner_claim(max_transmitters: int = 6) -> CheckReport:
     """LP optimum equals the corner weight at integer replication and the
     envelope interpolation of neighbouring corners at fractional replication
     (quarter grid)."""
-    _check_size("max_transmitters", max_transmitters, 10)
+    _check_int("max_transmitters", max_transmitters, 1, 10)
 
     def corners():
         for kt, cut in _pairs(max_transmitters):
@@ -392,7 +405,7 @@ def lp_matches_corner_claim(max_transmitters: int = 6) -> CheckReport:
 
 def check_convexity_sweep(max_transmitters: int = 8) -> CheckReport:
     """Run both convexity checks over every (transmitters, cut size) pair."""
-    _check_size("max_transmitters", max_transmitters, 16)
+    _check_int("max_transmitters", max_transmitters, 1, 16)
     scope = f"all KT <= {max_transmitters}, all cut sizes"
     return CheckReport(
         records=tuple(
@@ -410,19 +423,17 @@ def check_convexity_sweep(max_transmitters: int = 8) -> CheckReport:
     )
 
 
-def check_lp_against_grid_scan(
-    max_transmitters: int = 5, steps: int = 64
-) -> CheckReport:
-    """Vertex optimum vs. naive grid scan on a quarter replication grid."""
-    _check_size("max_transmitters", max_transmitters, 10)
-    _check_count("steps", steps)
-    resolution = Fraction(1, steps)
+def check_lp_against_grid_scan(max_transmitters: int = 5) -> CheckReport:
+    """Vertex optimum vs. naive grid scan, at SCAN_STEPS, on a quarter
+    replication grid."""
+    _check_int("max_transmitters", max_transmitters, 1, 10)
+    resolution = Fraction(1, SCAN_STEPS)
 
     def outcomes():
         for kt, cut in _pairs(max_transmitters):
             for t in _quarter_steps(kt):
                 vertex = lp_min_placement(kt, cut, t).optimum
-                scanned = grid_scan_min_placement(kt, cut, t, steps=steps)
+                scanned = grid_scan_min_placement(kt, cut, t)
                 if scanned is not None and vertex <= scanned <= vertex + resolution:
                     yield None
                 else:
@@ -432,7 +443,7 @@ def check_lp_against_grid_scan(
         records=(
             _record(
                 "lp-vertex-vs-grid-scan",
-                f"all KT <= {max_transmitters}, quarter-step replication, 1/{steps} scan",
+                f"all KT <= {max_transmitters}, quarter-step replication, 1/{SCAN_STEPS} scan",
                 outcomes(),
             ),
         )

@@ -778,13 +778,13 @@ def check_closed_form_cut(kt: int, distinct: int, x: int):
 
 
 @st.composite
-def slope_term_cases(draw):
+def cut_cases(draw):
     kt = draw(st.integers(1, 60))
     return kt, draw(st.integers(1, 3 * kt + 2)), draw(st.integers(1, kt))
 
 
 @settings(max_examples=300, deadline=None)
-@given(slope_term_cases())
+@given(cut_cases())
 @example((1, 1, 1))
 @example((5, 3, 4))  # every term is 0
 @example((60, 182, 60))  # the cut clips to KT

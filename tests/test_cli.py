@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -582,10 +583,6 @@ def test_run_config_rejects_unknown_choices(field, value):
         RunConfig(**{"command": "point", "mu": F(1, 2), field: value})
 
 
-def test_every_subcommand_is_dispatched():
-    assert set(build_parser().file_keys) == set(_COMMANDS)
-
-
 # each command's flags before the command table, with their types, choices or
 # actions; the one change since is point's formats, text|json in place of csv|json
 ACCEPTED = {
@@ -909,6 +906,24 @@ def test_run_config_refuses_settings_its_command_does_not_read(command):
         # a setting left at its default is not a request
         if field not in required:
             RunConfig(command, **required | {field: RunConfig._field_defaults[field]})
+
+
+INT_FLAGS = ("kt", "kr", "files", "samples", "seed", "decimal", "limit", "kt-max")
+
+
+@pytest.mark.parametrize("key", INT_FLAGS)
+def test_run_config_refuses_bool_and_float_int_settings(key):
+    # a config built in code skips argparse's type=int: seed=True ran as seed 1
+    assert {k for k, option in cli._OPTIONS.items() if option.keywords.get("type") is int} == (
+        set(INT_FLAGS)
+    )
+    command = "verify" if key in ("limit", "kt-max") else "expected-sweep"
+    required = REQUIRED.get(command, {})
+    field, value = cli._OPTIONS[key].field, AWAY_FROM_DEFAULT[key]
+    RunConfig(command, **required | {field: value})
+    for bad in (True, float(value)):
+        with pytest.raises(TypeError, match=re.escape(f"--{key} must be an int, got {bad!r}")):
+            RunConfig(command, **required | {field: bad})
 
 
 def test_unread_settings_are_refused_last():

@@ -60,6 +60,13 @@ def test_binom_rejects_negative_n():
         binom(-1, 0)
 
 
+def test_binom_rejects_floats_and_bools():
+    # binom(True, 1) returned 1 and binom(1.0, 2) returned 0
+    for n, k in [(True, 1), (1, True), (1.0, 2), (5, 2.0)]:
+        with pytest.raises(TypeError, match="n and k must be ints"):
+            binom(n, k)
+
+
 def test_binom_matches_factorial_oracle():
     for n in range(13):
         for k in range(-1, n + 2):

@@ -34,6 +34,10 @@ def test_distinct_count_examples():
     assert distinct_count([1, 1, 1]) == 1
     assert distinct_count([1, 2, 1]) == 2
     assert distinct_count([3, 1, 2]) == 3
+    # [1.0, 1] counted 1: a float or a bool equal to an index is not one
+    for demand in ([1.0, 1], [1, 1.0], [True, 2]):
+        with pytest.raises(TypeError, match="file index must be an int"):
+            distinct_count(demand)
 
 
 def test_distribution_examples():
@@ -74,6 +78,18 @@ def test_mean_matches_occupancy_identity():
             mean = distinct_distribution(files, receivers).mean()
             expected = files * (1 - (1 - Fraction(1, files)) ** receivers)
             assert mean == expected
+
+
+def test_counts_match_factorial_moments_at_the_cap():
+    # the 4*10**6-step cap of the CLI: the Stirling row at the size where it runs,
+    # checked against the occupancy identities for E[1], E[S] and E[S(S - 1)]
+    n = k = 2000
+    counts = distinct_distribution(n, k).counts
+    assert sum(counts.values()) == n**k
+    assert sum(s * c for s, c in counts.items()) == n * (n**k - (n - 1) ** k)
+    assert sum(s * (s - 1) * c for s, c in counts.items()) == n * (n - 1) * (
+        n**k - 2 * (n - 1) ** k + (n - 2) ** k
+    )
 
 
 def test_all_distinct_mass_closed_form():

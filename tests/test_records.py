@@ -34,8 +34,8 @@ RECORDS = [
      ValueError),
     (RunConfig, ("peak-sweep", 3, 3, 3, (F(1, 3), F(1))), "limit", 0, ValueError),
     (ConvexEnvelope, (((1, F(2)), (2, F(1))), ((1, F(2)), (2, F(1)))), None, None, None),
-    (CategoryBoundDetail, (F(5, 3), 1, (1, 2)), None, None, None),
-    (CheckRecord, ("identity", "all K <= 2", 3, True), None, None, None),
+    (CategoryBoundDetail, (F(5, 3), 1, (1, 2)), "value", 0.5, TypeError),
+    (CheckRecord, ("identity", "all K <= 2", 3, True), "checked", 1.5, TypeError),
     (CheckReport, ((RECORD,),), None, None, None),
 ]
 CHECKED = [case for case in RECORDS if case[2] is not None]
@@ -106,6 +106,34 @@ def test_lp_solution_refuses_inexact_or_mismatched_fields():
     assert type(solution.optimum) is F
     assert type(solution.support) is frozenset and solution.support == {1, 2}
     assert LpSolution(0, PlacementProfile((F(0), F(1), F(0)), 2)).support == {2}
+
+
+def test_output_records_check_their_fields():
+    for fields, error in (
+        ({"name": 1}, TypeError),
+        ({"scope": None}, TypeError),
+        ({"checked": True}, TypeError),
+        ({"checked": -1}, ValueError),
+        ({"passed": "no"}, TypeError),
+        ({"passed": 1}, TypeError),
+        ({"counterexample": 3}, TypeError),
+    ):
+        with pytest.raises(error, match=f"^{next(iter(fields))} must be"):
+            RECORD._replace(**fields)
+    detail = CategoryBoundDetail(F(5, 3), 1, (1, 2))
+    for fields, error in (
+        ({"value": True}, TypeError),
+        ({"best_cut": 0}, ValueError),
+        ({"best_cut": 1.0}, TypeError),
+        ({"segment": (1,)}, ValueError),
+        ({"segment": (0, 2)}, ValueError),
+        ({"segment": (1, True)}, TypeError),
+    ):
+        with pytest.raises(error):
+            detail._replace(**fields)
+    # an int value is kept as a Fraction, a list segment as a tuple
+    assert CategoryBoundDetail(2, None, [1, 3]) == (F(2), None, (1, 3))
+    assert type(CategoryBoundDetail(2, None, [1, 3]).value) is F
 
 
 def test_replace_normalizes_as_the_constructor_does():
