@@ -122,20 +122,27 @@ def _abscissa(t) -> int:
     return x.numerator
 
 
-class ConvexEnvelope(NamedTuple):
+def _exact_points(pairs) -> tuple[tuple[int, Fraction], ...]:
+    return tuple((_abscissa(t), _as_fraction(v)) for t, v in pairs)
+
+
+class _ConvexEnvelope(NamedTuple):
+    points: tuple[tuple[int, Fraction], ...]
+    vertices: tuple[tuple[int, Fraction], ...] | None = None
+
+
+class ConvexEnvelope(_Checked, _ConvexEnvelope):
     """Lower convex envelope of points with integer abscissae.
 
-    ``points`` are the raw (t, value) pairs; ``vertices`` are the envelope
-    corners.  Evaluation between vertices interpolates linearly, so the
-    envelope value at any abscissa never exceeds the raw value there.
+    ``points`` are the raw (t, value) pairs; ``vertices``, the envelope corners,
+    are derived from them.  Evaluation between vertices interpolates linearly,
+    so the envelope value at any abscissa never exceeds the raw value there.
     """
 
-    points: tuple[tuple[int, Fraction], ...]
-    vertices: tuple[tuple[int, Fraction], ...]
+    __slots__ = ()
 
-    @classmethod
-    def of_points(cls, points: Iterable[tuple[int, Fraction]]) -> "ConvexEnvelope":
-        pts = tuple((_abscissa(t), _as_fraction(v)) for t, v in points)
+    def _checked(self):
+        pts = _exact_points(self.points)
         if not pts:
             raise ValueError("envelope needs at least one point")
         if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
@@ -151,7 +158,14 @@ class ConvexEnvelope(NamedTuple):
                 else:
                     break
             hull.append(p)
-        return cls(points=pts, vertices=tuple(hull))
+        vertices = tuple(hull)
+        if self.vertices is not None and _exact_points(self.vertices) != vertices:
+            raise ValueError(f"vertices must be the hull of the points, got {self.vertices!r}")
+        return pts, vertices
+
+    @classmethod
+    def of_points(cls, points: Iterable[tuple[int, Fraction]]) -> "ConvexEnvelope":
+        return cls(tuple(points))
 
     def evaluate(self, x: Fraction) -> Fraction:
         x = _as_fraction(x)
@@ -263,11 +277,13 @@ class CategoryBoundDetail(_Checked, _CategoryBoundDetail):
         return _as_fraction(self.value), self.best_cut, segment
 
 
-def _check_category_args(
+def _category_value(
     transmitters: int, distinct: int, p: int, q: int, order: str
-) -> None:
-    """Check the arguments of a category bound, the replication as its integer
-    ratio ``p/q`` (in lowest terms, ``q >= 1``)."""
+) -> tuple[Fraction, int | None]:
+    """Shared body of ``category_bound`` and ``category_bound_detail``, with the
+    replication as ``p/q`` in lowest terms: checks the arguments, and returns the
+    value and the winning cut (None in proof order).  Kept private so that a call
+    of one public name never shows up in call counts as a call of the other."""
     if order not in ENVELOPE_ORDERS:
         raise ValueError(f"order must be one of {ENVELOPE_ORDERS}, got {order!r}")
     _check_count("transmitters", transmitters)
@@ -276,15 +292,6 @@ def _check_category_args(
         raise ValueError(
             f"replication must lie in [1, {transmitters}], got {Fraction(p, q)}"
         )
-
-
-def _category_value(
-    transmitters: int, distinct: int, p: int, q: int, order: str
-) -> tuple[Fraction, int | None]:
-    """Shared body of ``category_bound`` and ``category_bound_detail``, on checked
-    arguments (the replication as ``p/q``): the value and the winning cut (None
-    in proof order).  Kept private so that a call of one public name never shows
-    up in call counts as a call of the other."""
     table = _cut_slopes(transmitters, p, q)
     (lo, w_lo), (hi, w_hi) = table.ends
 
@@ -310,7 +317,6 @@ def category_bound_detail(
 ) -> CategoryBoundDetail:
     """``category_bound`` with its winning cut and envelope segment."""
     p, q = _as_fraction(replication).as_integer_ratio()
-    _check_category_args(transmitters, distinct, p, q, order)
     value, best_cut = _category_value(transmitters, distinct, p, q, order)
     # the convex slope term as (numerator, denominator); when s == c it is 0,
     # and the walk stops at 1 and KT
@@ -350,7 +356,6 @@ def category_bound(
 # a bool count is not answered from an int's entry.
 @lru_cache(maxsize=4096, typed=True)
 def _category_bound(transmitters: int, distinct: int, p: int, q: int, order: str) -> Fraction:
-    _check_category_args(transmitters, distinct, p, q, order)
     return _category_value(transmitters, distinct, p, q, order)[0]
 
 

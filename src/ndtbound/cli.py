@@ -73,8 +73,8 @@ MAX_DRAWS = 10**8
 # the work grows a little faster than --kt, with the size of C(kt, x))
 MAX_TRANSMITTERS = 2000
 
-# --decimal's cap: to_decimal builds 10**digits, and its fractional part formats
-# within CPython's default int-to-str limit, the library's limit on literals
+# --decimal's cap: to_decimal builds 10**digits, so the cap bounds its work (it
+# prints any number of digits); the same number as the library's limit on literals
 MAX_DECIMAL = MAX_LITERAL_DIGITS
 
 

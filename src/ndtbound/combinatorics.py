@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 Rational = Fraction
@@ -121,7 +122,8 @@ def to_decimal(value: Fraction, digits: int) -> str:
 
     Lossy by design (round half to even on the last digit); used only when
     emitting CSV/JSON for consumers that want decimals.  ``value`` is an exact
-    rational (``_as_fraction``) and ``digits`` an int, not a float or a bool.
+    rational (``_as_fraction``) and ``digits`` an int, not a float or a bool;
+    values of any size print, past the interpreter's int-to-str digit limit.
     """
     value = _as_fraction(value)
     _check_int("digits", digits)
@@ -136,6 +138,9 @@ def to_decimal(value: Fraction, digits: int) -> str:
         doubled == magnitude.denominator and whole % 2 == 1
     ):
         whole += 1
-    int_part, frac_part = divmod(whole, scale)
-    text = str(int_part) if digits == 0 else f"{int_part}.{frac_part:0{digits}d}"
+    # str(Decimal(n)) is str(n) without the int-to-str digit limit; padded to
+    # one digit before the point
+    text = str(Decimal(whole)).rjust(digits + 1, "0")
+    if digits:
+        text = f"{text[:-digits]}.{text[-digits:]}"
     return f"-{text}" if negative and whole != 0 else text

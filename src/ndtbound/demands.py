@@ -193,7 +193,8 @@ def enumerate_demands(files: int, receivers: int) -> Iterator[Demand]:
 def sample_demands(
     files: int, receivers: int, count: int, seed: int
 ) -> Iterator[Demand]:
-    """Yield ``count`` i.i.d. uniform demand vectors, deterministic per seed.
+    """Return an iterator over ``count`` i.i.d. uniform demand vectors,
+    deterministic per seed; the arguments are checked at the call.
 
     The seed is a non-negative int: ``random.Random`` would seed with the
     absolute value of a negative one, hash a float or a string, and draw a fresh
@@ -211,7 +212,7 @@ def sample_demands(
         draws = chain.from_iterable(_batched_draws(rng, files))
     else:
         draws = map(rng.randint, repeat(1), repeat(files))
-    yield from islice(zip(*[draws] * receivers), count)
+    return islice(zip(*[draws] * receivers), count)
 
 
 def _batched_draws(rng: random.Random, files: int) -> Iterator[Iterable[int]]:

@@ -46,7 +46,6 @@ def coverage_weight(transmitters: int, cut_size: int, copies: int) -> Fraction:
 
 class _PlacementProfile(NamedTuple):
     alphas: tuple[Fraction, ...]
-    replication: Fraction
 
 
 class PlacementProfile(_Checked, _PlacementProfile):
@@ -57,22 +56,20 @@ class PlacementProfile(_Checked, _PlacementProfile):
 
     def _checked(self):
         alphas = tuple(map(_as_fraction, self.alphas))
-        replication = _as_fraction(self.replication)
-        # zero fractions add nothing to either sum, and a basic solution has
-        # at most two nonzero ones
-        stored = [(copies, a) for copies, a in enumerate(alphas, 1) if a]
-        if any(a < 0 for _, a in stored):
+        # zero fractions add nothing to a sum, and a basic solution has at most
+        # two nonzero ones
+        stored = [a for a in alphas if a]
+        if any(a < 0 for a in stored):
             raise ValueError("storage fractions must be nonnegative")
-        total = sum((a for _, a in stored), Fraction(0))
+        total = sum(stored, Fraction(0))
         if total != 1:
             raise ValueError(f"storage fractions must sum to 1, got {total}")
-        weighted = sum((copies * a for copies, a in stored), Fraction(0))
-        if weighted != replication:
-            raise ValueError(
-                f"profile replication {weighted} does not match declared "
-                f"{replication}"
-            )
-        return alphas, replication
+        return (alphas,)
+
+    @property
+    def replication(self) -> Fraction:
+        """The mean copy count, ``sum((i + 1)*alphas[i])``."""
+        return sum((copies * a for copies, a in enumerate(self.alphas, 1) if a), Fraction(0))
 
 
 class _LpSolution(NamedTuple):
@@ -139,7 +136,7 @@ def lp_min_placement(transmitters: int, cut_size: int, replication) -> LpSolutio
     alphas = tuple(stored.get(n, zero) for n in range(1, transmitters + 1))
     return LpSolution(
         optimum=Fraction(*best),
-        profile=PlacementProfile(alphas=alphas, replication=t),
+        profile=PlacementProfile(alphas),
     )
 
 
@@ -238,13 +235,12 @@ class _CheckRecord(NamedTuple):
     name: str
     scope: str
     checked: int
-    passed: bool
     counterexample: str | None = None
 
 
 class CheckRecord(_Checked, _CheckRecord):
-    """One check family's outcome: how many tuples it checked, whether all
-    passed, and the first counterexample if not."""
+    """One check family's outcome: how many tuples it checked and the first
+    counterexample, if any; it passed when there is none."""
 
     __slots__ = ()
 
@@ -255,14 +251,19 @@ class CheckRecord(_Checked, _CheckRecord):
         _check_int("checked", self.checked)
         if self.checked < 0:
             raise ValueError(f"checked must be nonnegative, got {self.checked}")
-        if not isinstance(self.passed, bool):
-            raise TypeError(f"passed must be a bool, got {self.passed!r}")
         if not (self.counterexample is None or isinstance(self.counterexample, str)):
             raise TypeError(f"counterexample must be None or a str, got {self.counterexample!r}")
         return self
 
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
+
     def to_json(self) -> str:
-        return json.dumps(self._asdict())
+        return json.dumps({
+            "name": self.name, "scope": self.scope, "checked": self.checked,
+            "passed": self.passed, "counterexample": self.counterexample,
+        })
 
     def to_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -272,8 +273,21 @@ class CheckRecord(_Checked, _CheckRecord):
         return line
 
 
-class CheckReport(NamedTuple):
+class _CheckReport(NamedTuple):
     records: tuple[CheckRecord, ...]
+
+
+class CheckReport(_Checked, _CheckReport):
+    """Check records in report order; it passed when every record did."""
+
+    __slots__ = ()
+
+    def _checked(self):
+        records = tuple(self.records)
+        for record in records:
+            if not isinstance(record, CheckRecord):
+                raise TypeError(f"records must be CheckRecords, got {record!r}")
+        return (records,)
 
     @property
     def passed(self) -> bool:
@@ -292,7 +306,7 @@ def _record(name: str, scope: str, outcomes: Iterable[str | None]) -> CheckRecor
     the first counterexample is reported."""
     outcomes = list(outcomes)
     counterexample = next((item for item in outcomes if item is not None), None)
-    return CheckRecord(name, scope, len(outcomes), counterexample is None, counterexample)
+    return CheckRecord(name, scope, len(outcomes), counterexample)
 
 
 def _pairs(top: int):

@@ -235,6 +235,18 @@ def test_envelope_rejects_bad_points():
         ConvexEnvelope.of_points([(1, F(1)), (1, F(2))])
     with pytest.raises(ValueError):
         ConvexEnvelope.of_points([(F(3, 2), F(1)), (F(5, 2), F(2))])
+    # the constructor runs the same checks, and derives the hull itself
+    with pytest.raises(ValueError, match="at least one point"):
+        ConvexEnvelope((), ())
+    with pytest.raises(TypeError, match="exact rational"):
+        ConvexEnvelope(((True, 0.5),), ((True, 0.5), (2.0, 0.25)))
+    points = ((1, F(1, 2)), (2, F(1, 4)))
+    with pytest.raises(TypeError, match="exact rational"):
+        ConvexEnvelope(points, ((1, 0.5), (2, 0.25)))
+    with pytest.raises(ValueError, match="must be the hull of the points"):
+        ConvexEnvelope(points + ((3, F(1)),), points + ((3, F(1)), (4, F(2))))
+    assert ConvexEnvelope(points) == ConvexEnvelope(points, [list(p) for p in points])
+    assert ConvexEnvelope(points) == ConvexEnvelope.of_points(iter(points))
 
 
 def chord_min_envelope(points, x: Fraction) -> Fraction:

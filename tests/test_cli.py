@@ -713,7 +713,7 @@ SWEEP = ["--kt", "3", "--kr", "3", "--files", "3", "--grid", "1/3:1:3"]
         # verify and point print a text report, not CSV
         (["verify", "--format", "csv"], "argument --format: invalid choice: 'csv'"),
         (["point", "--mu", "1/2", "--format", "csv"], "argument --format: invalid choice: 'csv'"),
-        # to_decimal would build 10**4301 and fail to print it
+        # to_decimal would build 10**4301: the cap bounds its work
         (["peak-sweep", *SWEEP, "--decimal", "4301"], "--decimal may be at most 4300, got 4301"),
         (["expected-sweep", "--grid", "1/5:1:41", "--samples", "1000000"],
          "Monte-Carlo sampling needs --samples * grid points * --kr = 820000000 draws, over "

@@ -166,6 +166,14 @@ def test_to_decimal_round_trips_within_1e12():
         assert abs(Fraction(rendered) - value) <= tolerance
 
 
+def test_to_decimal_prints_past_the_int_to_str_limit():
+    # CPython's str(int) refuses more than 4300 digits by default
+    assert to_decimal(Fraction(10**5000), 0) == "1" + "0" * 5000
+    assert to_decimal(Fraction(-(10**5000) - 1, 2), 1) == "-5" + "0" * 4999 + ".5"
+    assert to_decimal(Fraction(1, 3), 5000) == "0." + "3" * 5000
+    assert to_decimal(Fraction(2, 3), MAX_LITERAL_DIGITS) == "0." + "6" * 4299 + "7"
+
+
 def test_to_decimal_rejects_negative_digits():
     with pytest.raises(ValueError):
         to_decimal(Fraction(1), -1)

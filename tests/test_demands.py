@@ -246,10 +246,23 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         list(sample_demands(2, 2, count=0, seed=0))
     # random.Random seeds with |seed|, so -1 would replay seed 1
-    stream = sample_demands(2, 2, count=1, seed=-1)
     with pytest.raises(ValueError):
-        next(stream)
+        next(sample_demands(2, 2, count=1, seed=-1))
     assert next(sample_demands(2, 2, count=1, seed=0)) == randint_stream(2, 2, 1, 0)[0]
+
+
+def test_sampler_checks_its_arguments_at_the_call():
+    # no next(): a bad argument is refused before the first draw is asked for
+    for args, error in (
+        ((2, 2, 1, -1), ValueError),
+        ((2, 2, 1, None), TypeError),
+        ((2, 2, 0, 0), ValueError),
+        ((2, 2, 3.0, 0), TypeError),
+        ((0, 2, 1, 0), ValueError),
+        ((True, 2, 1, 0), TypeError),
+    ):
+        with pytest.raises(error):
+            sample_demands(*args)
 
 
 def test_counts_must_be_ints():

@@ -189,7 +189,7 @@ def fraction_vertex_enumeration(transmitters, cut_size, t):
             candidates.append((a1 * weights[n1] + (1 - a1) * weights[n2], {n1: a1, n2: 1 - a1}))
     value, alloc = min(candidates, key=lambda candidate: candidate[0])
     alphas = tuple(alloc.get(n, F(0)) for n in range(1, transmitters + 1))
-    return LpSolution(value, PlacementProfile(alphas=alphas, replication=t))
+    return LpSolution(value, PlacementProfile(alphas))
 
 
 @st.composite
@@ -212,6 +212,7 @@ def test_lp_matches_fraction_vertex_enumeration(case):
     kt, cut, t = case
     solution = lp_min_placement(kt, cut, t)
     assert solution == fraction_vertex_enumeration(kt, cut, t)
+    assert solution.profile.replication == t
     assert type(solution.optimum) is F and type(solution.support) is frozenset
 
 
@@ -344,27 +345,25 @@ def test_suites_reject_bool_and_float_sizes():
 
 
 def test_placement_profile_validation():
-    PlacementProfile(alphas=(F(1, 2), F(1, 2)), replication=F(3, 2))
-    with pytest.raises(ValueError):
-        PlacementProfile(alphas=(F(1, 2), F(1, 4)), replication=F(1))
-    with pytest.raises(ValueError):
-        PlacementProfile(alphas=(F(3, 2), F(-1, 2)), replication=F(1, 2))
-    with pytest.raises(ValueError):
-        PlacementProfile(alphas=(F(1, 2), F(1, 2)), replication=F(1))
+    with pytest.raises(ValueError, match="must sum to 1, got 3/4"):
+        PlacementProfile(alphas=(F(1, 2), F(1, 4)))
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        PlacementProfile(alphas=(F(3, 2), F(-1, 2)))
+    # the replication is derived from the alphas, so it cannot be declared
+    assert PlacementProfile(alphas=(F(1, 2), F(1, 2))).replication == F(3, 2)
+    assert PlacementProfile((F(0), F(1, 4), F(0), F(3, 4))).replication == F(7, 2)
+    with pytest.raises(TypeError):
+        PlacementProfile(alphas=(F(1, 2), F(1, 2)), replication=F(3, 2))
 
 
 def test_placement_profile_rejects_inexact_values():
-    for alphas, replication in (
-        ((0.5, 0.5), 1.5),
-        ((True,), True),
-        ((F(1, 2), F(1, 2)), 1.5),
-        ((F(1, 2), 0.5), F(3, 2)),
-    ):
+    for alphas in ((0.5, 0.5), (True,), (F(1, 2), 0.5)):
         with pytest.raises(TypeError, match="expected an exact rational"):
-            PlacementProfile(alphas=alphas, replication=replication)
+            PlacementProfile(alphas=alphas)
     # ints are exact, and become Fractions
-    profile = PlacementProfile(alphas=(0, 1), replication=2)
-    assert profile == ((0, 1), 2) and all(type(a) is F for a in profile.alphas)
+    profile = PlacementProfile(alphas=(0, 1))
+    assert profile == ((0, 1),) and all(type(a) is F for a in profile.alphas)
+    assert profile.replication == 2 and type(profile.replication) is F
 
 
 @pytest.mark.parametrize("bad", [True, 2.0])

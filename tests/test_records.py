@@ -8,18 +8,21 @@ from fractions import Fraction
 
 import pytest
 
+import ndtbound
 from ndtbound.bounds import BoundCurve, CategoryBoundDetail, ConvexEnvelope, NetworkConfig
 from ndtbound.cli import RunConfig
+from ndtbound.combinatorics import _Checked
 from ndtbound.comparator import CurveRegistry, ReferenceCurve, baseline_interference_free
 from ndtbound.demands import DistinctCountDistribution
 from ndtbound.oracle import CheckRecord, CheckReport, LpSolution, PlacementProfile
 
 F = Fraction
-PROFILE = PlacementProfile((F(1, 2), F(1, 2)), F(3, 2))
-RECORD = CheckRecord("identity", "all K <= 2", 3, True)
+PROFILE = PlacementProfile((F(1, 2), F(1, 2)))
+RECORD = CheckRecord("identity", "all K <= 2", 3)
+HULL = ((1, F(2)), (2, F(1)))
 
 # (class, positional arguments, a field, a value of it that the constructor refuses,
-# the error it raises); a record with no checks has no such value
+# the error it raises)
 RECORDS = [
     (NetworkConfig, (3, 3, 3, F(1, 3)), "cache_fraction", 0.5, TypeError),
     (
@@ -29,20 +32,31 @@ RECORDS = [
     (DistinctCountDistribution, (3, 3, 9, {3: 2, 2: 6, 1: 1}), "files", True, TypeError),
     (ReferenceCurve, ("baseline", "converse", baseline_interference_free), "kind", "upper",
      ValueError),
-    (PlacementProfile, ((F(1, 2), F(1, 2)), F(3, 2)), "replication", F(1), ValueError),
-    (LpSolution, (F(1, 3), PROFILE), "profile", PlacementProfile((F(1, 3),) * 3, 2),
-     ValueError),
+    (PlacementProfile, ((F(1, 2), F(1, 2)),), "alphas", (F(1, 2), F(1, 4)), ValueError),
+    (LpSolution, (F(1, 3), PROFILE), "profile", PlacementProfile((F(1, 3),) * 3), ValueError),
     (RunConfig, ("peak-sweep", 3, 3, 3, (F(1, 3), F(1))), "limit", 0, ValueError),
-    (ConvexEnvelope, (((1, F(2)), (2, F(1))), ((1, F(2)), (2, F(1)))), None, None, None),
+    (ConvexEnvelope, (HULL, HULL), "vertices", HULL[:1], ValueError),
     (CategoryBoundDetail, (F(5, 3), 1, (1, 2)), "value", 0.5, TypeError),
-    (CheckRecord, ("identity", "all K <= 2", 3, True), "checked", 1.5, TypeError),
-    (CheckReport, ((RECORD,),), None, None, None),
+    (CheckRecord, ("identity", "all K <= 2", 3), "checked", 1.5, TypeError),
+    (CheckReport, ((RECORD,),), "records", ("x",), TypeError),
 ]
-CHECKED = [case for case in RECORDS if case[2] is not None]
 
 
 def _ids(case):
     return case[0].__name__
+
+
+def test_every_public_record_is_checked():
+    """The rows name every tuple class in ``ndtbound.__all__``, plus the CLI's
+    ``RunConfig``, and each one is a checked record with a value it refuses."""
+    public = {
+        value for value in map(vars(ndtbound).get, ndtbound.__all__)
+        if isinstance(value, type) and issubclass(value, tuple)
+    }
+    assert {case[0] for case in RECORDS} == public | {RunConfig}
+    unchecked = [cls.__name__ for cls, _, field, *_ in RECORDS
+                 if field is None or not issubclass(cls, _Checked)]
+    assert unchecked == []
 
 
 @pytest.mark.parametrize("case", RECORDS, ids=_ids)
@@ -67,7 +81,7 @@ def test_record_fields_are_read_only(case):
             setattr(record, name, getattr(record, name))
 
 
-@pytest.mark.parametrize("case", CHECKED, ids=_ids)
+@pytest.mark.parametrize("case", RECORDS, ids=_ids)
 def test_replace_and_make_run_the_constructor_checks(case):
     cls, args, field, bad, error = case
     record = cls(*args)
@@ -92,20 +106,20 @@ def test_lp_solution_refuses_inexact_or_mismatched_fields():
         ({"profile": None}, TypeError),
         ({"profile": tuple(PROFILE)}, TypeError),  # a plain tuple is not checked
         # a basic solution stores at most two nonzero fractions
-        ({"profile": PlacementProfile((F(1, 3),) * 3, 2)}, ValueError),
+        ({"profile": PlacementProfile((F(1, 3),) * 3)}, ValueError),
     ):
         with pytest.raises(error):
             LpSolution(**{**good._asdict(), **fields})
         with pytest.raises(error):
             good._replace(**fields)
     with pytest.raises(ValueError, match="at most two nonzero fractions"):
-        LpSolution(F(0), PlacementProfile((F(1, 3),) * 3, 2))
+        LpSolution(F(0), PlacementProfile((F(1, 3),) * 3))
     # an int optimum is kept as a Fraction, and the support is read from the profile
     solution = LpSolution(0, PROFILE)
     assert solution == good._replace(optimum=F(0))
     assert type(solution.optimum) is F
     assert type(solution.support) is frozenset and solution.support == {1, 2}
-    assert LpSolution(0, PlacementProfile((F(0), F(1), F(0)), 2)).support == {2}
+    assert LpSolution(0, PlacementProfile((F(0), F(1), F(0)))).support == {2}
 
 
 def test_output_records_check_their_fields():
@@ -114,12 +128,18 @@ def test_output_records_check_their_fields():
         ({"scope": None}, TypeError),
         ({"checked": True}, TypeError),
         ({"checked": -1}, ValueError),
-        ({"passed": "no"}, TypeError),
-        ({"passed": 1}, TypeError),
         ({"counterexample": 3}, TypeError),
+        ({"counterexample": True}, TypeError),
     ):
         with pytest.raises(error, match=f"^{next(iter(fields))} must be"):
             RECORD._replace(**fields)
+    # the verdict is derived from the counterexample, so it cannot be declared
+    assert RECORD.passed and not RECORD._replace(counterexample="boom").passed
+    with pytest.raises(ValueError, match="unexpected field names"):
+        RECORD._replace(passed=False)
+    # an old five-argument call is refused
+    with pytest.raises(TypeError):
+        CheckRecord("a", "b", 1, True, "boom")
     detail = CategoryBoundDetail(F(5, 3), 1, (1, 2))
     for fields, error in (
         ({"value": True}, TypeError),
