@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
@@ -44,12 +43,15 @@ from .bounds import (
 )
 from .combinatorics import MAX_LITERAL_DIGITS, _as_fraction, _check_int, _Checked, to_decimal
 from .comparator import Unavailable, default_registry
-from .demands import distinct_distribution, sample_demands
+from .demands import DistinctCountDistribution, distinct_distribution, sample_demands
 from .oracle import full_verification
 
 # fixed stride mixing the user seed with the grid index for per-point
 # Monte-Carlo sub-streams
 SUB_SEED_STRIDE = 1_000_003
+
+# distinct counts a Monte-Carlo column reads and tallies at a time
+_MC_CHUNK = 4096
 
 # larger grids are refused before any point is built (10**6 points take seconds
 # to build; a preset's grid has 41)
@@ -380,30 +382,30 @@ def _emit_table(config: RunConfig, columns: dict[str, Iterable]):
 def _mc_column(config: RunConfig, grid: tuple[Fraction, ...]) -> list[Fraction]:
     """Per-point sample mean of the per-demand category bound.
 
-    Each sample's distinct count is ``len(set(demand))``, mapped in C.  Each
-    point tallies the integer ratios ``(p, q)`` of the bound values its samples
-    return (a tuple of ints hashes in C, a ``Fraction`` in Python), and sums the
-    at most ``min(files, receivers)`` distinct values once, times their counts,
-    as one integer sum over the lcm of their denominators.  Each sample still
-    calls ``category_bound``, because the benchmark pins one call per sample;
-    after the first sample of each distinct count that call is a cache hit
-    keyed by ints, which hashes no ``Fraction``.  A histogram of distinct counts
-    that calls it once per count waits for those pins to be re-derived.
+    Each point's samples form a sampled ``DistinctCountDistribution``: the
+    distinct counts ``len(set(demand))``, counted over ``--samples`` demands,
+    which ``weighted_sum`` averages the category bounds over, as the exact
+    sweep averages them over the exact pmf.  The counts are read in chunks of
+    ``_MC_CHUNK``, each tallied in C, so memory stays at one chunk however many
+    samples are drawn.  Each sample still calls ``category_bound`` (a cache hit
+    keyed by ints after the first sample of each distinct count), because the
+    benchmark pins one call per sample; one call per distinct count waits for
+    that pin to be re-derived (ROADMAP item 1).
     """
+    kt, order = config.transmitters, config.envelope_order
     means = []
     for index, mu in enumerate(grid):
         sub_seed = config.seed * SUB_SEED_STRIDE + index
         demands = sample_demands(config.files, config.receivers, config.samples, sub_seed)
-        tally = Counter(map(Fraction.as_integer_ratio, map(
-            category_bound,
-            repeat(config.transmitters),
-            map(len, map(set, demands)),
-            repeat(config.transmitters * mu),
-            repeat(config.envelope_order),
-        )))
-        common = math.lcm(*(q for _, q in tally))
-        total = sum(count * p * (common // q) for (p, q), count in tally.items())
-        means.append(Fraction(total, config.samples * common))
+        t, counts = kt * mu, map(len, map(set, demands))
+        tally, bound_of = Counter(), {}
+        while chunk := list(islice(counts, _MC_CHUNK)):
+            tally.update(chunk)
+            bound_of.update(zip(
+                chunk, map(category_bound, repeat(kt), chunk, repeat(t), repeat(order))
+            ))
+        sampled = DistinctCountDistribution(config.files, config.receivers, config.samples, tally)
+        means.append(sampled.weighted_sum([bound_of[s] for s in sampled.counts]))
     return means
 
 

@@ -253,6 +253,11 @@ class CheckRecord(_Checked, _CheckRecord):
             raise ValueError(f"checked must be nonnegative, got {self.checked}")
         if not (self.counterexample is None or isinstance(self.counterexample, str)):
             raise TypeError(f"counterexample must be None or a str, got {self.counterexample!r}")
+        # a counterexample is one of the checked tuples
+        if self.checked == 0 and self.counterexample is not None:
+            raise ValueError(
+                f"a counterexample needs a checked tuple, got 0 and {self.counterexample!r}"
+            )
         return self
 
     @property

@@ -292,18 +292,84 @@ def test_sampled_sweep_hashes_no_fraction(capsys, monkeypatch):
     assert hashless == run_cli(capsys, *args)
 
 
+def _count_column_work(monkeypatch):
+    """Wrap cli's own bindings of ``sample_demands`` and ``category_bound``.
+    ``drawn`` gets one entry per point, the demands its stream has yielded so
+    far; ``calls`` one entry per bound call, its point and the demands that
+    point's stream had yielded by then."""
+    drawn, calls = [], []
+    real_sample, real_bound = cli.sample_demands, cli.category_bound
+
+    def sample_demands(*args):
+        drawn.append(0)
+        for demand in real_sample(*args):
+            drawn[-1] += 1
+            yield demand
+
+    def category_bound(*args):
+        calls.append((len(drawn) - 1, drawn[-1]))
+        return real_bound(*args)
+
+    monkeypatch.setattr(cli, "sample_demands", sample_demands)
+    monkeypatch.setattr(cli, "category_bound", category_bound)
+    return drawn, calls
+
+
+TOY_MC_REQUEST = (
+    "expected-sweep", "--config", "presets/expected_kt5_kr20_n100.cfg",
+    "--samples", "20", "--seed", "5", "--decimal", "6",
+)
+
+
+def test_monte_carlo_column_makes_one_bound_call_per_sample(capsys, monkeypatch):
+    """The tier-1 twin of the benchmark's trace pin (perfbench's
+    ``test_trace_counts_calls_made_through_from_imports``): on the toy
+    mc-crosscheck request the column draws 41 x 20 demands and makes one
+    ``category_bound`` call per demand, through the names cli imported."""
+    monkeypatch.chdir(PRESETS.parent)
+    drawn, calls = _count_column_work(monkeypatch)
+    status, _, err = run_cli(capsys, *TOY_MC_REQUEST)
+    assert (status, err) == (0, "")
+    assert drawn == [20] * 41
+    assert len(calls) == 41 * 20
+    assert [point for point, _ in calls] == [point for point in range(41) for _ in range(20)]
+
+
+def test_monte_carlo_column_holds_one_chunk_of_counts(capsys, monkeypatch):
+    """The column reads each point's stream one chunk at a time: its first
+    bound call comes after at most one chunk of demands, and its k-th after at
+    most k // chunk + 1 chunks."""
+    monkeypatch.chdir(PRESETS.parent)
+    expected = run_cli(capsys, *TOY_MC_REQUEST)
+    monkeypatch.setattr(cli, "_MC_CHUNK", 7)
+    drawn, calls = _count_column_work(monkeypatch)
+    assert run_cli(capsys, *TOY_MC_REQUEST) == expected
+    assert drawn == [20] * 41
+    for point in range(41):
+        yielded = [count for index, count in calls if index == point]
+        assert len(yielded) == 20 and yielded[0] <= 7
+        assert all(count <= 7 * (k // 7 + 1) for k, count in enumerate(yielded)), point
+
+
 # 100 and 255 files are drawn from each word's top byte, 256 from whole words
 @pytest.mark.parametrize("order", ["theorem", "proof"])
 @pytest.mark.parametrize("files", [100, 255, 256])
-def test_monte_carlo_column_is_the_running_fraction_sum(capsys, files, order):
+def test_monte_carlo_column_is_the_running_fraction_sum(capsys, monkeypatch, files, order):
     # 1/5:1:9 puts every other point on an integer replication t = 5*mu, and
     # --kr 1 groups each demand from the stream by a zip over one iterator
     for receivers, grid_text in [(20, "1/5:1:11"), (20, "1/5:1:9"), (1, "1/5:1:9")]:
-        status, out, err = run_cli(
-            capsys, "expected-sweep", "--kt", "5", "--kr", str(receivers),
-            "--files", str(files), "--grid", grid_text, "--samples", "150", "--seed", "3",
-            "--envelope-order", order,
-        )
+        # the column read in chunks of one, of 7 (the last of them partial), of
+        # exactly the 150 samples, and of the default, one chunk holding them all
+        runs = []
+        for chunk in (1, 7, 150, 4096):
+            monkeypatch.setattr(cli, "_MC_CHUNK", chunk)
+            runs.append(run_cli(
+                capsys, "expected-sweep", "--kt", "5", "--kr", str(receivers),
+                "--files", str(files), "--grid", grid_text, "--samples", "150", "--seed", "3",
+                "--envelope-order", order,
+            ))
+        assert runs == runs[:1] * 4, (receivers, grid_text)
+        status, out, err = runs[0]
         assert (status, err) == (0, "")
         rows = [line.split(",") for line in out.splitlines()[1:]]
         grid = parse_grid(grid_text)

@@ -133,6 +133,12 @@ def test_output_records_check_their_fields():
     ):
         with pytest.raises(error, match=f"^{next(iter(fields))} must be"):
             RECORD._replace(**fields)
+    # a counterexample is one of the checked tuples, so none comes from zero tuples
+    with pytest.raises(ValueError, match="^a counterexample needs a checked tuple"):
+        CheckRecord("a", "b", 0, "boom")
+    with pytest.raises(ValueError, match="^a counterexample needs a checked tuple"):
+        RECORD._replace(checked=0, counterexample="boom")
+    assert CheckRecord("a", "b", 0).to_line() == "PASS a: b (0 tuples)"
     # the verdict is derived from the counterexample, so it cannot be declared
     assert RECORD.passed and not RECORD._replace(counterexample="boom").passed
     with pytest.raises(ValueError, match="unexpected field names"):
