@@ -115,15 +115,14 @@ class NetworkConfig(_Checked, _NetworkConfig):
         return self.transmitters * self.cache_fraction
 
 
-def _abscissa(t) -> int:
-    x = _as_fraction(t)  # floats and bools raise TypeError
-    if x.denominator != 1:
-        raise ValueError(f"envelope abscissae must be integers, got {t!r}")
-    return x.numerator
-
-
 def _exact_points(pairs) -> tuple[tuple[int, Fraction], ...]:
-    return tuple((_abscissa(t), _as_fraction(v)) for t, v in pairs)
+    points = []
+    for t, v in pairs:
+        x = _as_fraction(t)  # floats and bools raise TypeError
+        if x.denominator != 1:
+            raise ValueError(f"envelope abscissae must be integers, got {t!r}")
+        points.append((x.numerator, _as_fraction(v)))
+    return tuple(points)
 
 
 class _ConvexEnvelope(NamedTuple):
@@ -232,22 +231,17 @@ def _top(transmitters: int, distinct: int, x: int, cut: int | None = None) -> in
     return (distinct - cut) * binom(cut - 1, x - 1)
 
 
-class _CutSlopes(NamedTuple):
-    """The chord of every cut's slope ``g_c(t)`` between ``lo = floor(t)`` and
-    ``hi = min(lo + 1, KT)``: ``ends`` holds ``(lo, w_lo), (hi, w_hi)``, and cut c's
-    chord is ``sum(w*C(c - 1, x - 1) for x, w in ends) / denominator``.  Keyed by
-    the replication's integer ratio ``p/q``, so a lookup hashes no ``Fraction``."""
-
-    denominator: int
-    ends: tuple[tuple[int, int], tuple[int, int]]
-
-
 @lru_cache(maxsize=1024)
-def _cut_slopes(transmitters: int, p: int, q: int) -> _CutSlopes:
+def _cut_slopes(transmitters: int, p: int, q: int) -> tuple[int, int, int, int, int]:
+    """The chord of every cut's slope ``g_c(t)`` between ``lo = floor(t)`` and
+    ``hi = min(lo + 1, KT)``, as ``(denominator, lo, w_lo, hi, w_hi)``: cut c's
+    chord is ``(w_lo*C(c - 1, lo - 1) + w_hi*C(c - 1, hi - 1)) / denominator``.
+    Keyed by the replication's integer ratio ``p/q``, so a lookup hashes no
+    ``Fraction``."""
     lo, r = divmod(p, q)  # t - lo == r/q
     hi = min(lo + 1, transmitters)
     a, b = lo * binom(transmitters, lo), hi * binom(transmitters, hi)
-    return _CutSlopes(denominator=q * a * b, ends=((lo, (q - r) * b), (hi, r * a)))
+    return q * a * b, lo, (q - r) * b, hi, r * a
 
 
 class _CategoryBoundDetail(NamedTuple):
@@ -292,8 +286,7 @@ def _category_value(
         raise ValueError(
             f"replication must lie in [1, {transmitters}], got {Fraction(p, q)}"
         )
-    table = _cut_slopes(transmitters, p, q)
-    (lo, w_lo), (hi, w_hi) = table.ends
+    denominator, lo, w_lo, hi, w_hi = _cut_slopes(transmitters, p, q)
 
     def extra(cut: int | None) -> int:
         return (
@@ -309,7 +302,7 @@ def _category_value(
         first = _cut(transmitters, distinct, lo)
         cuts = range(first, _cut(transmitters, distinct, hi))
         best_cut = first + bisect_left(cuts, True, key=lambda c: extra(c + 1) <= extra(c))
-    return Fraction(table.denominator + extra(best_cut), table.denominator), best_cut
+    return Fraction(denominator + extra(best_cut), denominator), best_cut
 
 
 def category_bound_detail(
@@ -431,9 +424,7 @@ class BoundCurve(_Checked, _BoundCurve):
         for name in ("transmitters", "receivers", "files"):
             _check_count(name, getattr(self, name))
         samples = tuple((_as_fraction(mu), _as_fraction(v)) for mu, v in self.samples)
-        mus = [mu for mu, _ in samples]
-        if any(b <= a for a, b in zip(mus, mus[1:])):
-            raise ValueError("cache-size grid must be strictly increasing")
+        validate_grid(self.transmitters, [mu for mu, _ in samples])
         values = [v for _, v in samples]
         if any(b > a for a, b in zip(values, values[1:])):
             raise ValueError("bound values must be non-increasing in cache size")

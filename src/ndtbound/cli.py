@@ -11,7 +11,8 @@ verify
     Run every oracle suite and report one line per check family.
 point
     Evaluate a single bound value with the maximizing cut size and the
-    active envelope segment, for debugging the envelope-then-max pipeline.
+    active envelope segment, read from the integer chords behind the value
+    (no hull is built).
 
 Exit codes: 0 ok, 1 bad configuration, 2 infeasible (peak bound with fewer
 files than receivers).  Output is byte-identical for identical inputs,
@@ -58,7 +59,7 @@ _MC_CHUNK = 4096
 MAX_GRID_POINTS = 10**6
 
 # a larger pmf, receivers * min(files, receivers) Stirling-row steps, is refused
-# before it is built (about 5 s at the cap, 2000 receivers and files)
+# before it is built (7 s at the cap, 2000 receivers and files; it counts steps, not digits)
 MAX_PMF_CELLS = 4 * 10**6
 
 # an expected sweep past grid points * min(files, receivers) category bounds is
@@ -71,8 +72,8 @@ MAX_CATEGORY_BOUNDS = 10**6
 MAX_DRAWS = 10**8
 
 # a larger --kt is refused before any bound is computed (at the cap a 41-point
-# peak sweep computes its bounds in about 20 ms, 0.3 s with interpreter start;
-# the work grows a little faster than --kt, with the size of C(kt, x))
+# peak sweep computes its bounds in about 16 ms, 1 ms at --kt 20, and the request
+# takes 0.14 s with interpreter start, 0.12 s at --kt 20)
 MAX_TRANSMITTERS = 2000
 
 # --decimal's cap: to_decimal builds 10**digits, so the cap bounds its work (it
@@ -117,11 +118,9 @@ class RunConfig(_Checked, _RunConfig):
             output_format=row.formats[0] if self.output_format is None else self.output_format,
             overlays=tuple(self.overlays),
         )
-        for name, allowed in (
-            ("output_format", row.formats),
-            ("envelope_order", ENVELOPE_ORDERS),
-            ("kind", BOUND_KINDS),
-        ):
+        choices = [(option.field, option.keywords["choices"])
+                   for option in _OPTIONS.values() if "choices" in option.keywords]
+        for name, allowed in [("output_format", row.formats), *choices]:
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
@@ -155,7 +154,8 @@ class RunConfig(_Checked, _RunConfig):
             if option.field not in read
             and getattr(self, option.field) != RunConfig._field_defaults[option.field]
         ), None)
-        # the other settings, one row each, all checked before any bound is computed
+        # the other settings, one row each, all checked before any bound is computed; the
+        # products print through Decimal, exempt from the int-to-str limit of 4300 digits
         for bad, message in (
             ("grid" in row.options and self.mu_grid is None, "missing required options: --grid"),
             ("mu" in row.options and self.mu is None, "missing required options: --mu"),
@@ -170,8 +170,8 @@ class RunConfig(_Checked, _RunConfig):
             (sampled >= SUB_SEED_STRIDE,
              f"a sampled grid must have fewer than {SUB_SEED_STRIDE} points, got {sampled}"),
             (draws > MAX_DRAWS,
-             f"Monte-Carlo sampling needs --samples * grid points * --kr = {draws} draws, over "
-             f"the cap of {MAX_DRAWS}"),
+             f"Monte-Carlo sampling needs --samples * grid points * --kr = {Decimal(draws)} "
+             f"draws, over the cap of {MAX_DRAWS}"),
             (unknown is not None, f"unknown overlay {unknown!r}; registered: {', '.join(known)}"),
             (self.decimal is not None and self.decimal < 0,
              f"--decimal must be nonnegative, got {self.decimal}"),
@@ -183,10 +183,10 @@ class RunConfig(_Checked, _RunConfig):
             (not 1 <= self.max_transmitters <= 10,
              f"--kt-max must lie in [1, 10], got {self.max_transmitters}"),
             (cells > MAX_PMF_CELLS,
-             f"the pmf needs --kr * min(--files, --kr) = {cells} steps, over the cap of "
+             f"the pmf needs --kr * min(--files, --kr) = {Decimal(cells)} steps, over the cap of "
              f"{MAX_PMF_CELLS}"),
             (categories > MAX_CATEGORY_BOUNDS,
-             f"the sweep needs grid points * min(--files, --kr) = {categories} category "
+             f"the sweep needs grid points * min(--files, --kr) = {Decimal(categories)} category "
              f"bounds, over the cap of {MAX_CATEGORY_BOUNDS}"),
             # last, so that a setting's own check speaks first
             (unread is not None, f"{self.command} does not read --{unread}"),
@@ -415,7 +415,7 @@ def _run_sweep(config: RunConfig) -> int:
     curve = sweep(*network, config.mu_grid, kind, config.envelope_order)
     grid = tuple(mu for mu, _ in curve.samples)
     columns = {"mu": grid, "value": curve.values()}
-    if kind == "expected" and config.samples:
+    if config.samples:
         columns["mc_value"] = _mc_column(config, grid)
     registry = default_registry()
     for name in registry.names():  # overlay columns follow registration order, not request order

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import random
 import struct
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, product, repeat
@@ -181,10 +182,14 @@ def enumerate_demands(files: int, receivers: int) -> Iterator[Demand]:
     """
     _check_count("files", files)
     _check_count("receivers", receivers)
-    total = files**receivers
-    if total > DEFAULT_ENUMERATION_CAP:
+    # files**receivers >= 2**bits: past twice the cap's bits the power is refused unbuilt,
+    # and the message prints through Decimal, exempt from the int-to-str digit limit
+    bits = receivers * (files.bit_length() - 1)
+    total = files**receivers if bits <= 2 * DEFAULT_ENUMERATION_CAP.bit_length() else None
+    if total is None or total > DEFAULT_ENUMERATION_CAP:
+        size = f">= 2^{Decimal(bits)}" if total is None else f"= {total}"
         raise CapExceeded(
-            f"{files}^{receivers} = {total} demand vectors exceed the cap of "
+            f"{Decimal(files)}^{Decimal(receivers)} {size} demand vectors exceed the cap of "
             f"{DEFAULT_ENUMERATION_CAP}"
         )
     return iter(product(range(1, files + 1), repeat=receivers))

@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .bounds import ConvexEnvelope
-from .combinatorics import _as_fraction, _check_count, _check_int, _Checked, binom
+from .combinatorics import _as_fraction, _check_int, _Checked, binom
 
 
 # the grid scan's resolution: pair weights are multiples of 1/SCAN_STEPS
@@ -140,31 +140,28 @@ def lp_min_placement(transmitters: int, cut_size: int, replication) -> LpSolutio
     )
 
 
-def grid_scan_min_placement(
-    transmitters: int, cut_size: int, replication, steps: int = SCAN_STEPS
-) -> Fraction | None:
+def grid_scan_min_placement(transmitters: int, cut_size: int, replication) -> Fraction | None:
     """Naive cross-check: scan pair-supported profiles on a weight grid.
 
-    Only profiles whose pair weight is an exact multiple of 1/steps are
+    Only profiles whose pair weight is an exact multiple of 1/SCAN_STEPS are
     admitted, so the scan explores a subset of the feasible set and can
     never beat the vertex optimum.  Returns None if no scanned profile
     meets the replication constraint exactly.
     """
-    _check_count("steps", steps)
     t, covered, total = _placement_inputs(transmitters, cut_size, replication)
-    q, target = t.denominator, t.numerator * steps
-    # the pair weight a1 = j/steps is admitted when a1*n1 + (1 - a1)*n2 == t,
+    q, target = t.denominator, t.numerator * SCAN_STEPS
+    # with S = SCAN_STEPS, the pair weight a1 = j/S is admitted when a1*n1 + (1 - a1)*n2 == t,
     # tested in integers; an admitted point scores
-    # (j*covered[n1]*total[n2] + (steps - j)*covered[n2]*total[n1]) / (steps*total[n1]*total[n2])
+    # (j*covered[n1]*total[n2] + (S - j)*covered[n2]*total[n1]) / (S*total[n1]*total[n2])
     admitted = (
         (
-            j * covered[n1] * total[n2] + (steps - j) * covered[n2] * total[n1],
-            steps * total[n1] * total[n2],
+            j * covered[n1] * total[n2] + (SCAN_STEPS - j) * covered[n2] * total[n1],
+            SCAN_STEPS * total[n1] * total[n2],
         )
         for n1 in range(1, transmitters + 1)
         for n2 in range(n1, transmitters + 1)
-        for j in range(steps + 1)
-        if q * (j * n1 + (steps - j) * n2) == target
+        for j in range(SCAN_STEPS + 1)
+        if q * (j * n1 + (SCAN_STEPS - j) * n2) == target
     )
     best = next(admitted, None)
     if best is None:

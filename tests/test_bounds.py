@@ -672,6 +672,16 @@ def test_bound_curve_invariants():
         BoundCurve("sideways", 2, 2, 2, ((F(1), F(1)),))
 
 
+def test_bound_curve_checks_its_grid_as_sweep_does():
+    # the grid checks of validate_grid: nonempty, and within [1/KT, 1]
+    with pytest.raises(ValueError, match="^cache-size grid must be nonempty$"):
+        BoundCurve("peak", 3, 3, 3, ())
+    for mu in (F(1, 4), F(5, 4)):
+        with pytest.raises(ValueError, match=r"must stay within \[1/3, 1\]"):
+            BoundCurve("peak", 3, 3, 3, ((mu, F(1)),))
+    assert BoundCurve("peak", 3, 3, 3, ((F(1, 3), F(2)), (F(1), F(1)))).values() == (F(2), F(1))
+
+
 def test_bound_curve_rejects_inexact_values_and_bool_counts():
     samples = ((F(1, 3), F(3, 2)), (F(2, 3), F(5, 4)))
     assert BoundCurve("peak", 3, 3, 3, samples).values() == (F(3, 2), F(5, 4))

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -857,6 +858,36 @@ def test_pmf_cost_is_capped_before_any_work(args, cells, capsys, monkeypatch):
         f"error: the pmf needs --kr * min(--files, --kr) = {cells} steps, over the cap of "
         f"{cli.MAX_PMF_CELLS}"
     )
+
+
+def test_cap_messages_print_products_past_the_digit_limit(capsys):
+    # the products have more than 4300 digits, which str() of an int refuses
+    nines, big = "9" * 4299, "1" * 4299
+    for args, message in (
+        (["expected-sweep", "--grid", "1/5:1:41", "--kr", "2000", "--samples", nines],
+         "Monte-Carlo sampling needs --samples * grid points * --kr = "
+         f"{Decimal(41 * int(nines) * 2000)} draws, over the cap of {cli.MAX_DRAWS}"),
+        (["distribution", "--files", big, "--kr", big],
+         f"the pmf needs --kr * min(--files, --kr) = {Decimal(int(big) ** 2)} steps, over the "
+         f"cap of {cli.MAX_PMF_CELLS}"),
+    ):
+        assert run_cli(capsys, *args) == (1, "", f"error: {message}\n")
+
+
+def test_help_names_every_option_of_each_command(capsys):
+    # argparse %-formats help text, so a stray % in a help string would crash here
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert all(command in out for command in _COMMANDS)
+    for command, row in _COMMANDS.items():
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        for flag in ("--config", "--format", "--out", *(f"--{key}" for key in row.options)):
+            assert re.search(rf"{flag}\b(?!-)", out), (command, flag)
 
 
 def test_pmf_cap_spares_runs_without_a_pmf():

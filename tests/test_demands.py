@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -140,6 +141,18 @@ def test_enumeration_cap_is_fixed():
     # one cap for every caller: no keyword can raise or lower it
     with pytest.raises(TypeError):
         enumerate_demands(2, 2, cap=4)
+
+
+def test_enumeration_cap_refuses_powers_past_the_digit_limit_unbuilt():
+    # 10^4300 and 2^14300 have more than 4300 digits, which str() of an int
+    # refuses, and 10^(10^7) takes seconds to build
+    for files, receivers in ((10, 4300), (2, 14300)):
+        with pytest.raises(CapExceeded, match=rf"^{files}\^{receivers} >= 2\^\d+ demand vectors"):
+            enumerate_demands(files, receivers)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=r"^10\^10000000 >= 2\^30000000 demand vectors exceed"):
+        enumerate_demands(10, 10**7)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_sampler_single_file_library():

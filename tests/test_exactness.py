@@ -83,7 +83,7 @@ ROWS = [
         3, distinct_distribution(3, 3), F(3, 2),
     ),
     row("full_verification", full_verification, 1, 1),
-    row("grid_scan_min_placement", grid_scan_min_placement, 3, 2, F(3, 2), steps=4),
+    row("grid_scan_min_placement", grid_scan_min_placement, 3, 2, F(3, 2)),
     row("lp_matches_corner_claim", lp_matches_corner_claim, 1),
     row("lp_min_placement", lp_min_placement, 3, 2, F(3, 2)),
     row("sample_demands", sample_demands, 3, 2, 2, 1),

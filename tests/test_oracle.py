@@ -12,6 +12,7 @@ from ndtbound import oracle
 from ndtbound.bounds import bound_expression
 from ndtbound.combinatorics import binom
 from ndtbound.oracle import (
+    SCAN_STEPS,
     CheckReport,
     Infeasible,
     LpSolution,
@@ -124,13 +125,13 @@ def test_grid_scan_agrees_with_vertex_enumeration():
         for cut in range(1, kt + 1):
             for t in quarter_grid(kt):
                 vertex = lp_min_placement(kt, cut, t).optimum
-                scanned = grid_scan_min_placement(kt, cut, t, steps=64)
+                scanned = grid_scan_min_placement(kt, cut, t)
                 assert scanned is not None
                 assert vertex <= scanned
                 assert scanned - vertex <= resolution
 
 
-def fraction_admission_scan(transmitters, cut_size, t, steps):
+def fraction_admission_scan(transmitters, cut_size, t):
     """Reference grid scan: every grid weight is a Fraction, and admission is
     tested in Fraction arithmetic."""
     weights = {
@@ -139,8 +140,8 @@ def fraction_admission_scan(transmitters, cut_size, t, steps):
     best = None
     for n1 in range(1, transmitters + 1):
         for n2 in range(n1, transmitters + 1):
-            for j in range(steps + 1):
-                a1 = F(j, steps)
+            for j in range(SCAN_STEPS + 1):
+                a1 = F(j, SCAN_STEPS)
                 if a1 * n1 + (1 - a1) * n2 != t:
                     continue
                 value = a1 * weights[n1] + (1 - a1) * weights[n2]
@@ -155,20 +156,16 @@ def scan_cases(draw):
     cut = draw(st.integers(1, kt))
     denominator = draw(st.integers(1, 12))
     t = F(draw(st.integers(denominator, kt * denominator)), denominator)
-    return kt, cut, t, draw(st.integers(1, 64))
+    return kt, cut, t
 
 
 @settings(max_examples=300, deadline=None)
 @given(scan_cases())
-@example((3, 2, F(3, 2), 1))  # no grid weight admits t: None on both sides
-@example((5, 3, F(7, 5), 64))  # t off the 1/64 grid of every pair
-@example((6, 4, F(13, 4), 64))
-@example((1, 1, F(1), 1))
+@example((5, 3, F(7, 5)))  # t off the 1/64 grid of every pair: None on both sides
+@example((6, 4, F(13, 4)))
+@example((1, 1, F(1)))
 def test_grid_scan_matches_fraction_admission(case):
-    kt, cut, t, steps = case
-    assert grid_scan_min_placement(kt, cut, t, steps) == fraction_admission_scan(
-        kt, cut, t, steps
-    )
+    assert grid_scan_min_placement(*case) == fraction_admission_scan(*case)
 
 
 def fraction_vertex_enumeration(transmitters, cut_size, t):
@@ -231,18 +228,18 @@ def test_lp_oracles_build_one_fraction_per_call_not_per_candidate(monkeypatch):
         return len(built)
 
     # 2 straddling pairs against 25, a singleton and 3 pairs against a singleton
-    # and 29 pairs, and 1 admitted grid point against more than 65 (every j at
+    # and 29 pairs, and 2 admitted grid points against more than 65 (every j at
     # n1 = n2 = 5)
     for few, many in (
         (lambda: lp_min_placement(3, 2, F(3, 2)), lambda: lp_min_placement(10, 5, F(11, 2))),
         (lambda: lp_min_placement(3, 2, F(2)), lambda: lp_min_placement(10, 5, F(5))),
         (
-            lambda: grid_scan_min_placement(3, 2, F(3, 2), steps=2),
-            lambda: grid_scan_min_placement(10, 5, F(5), steps=64),
+            lambda: grid_scan_min_placement(3, 2, F(3, 2)),
+            lambda: grid_scan_min_placement(10, 5, F(5)),
         ),
     ):
         assert count(few) == count(many) > 0
-    assert count(lambda: grid_scan_min_placement(10, 5, F(5), steps=64)) == 1
+    assert count(lambda: grid_scan_min_placement(10, 5, F(5))) == 1
 
 
 def test_lp_optimum_feeds_the_bound_expression():
@@ -320,15 +317,13 @@ def test_grid_scan_suite_checks_its_size():
 
 
 def test_grid_scan_checks_its_steps():
-    # steps = 0 divided by zero, -2 scanned nothing and returned None, and
-    # True scanned as steps = 1
-    for steps in (0, -2):
-        with pytest.raises(ValueError):
-            grid_scan_min_placement(3, 2, 2, steps=steps)
-    for steps in (True, 2.0):
+    # the scan has one resolution, 1/SCAN_STEPS: no argument sets another
+    for steps in (1, 4, SCAN_STEPS):
         with pytest.raises(TypeError):
             grid_scan_min_placement(3, 2, 2, steps=steps)
-    assert grid_scan_min_placement(3, 2, 2, steps=1) == F(1, 3)
+        with pytest.raises(TypeError):
+            grid_scan_min_placement(3, 2, 2, steps)
+    assert grid_scan_min_placement(3, 2, 2) == F(1, 3)
 
 
 def test_suites_reject_bool_and_float_sizes():
@@ -397,7 +392,7 @@ def test_counts_are_checked_once_per_call_not_once_per_weight(monkeypatch):
         for call in (
             lambda: check_discrete_convexity(kt, 2),
             lambda: lp_min_placement(kt, 2, F(3, 2)),
-            lambda: grid_scan_min_placement(kt, 2, F(3, 2), steps=4),
+            lambda: grid_scan_min_placement(kt, 2, F(3, 2)),
         ):
             names.clear()
             call()
