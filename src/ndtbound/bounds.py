@@ -63,6 +63,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache, lru_cache
+from math import comb
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -277,32 +278,46 @@ def _category_value(
     """Shared body of ``category_bound`` and ``category_bound_detail``, with the
     replication as ``p/q`` in lowest terms: checks the arguments, and returns the
     value and the winning cut (None in proof order).  Kept private so that a call
-    of one public name never shows up in call counts as a call of the other."""
+    of one public name never shows up in call counts as a call of the other.
+
+    Every cold category bound runs here, so ``_cut`` and ``_top`` are inlined on
+    ints (the tests check this body against them): both chord ends have x >= 1
+    and every cut is at least 1, so ``math.comb`` needs no range mapping."""
     if order not in ENVELOPE_ORDERS:
         raise ValueError(f"order must be one of {ENVELOPE_ORDERS}, got {order!r}")
-    _check_count("transmitters", transmitters)
-    _check_count("distinct", distinct)
+    # inline type gates, as in binom; _check_count speaks for a bad value
+    if type(transmitters) is not int or transmitters < 1:
+        _check_count("transmitters", transmitters)
+    if type(distinct) is not int or distinct < 1:
+        _check_count("distinct", distinct)
     if not q <= p <= transmitters * q:
         raise ValueError(
             f"replication must lie in [1, {transmitters}], got {Fraction(p, q)}"
         )
     denominator, lo, w_lo, hi, w_hi = _cut_slopes(transmitters, p, q)
-
-    def extra(cut: int | None) -> int:
-        return (
-            w_lo * _top(transmitters, distinct, lo, cut)
-            + w_hi * _top(transmitters, distinct, hi, cut)
-        )
-
+    # _cut at each chord end: ceil(s*(x - 1)/x) is at most s, and 0 only at x = 1
+    cut_lo = min(-(-distinct * (lo - 1) // lo) or 1, transmitters)
+    cut_hi = min(-(-distinct * (hi - 1) // hi) or 1, transmitters)
     if order == "proof":
         best_cut = None  # each end at its own best cut: the chord of the maxima
     elif distinct <= lo:
-        best_cut = 1  # every term is 0
-    else:
-        first = _cut(transmitters, distinct, lo)
-        cuts = range(first, _cut(transmitters, distinct, hi))
-        best_cut = first + bisect_left(cuts, True, key=lambda c: extra(c + 1) <= extra(c))
-    return Fraction(denominator + extra(best_cut), denominator), best_cut
+        return Fraction(1), 1  # every term is 0
+    else:  # both ends at one shared cut, bisected between the two
+        if cut_lo < cut_hi:
+
+            def extra(c: int) -> int:
+                return (distinct - c) * (w_lo * comb(c - 1, lo - 1) + w_hi * comb(c - 1, hi - 1))
+
+            cut_lo += bisect_left(
+                range(cut_lo, cut_hi), True, key=lambda c: extra(c + 1) <= extra(c)
+            )
+        best_cut = cut_hi = cut_lo
+    return Fraction(
+        denominator
+        + w_lo * (distinct - cut_lo) * comb(cut_lo - 1, lo - 1)
+        + w_hi * (distinct - cut_hi) * comb(cut_hi - 1, hi - 1),
+        denominator,
+    ), best_cut
 
 
 def category_bound_detail(
@@ -339,17 +354,19 @@ def category_bound(
     transmitters: int, distinct: int, replication, order: str = "theorem"
 ) -> Fraction:
     """Bound for the category of demands with ``distinct`` different files."""
-    p, q = _as_fraction(replication).as_integer_ratio()
-    return _category_bound(transmitters, distinct, p, q, order)
+    if type(replication) is not Fraction:  # a sweep's Fraction is exact already
+        replication = _as_fraction(replication)
+    p, q = replication.as_integer_ratio()
+    return _category_bound(transmitters, distinct, p, q, order)[0]
 
 
 # Keyed by the replication's integer ratio, so a hit hashes ints and the order's
 # str in C, never a Fraction (whose __hash__ is Python code).  category_bound
 # refuses floats and bools in _as_fraction on every call, hit or miss; typed, so
-# a bool count is not answered from an int's entry.
-@lru_cache(maxsize=4096, typed=True)
-def _category_bound(transmitters: int, distinct: int, p: int, q: int, order: str) -> Fraction:
-    return _category_value(transmitters, distinct, p, q, order)[0]
+# a bool count is not answered from an int's entry.  It caches _category_value
+# itself, so a miss runs one Python frame under the cache, and
+# category_bound_detail calls the uncached body.
+_category_bound = lru_cache(maxsize=4096, typed=True)(_category_value)
 
 
 category_bound.cache_info = _category_bound.cache_info

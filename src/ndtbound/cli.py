@@ -63,8 +63,8 @@ MAX_GRID_POINTS = 10**6
 MAX_PMF_CELLS = 4 * 10**6
 
 # an expected sweep past grid points * min(files, receivers) category bounds is
-# refused (a cold category bound takes 14-19 us at kt <= 20 and 136 us at
-# kt = 2000 and 2000 categories, so about 15-20 s and 2.3 min at the cap)
+# refused (a cold category bound takes about 3 us at kt = 20 and 50 us at
+# kt = 2000, so about 3 s and 50 s at the cap, before the average)
 MAX_CATEGORY_BOUNDS = 10**6
 
 # Monte-Carlo columns past samples * grid points * receivers draws are refused

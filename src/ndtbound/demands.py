@@ -125,11 +125,17 @@ class DistinctCountDistribution(_Checked, _DistinctCountDistribution):
         exact rational (``_as_fraction``), as one integer sum over one
         denominator: the counts over their total, the values over the lcm of
         their denominators."""
-        values = [_as_fraction(value) for value in values]
-        common = math.lcm(*(value.denominator for value in values))
+        # one as_integer_ratio per value; an int or a Fraction is exact already
+        ratios = [
+            (value if type(value) is Fraction or type(value) is int else _as_fraction(value))
+            .as_integer_ratio()
+            for value in values
+        ]
+        common = math.lcm(*(denominator for _, denominator in ratios))
+        # the small factors first, so each big count is multiplied once
         numerator = sum(
-            count * value.numerator * (common // value.denominator)
-            for count, value in zip(self.counts.values(), values, strict=True)
+            count * (numerator * (common // denominator))
+            for count, (numerator, denominator) in zip(self.counts.values(), ratios, strict=True)
         )
         return Fraction(numerator, self.total * common)
 
@@ -177,8 +183,8 @@ def enumerate_demands(files: int, receivers: int) -> Iterator[Demand]:
     """Yield every demand vector in [1..files]^receivers exactly once.
 
     The cap is fixed: raises CapExceeded when files^receivers exceeds
-    DEFAULT_ENUMERATION_CAP, before any vector is built, signalling the caller
-    to fall back to sampling.
+    DEFAULT_ENUMERATION_CAP, or a vector would hold more entries than that,
+    before any vector is built, signalling the caller to fall back to sampling.
     """
     _check_count("files", files)
     _check_count("receivers", receivers)
@@ -191,6 +197,13 @@ def enumerate_demands(files: int, receivers: int) -> Iterator[Demand]:
         raise CapExceeded(
             f"{Decimal(files)}^{Decimal(receivers)} {size} demand vectors exceed the cap of "
             f"{DEFAULT_ENUMERATION_CAP}"
+        )
+    # one file passes the vector cap at any length, but product builds a pool
+    # entry per receiver before it yields
+    if receivers > DEFAULT_ENUMERATION_CAP:
+        raise CapExceeded(
+            f"{Decimal(receivers)} receivers exceed the cap of {DEFAULT_ENUMERATION_CAP} "
+            "entries per demand vector"
         )
     return iter(product(range(1, files + 1), repeat=receivers))
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -100,6 +101,18 @@ def test_cache_hit_does_not_bypass_exactness_check():
     ):
         with pytest.raises(TypeError):
             call()
+
+
+def test_warm_int_key_does_not_answer_a_bool_or_a_float():
+    # True == 1.0 == 1 and all three hash alike: each argument in turn, after the
+    # all-int key is cached, must still reach a type check and raise
+    assert category_bound(1, 1, 1) == 1
+    for bad in (True, 1.0):
+        for args in ((bad, 1, 1), (1, bad, 1), (1, 1, bad)):
+            with pytest.raises(TypeError):
+                category_bound(*args)
+        for order in ENVELOPE_ORDERS:
+            assert category_bound(1, 1, 1, order) == 1
 
 
 def test_equal_replications_share_one_cache_entry():
@@ -912,10 +925,109 @@ def test_category_bound_reads_few_binomials(order):
         calls.append((n, k))
         return binom(n, k)
 
+    # the chord reads binom, the slope terms math.comb: count both
     for distinct, t in [(4000, F(5, 4)), (2000, F(3, 2)), (6002, F(2001, 2)), (3, F(1999, 2))]:
         category_bound.cache_clear()
         bounds._cut_slopes.cache_clear()
         calls.clear()
-        with patch.object(bounds, "binom", counted):
+        with patch.object(bounds, "binom", counted), patch.object(bounds, "comb", counted):
             category_bound(2000, distinct, t, order)
         assert 0 < len(calls) < 64, (distinct, t, len(calls))
+
+
+def category_value_by_helpers(kt: int, distinct: int, p: int, q: int, order: str):
+    """The slow path that the inline ``bounds._category_value`` replaced: the
+    chord weights from ``binom``, each end's slope term from ``_top`` at
+    ``_cut``'s cut, and in theorem order a bisection over the bracket
+    ``[_cut(lo), _cut(hi)]``.  Returns (value, best_cut)."""
+    lo, r = divmod(p, q)
+    hi = min(lo + 1, kt)
+    a, b = lo * binom(kt, lo), hi * binom(kt, hi)
+    denominator, w_lo, w_hi = q * a * b, (q - r) * b, r * a
+
+    def extra(cut):
+        return w_lo * bounds._top(kt, distinct, lo, cut) + w_hi * bounds._top(kt, distinct, hi, cut)
+
+    if order == "proof":
+        best_cut = None
+    elif distinct <= lo:
+        best_cut = 1
+    else:
+        first = bounds._cut(kt, distinct, lo)
+        cuts = range(first, bounds._cut(kt, distinct, hi))
+        best_cut = first + bisect_left(cuts, True, key=lambda c: extra(c + 1) <= extra(c))
+    return F(denominator + extra(best_cut), denominator), best_cut
+
+
+@st.composite
+def category_value_cases(draw):
+    kt = draw(st.integers(1, 40))
+    p, q = draw(replications(kt)).as_integer_ratio()
+    return kt, draw(st.integers(1, 80)), p, q, draw(st.sampled_from(ENVELOPE_ORDERS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(category_value_cases())
+@example((1, 1, 1, 1, "theorem"))
+@example((10, 4, 13, 2, "theorem"))  # s <= lo: every term is 0, cut 1
+@example((10, 4, 13, 2, "proof"))
+@example((40, 80, 40, 1, "proof"))  # t = KT: both ends clamp to KT
+@example((40, 80, 9, 8, "theorem"))  # clamps 1 and 40: a bisection
+@example((5, 3, 7, 3, "proof"))  # s < KT
+def test_inline_category_value_matches_its_helpers(case):
+    """The inline body gives the helpers' value and cut, and its two cut clamps
+    are ``_cut``'s at the chord ends: the proof order reads the slope term at
+    exactly those cuts, and the theorem order bisects exactly between them."""
+    kt, distinct, p, q, order = case
+    lo = p // q
+    hi = min(lo + 1, kt)
+    clamps = bounds._cut(kt, distinct, lo), bounds._cut(kt, distinct, hi)
+    combs, brackets = [], []
+
+    def comb(n, k):
+        combs.append((n, k))
+        return binom(n, k)
+
+    def bisect(cuts, *args, **kwargs):
+        brackets.append(cuts)
+        return bisect_left(cuts, *args, **kwargs)
+
+    with patch.object(bounds, "comb", comb), patch.object(bounds, "bisect_left", bisect):
+        value, best_cut = bounds._category_value(kt, distinct, p, q, order)
+    assert (value, best_cut) == category_value_by_helpers(kt, distinct, p, q, order)
+    if order == "proof":
+        assert combs == [(clamps[0] - 1, lo - 1), (clamps[1] - 1, hi - 1)]
+    elif distinct > lo:
+        # no bisection when the bracket holds one cut
+        assert brackets == ([range(*clamps)] if clamps[0] < clamps[1] else [])
+        assert clamps[0] <= best_cut <= clamps[1]
+
+
+def assert_theorem_cut_never_falls(kt: int, t, distincts):
+    cuts = [category_bound_detail(kt, s, t).best_cut for s in distincts]
+    assert all(a <= b for a, b in zip(cuts, cuts[1:])), (kt, t, list(zip(distincts, cuts)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(theorem_cut_cases())
+@example((1, 1, F(1)))
+@example((60, 1, F(121, 4)))  # the cut reaches KT inside the range
+@example((60, 1, F(9, 8)))  # ... and stays far below it
+def test_theorem_order_cut_never_falls_as_the_category_grows(case):
+    """For fixed (KT, t) the smallest maximizing cut is non-decreasing in s,
+    over every category 1..3*KT + 2 (so the drawn category is not used)."""
+    kt, _, t = case
+    assert_theorem_cut_never_falls(kt, t, range(1, 3 * kt + 3))
+
+
+def test_theorem_order_cut_never_falls_past_hypothesis_range():
+    # eight consecutive categories from a random start below 2*KT, where a small
+    # t's cut can still move, and a sorted sample over the whole range; each
+    # detail walk at KT 500 costs milliseconds, so the cases are few
+    rng = random.Random(500)
+    kt = 500
+    for q in (1, 3, 8):
+        t = F(rng.randint(q, 4 * q), q)
+        start = rng.randint(1, 2 * kt)
+        assert_theorem_cut_never_falls(kt, t, range(start, start + 8))
+        assert_theorem_cut_never_falls(kt, t, sorted(rng.sample(range(1, 3 * kt + 3), 8)))

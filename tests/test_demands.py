@@ -137,6 +137,16 @@ def test_enumeration_cap():
     assert next(stream) == (1,) * 7
 
 
+def test_enumeration_cap_bounds_the_vector_length():
+    # 1^(cap + 1) is one vector, within the vector cap, but product would build
+    # a pool of cap + 1 entries before yielding it
+    receivers = DEFAULT_ENUMERATION_CAP + 1
+    refused = rf"^{receivers} receivers exceed the cap of {DEFAULT_ENUMERATION_CAP} entries"
+    with pytest.raises(CapExceeded, match=refused):
+        enumerate_demands(1, receivers)
+    assert list(enumerate_demands(1, 3)) == [(1, 1, 1)]
+
+
 def test_enumeration_cap_is_fixed():
     # one cap for every caller: no keyword can raise or lower it
     with pytest.raises(TypeError):
