@@ -28,19 +28,19 @@ which is convex on the integers 1..KT (the oracle's
 envelope, so at fractional t both orders are chords between lo = floor(t) and
 hi = min(lo + 1, KT) with positive weight w_lo and weight w_hi >= 0 (0 at
 integer t): the bound's excess over 1 is ``sum w*T_x(c)`` over the two ends x,
-up to one common denominator, with the slope term ``T_x(c) = (s - c)*C(c - 1, x - 1)``
-(``_top``).  The proof order reads each end at its own best cut, the theorem
-order reads both ends at one shared cut.  Two lemmas place those cuts.
+up to one common denominator, with the slope term ``T_x(c) = (s - c)*C(c - 1, x - 1)``.
+The proof order reads each end at its own best cut, the theorem order reads
+both ends at one shared cut.  Two lemmas place those cuts.
 
 Bracket lemma.  For x <= c < s the ratio ``T_x(c + 1)/T_x(c)`` is
 ``(s - c - 1)*c / ((s - c)*(c - x + 1))``, which exceeds 1 iff ``c*x < s*(x - 1)``;
-below x the term is 0.  So with ``_cut(x) = min(max(1, ceil(s*(x - 1)/x)), KT, s)``,
-when s > x the term rises (strictly from x on) up to ``_cut(x)`` and never rises
-after it: ``_cut(x)`` is the proof order's smallest argmax at x (when s <= x
-every term is 0).  ``s*(x - 1)/x`` grows with x, so ``_cut(lo) <= _cut(hi)``.
-When s > lo, below ``_cut(lo)`` the theorem objective ``w_lo*T_lo + w_hi*T_hi``
-rises strictly (w_lo > 0), and past ``_cut(hi)`` it never rises, so its smallest
-argmax lies in ``[_cut(lo), _cut(hi)]``.  When s <= lo every term is 0, and the
+below x the term is 0.  So with ``cut(x) = min(max(1, ceil(s*(x - 1)/x)), KT, s)``,
+when s > x the term rises (strictly from x on) up to ``cut(x)`` and never rises
+after it: ``cut(x)`` is the proof order's smallest argmax at x (when s <= x
+every term is 0).  ``s*(x - 1)/x`` grows with x, so ``cut(lo) <= cut(hi)``.
+When s > lo, below ``cut(lo)`` the theorem objective ``w_lo*T_lo + w_hi*T_hi``
+rises strictly (w_lo > 0), and past ``cut(hi)`` it never rises, so its smallest
+argmax lies in ``[cut(lo), cut(hi)]``.  When s <= lo every term is 0, and the
 smallest argmax is cut 1.
 
 Log-concavity lemma.  On that bracket lo <= c < s, and as
@@ -52,17 +52,29 @@ algebra, combinatorics, and geometry").  So its ratio from c to c + 1 never
 increases, and the smallest argmax is the first c of the bracket with
 ``f(c + 1) <= f(c)``: a bisection.
 
-The hull vertices of a convex sequence are its ends and its strict kinks, so
-``category_bound_detail`` finds its segment by walking from t to the nearest
-kinks; the slope term is 0 from its first zero on, so no x past that zero is a
-kink and the walks skip the zero tail.
+Run lemma.  ``category_bound_detail``'s segment is the pair of hull vertices
+nearest t of ``h(x) = T_x(c)/(x*C(KT, x))``, at the winning cut (theorem order)
+or at each x's best cut (proof order).  The hull is 1..KT minus the interiors
+of h's flat runs, so the segment is the run that holds t strictly inside, if
+any, else ``(floor(t), ceil(t))``.  *Convexity of one cut's term.*  With
+``a = KT - x`` and ``b = c - x``, ``g(x - 1) + g(x + 1) - 2*g(x)`` has the sign of
+``(a - b)*(a - b - 1) = (KT - c)*(KT - c - 1)`` on 2..c, so ``(s - c)*g_c`` is
+strictly convex on 1..c + 1 and 0 after it, linear at c = KT - 1 and constant
+at c = KT: the theorem order's run is ``[c + 1, KT]`` when ``c < min(s, KT - 1)``,
+else ``[1, KT]``.  *Where h is flat.*  h is convex, so at a non-kink x the cut
+that attains h(x) also attains h(x - 1) and h(x + 1), and its term is affine
+on x - 1..x + 1.  *Which cuts attain.*  The bracket lemma's ratio test: cut KT
+iff ``x*(s - KT + 1) >= s``, cut KT - 1 iff ``x*(s - KT + 2) >= s >= x*(s - KT + 1)``.
+So the proof order's run is ``[s, KT]`` when s < KT (the zero tail), else
+``[ceil(s/(s - KT + 2)), floor(s/(s - KT + 1))]`` (cut KT - 1's line) and
+``[ceil(s/(s - KT + 1)), KT]`` (cut KT's constant ``(s - KT)/KT``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import comb
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -218,20 +230,6 @@ def envelope_for_cut(transmitters: int, distinct: int, cut_size: int) -> ConvexE
     )
 
 
-def _cut(transmitters: int, distinct: int, x: int) -> int:
-    """The smallest argmax over cuts 1..min(KT, s) of the slope term at integer x
-    when s > x (the bracket lemma); when s <= x every term is 0."""
-    return min(max(1, -(-distinct * (x - 1) // x)), transmitters, distinct)
-
-
-def _top(transmitters: int, distinct: int, x: int, cut: int | None = None) -> int:
-    """The slope term ``(s - c)*C(c - 1, x - 1)`` of ``cut`` at integer x, or with no
-    cut its maximum over cuts 1..min(KT, s)."""
-    if cut is None:
-        cut = _cut(transmitters, distinct, x)
-    return (distinct - cut) * binom(cut - 1, x - 1)
-
-
 @lru_cache(maxsize=1024)
 def _cut_slopes(transmitters: int, p: int, q: int) -> tuple[int, int, int, int, int]:
     """The chord of every cut's slope ``g_c(t)`` between ``lo = floor(t)`` and
@@ -280,9 +278,9 @@ def _category_value(
     value and the winning cut (None in proof order).  Kept private so that a call
     of one public name never shows up in call counts as a call of the other.
 
-    Every cold category bound runs here, so ``_cut`` and ``_top`` are inlined on
-    ints (the tests check this body against them): both chord ends have x >= 1
-    and every cut is at least 1, so ``math.comb`` needs no range mapping."""
+    Every cold category bound runs here, on ints, with cut(x) and the slope term
+    inline (``tests/test_bounds.py`` keeps both as references).  Chord ends and
+    cuts are at least 1, so ``math.comb`` needs no range mapping."""
     if order not in ENVELOPE_ORDERS:
         raise ValueError(f"order must be one of {ENVELOPE_ORDERS}, got {order!r}")
     # inline type gates, as in binom; _check_count speaks for a bad value
@@ -295,7 +293,7 @@ def _category_value(
             f"replication must lie in [1, {transmitters}], got {Fraction(p, q)}"
         )
     denominator, lo, w_lo, hi, w_hi = _cut_slopes(transmitters, p, q)
-    # _cut at each chord end: ceil(s*(x - 1)/x) is at most s, and 0 only at x = 1
+    # cut(x) at each chord end: ceil(s*(x - 1)/x) is at most s, and 0 only at x = 1
     cut_lo = min(-(-distinct * (lo - 1) // lo) or 1, transmitters)
     cut_hi = min(-(-distinct * (hi - 1) // hi) or 1, transmitters)
     if order == "proof":
@@ -323,31 +321,23 @@ def _category_value(
 def category_bound_detail(
     transmitters: int, distinct: int, replication, order: str = "theorem"
 ) -> CategoryBoundDetail:
-    """``category_bound`` with its winning cut and envelope segment."""
+    """``category_bound`` with its winning cut and envelope segment, by the
+    module docstring's run lemma; ``tests/test_bounds.py`` keeps the kink walk
+    it replaced (``segment_by_walk``) and checks both against the hull."""
     p, q = _as_fraction(replication).as_integer_ratio()
     value, best_cut = _category_value(transmitters, distinct, p, q, order)
-    # the convex slope term as (numerator, denominator); when s == c it is 0,
-    # and the walk stops at 1 and KT
-    @cache
-    def h(x: int) -> tuple[int, int]:
-        return _top(transmitters, distinct, x, best_cut), x * binom(transmitters, x)
-
-    def vertex(x: int) -> bool:
-        if x in (1, transmitters):
-            return True
-        # h(x - 1) + h(x + 1) > 2*h(x), times the three positive denominators
-        (left, d_left), (mid, d_mid), (right, d_right) = h(x - 1), h(x), h(x + 1)
-        return (left * d_right + right * d_left) * d_mid > 2 * mid * d_left * d_right
-
-    # h is 0 from x = zero on (past the cut, or from s in proof order), so no x
-    # past zero is a kink: each walk skips that tail, and the upward one ends at KT
-    zero = distinct if best_cut is None else best_cut + 1
-    floor = p // q
-    down = range(floor if floor == transmitters else min(floor, zero), 0, -1)
-    lo = next(x for x in down if vertex(x))
-    up = range(floor + (q > 1), min(zero, transmitters) + 1)
-    hi = next((x for x in up if vertex(x)), transmitters)
-    return CategoryBoundDetail(value=value, best_cut=best_cut, segment=(lo, hi))
+    kt, s = transmitters, distinct
+    if best_cut is not None:  # one cut's term: 0 past the cut, or linear or constant
+        runs = ((best_cut + 1, kt) if best_cut < min(s, kt - 1) else (1, kt),)
+    elif s < kt:
+        runs = ((s, kt),)  # every term is 0 from x = s on
+    else:  # cut KT - 1's line attains on the first run, cut KT's constant on the second
+        m = s - kt + 1
+        runs = ((-(-s // (m + 1)), s // m), (-(-s // m), kt))
+    # runs meet at most at an end, so only the first can hold a t below its end
+    a, b = runs[0] if p < runs[0][1] * q else runs[-1]
+    segment = (a, b) if a * q < p < b * q else (p // q, -(-p // q))
+    return CategoryBoundDetail(value=value, best_cut=best_cut, segment=segment)
 
 
 def category_bound(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cache
 from unittest.mock import patch
 
 import pytest
@@ -491,24 +492,101 @@ def slope_term_cases(draw):
     return kt, distinct, draw(replications(kt)), draw(st.sampled_from(ENVELOPE_ORDERS))
 
 
+def segment_by_walk(kt: int, distinct: int, t, best_cut: int | None) -> tuple[int, int]:
+    """The walk that the closed-form segment replaced: from t down and up to the
+    nearest vertex of ``h(x) = T_x(c)/(x*C(KT, x))``, at ``best_cut`` (theorem
+    order) or at each x's own best cut (None: proof order).  The vertices of a
+    convex sequence are its ends and its strict kinks, found by a
+    cross-multiplied integer test; h is 0 from its first zero on, so no x past
+    that zero is a kink and each walk skips the zero tail."""
+    p, q = F(t).as_integer_ratio()
+
+    @cache
+    def h(x: int) -> tuple[int, int]:
+        return slope_term(kt, distinct, x, best_cut), x * binom(kt, x)
+
+    def vertex(x: int) -> bool:
+        if x in (1, kt):
+            return True
+        # h(x - 1) + h(x + 1) > 2*h(x), times the three positive denominators
+        (left, d_left), (mid, d_mid), (right, d_right) = h(x - 1), h(x), h(x + 1)
+        return (left * d_right + right * d_left) * d_mid > 2 * mid * d_left * d_right
+
+    zero = distinct if best_cut is None else best_cut + 1
+    floor = p // q
+    down = range(floor if floor == kt else min(floor, zero), 0, -1)
+    lo = next(x for x in down if vertex(x))
+    up = range(floor + (q > 1), min(zero, kt) + 1)
+    return lo, next((x for x in up if vertex(x)), kt)
+
+
+def check_segment(kt: int, distinct: int, t, order: str, hull: bool = True):
+    detail = category_bound_detail(kt, distinct, t, order)
+    case = (kt, distinct, t, order)
+    assert detail.segment == segment_by_walk(kt, distinct, t, detail.best_cut), case
+    if hull:
+        env = ConvexEnvelope.of_points(
+            (x, F(slope_term(kt, distinct, x, detail.best_cut), x * binom(kt, x)))
+            for x in range(1, kt + 1)
+        )
+        assert detail.segment == nearest_vertices([x for x, _ in env.vertices], t), case
+
+
 @settings(max_examples=200, deadline=None)
 @given(slope_term_cases())
 @example((3, 3, F(3, 2), "theorem"))  # cut 2: 1/3, 1/6, 0 are collinear
 @example((11, 12, 5, "proof"))  # collinear interior runs: the hull skips 5
 @example((11, 12, 8, "proof"))  # ... and 7 through 10
 @example((40, 1, F(79, 2), "theorem"))  # s = 1: the slope term is 0 throughout
+# run edges at KT = 11, each end and 1/2 either side; proof order, s = KT - 1:
+# the zero tail [10, 11]
+@example((11, 10, F(19, 2), "proof"))
+@example((11, 10, 10, "proof"))
+@example((11, 10, F(21, 2), "proof"))
+@example((11, 10, 11, "proof"))
+# ... s = KT: cut KT - 1's line on [6, 11], cut KT's constant on the empty [11, 11]
+@example((11, 11, F(11, 2), "proof"))
+@example((11, 11, 6, "proof"))
+@example((11, 11, F(13, 2), "proof"))
+@example((11, 11, F(21, 2), "proof"))
+@example((11, 11, 11, "proof"))
+# ... s = KT + 1: the line on [4, 6], the constant on [6, 11]
+@example((11, 12, F(7, 2), "proof"))
+@example((11, 12, 4, "proof"))
+@example((11, 12, F(9, 2), "proof"))
+@example((11, 12, F(11, 2), "proof"))
+@example((11, 12, 6, "proof"))
+@example((11, 12, F(13, 2), "proof"))
+@example((11, 12, F(21, 2), "proof"))
+@example((11, 12, 11, "proof"))
+# theorem order: cut 9 < min(s, KT - 1), the zero tail [10, 11] just above t
+@example((11, 10, F(19, 2), "theorem"))
+# ... cut 1, the zero tail [2, 11]
+@example((11, 10, 10, "theorem"))
+@example((11, 10, F(21, 2), "theorem"))
+# ... cut 10 = KT - 1: the linear term's run [1, 11]
+@example((11, 11, 6, "theorem"))
+@example((11, 12, F(9, 2), "theorem"))
+# ... cut 11 = KT: the constant term's run [1, 11], at its end
+@example((11, 12, 11, "theorem"))
 def test_segment_kink_test_matches_hull_of_slope_term(case):
-    """The walk's cross-multiplied integer kink test against the Fraction hull:
-    the segment is the pair of ``ConvexEnvelope.of_points`` vertices nearest t
-    of the slope term ``h(x) = T_x(c)/(x*C(KT, x))``, at the winning cut in
-    theorem order and at each x's own best cut in proof order."""
-    kt, distinct, t, order = case
-    detail = category_bound_detail(kt, distinct, t, order)
-    hull = ConvexEnvelope.of_points(
-        (x, F(bounds._top(kt, distinct, x, detail.best_cut), x * binom(kt, x)))
-        for x in range(1, kt + 1)
-    )
-    assert detail.segment == nearest_vertices([x for x, _ in hull.vertices], t)
+    """The run lemma's segment equals the walk's, and the pair of
+    ``ConvexEnvelope.of_points`` vertices nearest t of the slope term, at the
+    winning cut in theorem order and at each x's own best cut in proof order."""
+    check_segment(*case)
+
+
+def test_segment_closed_form_matches_walk_past_hypothesis_range():
+    """Seeded cases at KT 200, 500 and 2000 against the walk, most of them at
+    the categories with the longest runs (s = KT - 1, KT, KT + 1); at KT 200
+    also against the hull."""
+    rng = random.Random(2000)
+    for kt in (200, 500, 2000):
+        for _ in range(40 if kt == 200 else 8):
+            distinct = rng.choice((kt - 1, kt, kt + 1, rng.randint(1, 3 * kt + 2)))
+            q = rng.randint(1, 8)
+            t = F(rng.randint(q, kt * q), q)
+            check_segment(kt, distinct, t, rng.choice(ENVELOPE_ORDERS), hull=kt == 200)
 
 
 @settings(max_examples=25, deadline=None)
@@ -739,8 +817,8 @@ def test_sweep_builds_one_distribution_per_curve(kind, monkeypatch):
 
 
 def test_bound_values_build_no_envelope():
-    """Both orders are chords of one slope term, and the segment is a walk to
-    the nearest kinks: no hull for a value or for its evidence.
+    """Both orders are chords of one slope term, and the segment is a flat run
+    of it in closed form: no hull for a value or for its evidence.
 
     KT = 26 is used by no other test, so no cache holds a hull built earlier."""
     kt, grid = 26, mu_grid(26, 7)
@@ -798,14 +876,23 @@ def smallest_argmax_of_slope_term(kt: int, distinct: int, x: int) -> tuple[int, 
 
 
 def closed_form_cut(kt: int, distinct: int, x: int) -> int:
-    """The first cut c with ``c*x >= s*(x - 1)``, clipped to [1, min(KT, s)]."""
+    """The first cut c with ``c*x >= s*(x - 1)``, clipped to [1, min(KT, s)]: the
+    smallest argmax over cuts of the slope term at integer x when s > x (the
+    bracket lemma); when s <= x every term is 0."""
     return min(max(1, -(-distinct * (x - 1) // x)), kt, distinct)
+
+
+def slope_term(kt: int, distinct: int, x: int, cut: int | None = None) -> int:
+    """The slope term ``(s - c)*C(c - 1, x - 1)`` of ``cut`` at integer x, or with
+    no cut its maximum over cuts 1..min(KT, s)."""
+    if cut is None:
+        cut = closed_form_cut(kt, distinct, x)
+    return (distinct - cut) * binom(cut - 1, x - 1)
 
 
 def check_closed_form_cut(kt: int, distinct: int, x: int):
     cut, best = smallest_argmax_of_slope_term(kt, distinct, x)
-    assert bounds._top(kt, distinct, x) == best
-    assert bounds._top(kt, distinct, x, closed_form_cut(kt, distinct, x)) == best
+    assert slope_term(kt, distinct, x) == best
     if best:  # when the maximum is 0 (s <= x), every cut attains it
         assert closed_form_cut(kt, distinct, x) == cut
     else:
@@ -918,7 +1005,8 @@ def test_theorem_order_cut_past_hypothesis_range():
 @pytest.mark.parametrize("order", ENVELOPE_ORDERS)
 def test_category_bound_reads_few_binomials(order):
     """Both orders read the slope term at two chord ends: a handful of binomials
-    per category, not a column of KT cuts (4,002 or more at KT = 2000)."""
+    per category, not a column of KT cuts (4,002 or more at KT = 2000).  The
+    detail's segment reads none, not a walk across 1..KT."""
     calls = []
 
     def counted(n, k):
@@ -926,35 +1014,36 @@ def test_category_bound_reads_few_binomials(order):
         return binom(n, k)
 
     # the chord reads binom, the slope terms math.comb: count both
-    for distinct, t in [(4000, F(5, 4)), (2000, F(3, 2)), (6002, F(2001, 2)), (3, F(1999, 2))]:
-        category_bound.cache_clear()
-        bounds._cut_slopes.cache_clear()
-        calls.clear()
-        with patch.object(bounds, "binom", counted), patch.object(bounds, "comb", counted):
-            category_bound(2000, distinct, t, order)
-        assert 0 < len(calls) < 64, (distinct, t, len(calls))
+    for bound in (category_bound, category_bound_detail):
+        for distinct, t in [(4000, F(5, 4)), (2000, F(3, 2)), (6002, F(2001, 2)), (3, F(1999, 2))]:
+            category_bound.cache_clear()
+            bounds._cut_slopes.cache_clear()
+            calls.clear()
+            with patch.object(bounds, "binom", counted), patch.object(bounds, "comb", counted):
+                bound(2000, distinct, t, order)
+            assert 0 < len(calls) < 64, (bound.__name__, distinct, t, len(calls))
 
 
 def category_value_by_helpers(kt: int, distinct: int, p: int, q: int, order: str):
     """The slow path that the inline ``bounds._category_value`` replaced: the
-    chord weights from ``binom``, each end's slope term from ``_top`` at
-    ``_cut``'s cut, and in theorem order a bisection over the bracket
-    ``[_cut(lo), _cut(hi)]``.  Returns (value, best_cut)."""
+    chord weights from ``binom``, each end's ``slope_term`` at
+    ``closed_form_cut``'s cut, and in theorem order a bisection over the bracket
+    ``[closed_form_cut(lo), closed_form_cut(hi)]``.  Returns (value, best_cut)."""
     lo, r = divmod(p, q)
     hi = min(lo + 1, kt)
     a, b = lo * binom(kt, lo), hi * binom(kt, hi)
     denominator, w_lo, w_hi = q * a * b, (q - r) * b, r * a
 
     def extra(cut):
-        return w_lo * bounds._top(kt, distinct, lo, cut) + w_hi * bounds._top(kt, distinct, hi, cut)
+        return w_lo * slope_term(kt, distinct, lo, cut) + w_hi * slope_term(kt, distinct, hi, cut)
 
     if order == "proof":
         best_cut = None
     elif distinct <= lo:
         best_cut = 1
     else:
-        first = bounds._cut(kt, distinct, lo)
-        cuts = range(first, bounds._cut(kt, distinct, hi))
+        first = closed_form_cut(kt, distinct, lo)
+        cuts = range(first, closed_form_cut(kt, distinct, hi))
         best_cut = first + bisect_left(cuts, True, key=lambda c: extra(c + 1) <= extra(c))
     return F(denominator + extra(best_cut), denominator), best_cut
 
@@ -976,12 +1065,12 @@ def category_value_cases(draw):
 @example((5, 3, 7, 3, "proof"))  # s < KT
 def test_inline_category_value_matches_its_helpers(case):
     """The inline body gives the helpers' value and cut, and its two cut clamps
-    are ``_cut``'s at the chord ends: the proof order reads the slope term at
+    are ``closed_form_cut``'s at the chord ends: the proof order reads the slope term at
     exactly those cuts, and the theorem order bisects exactly between them."""
     kt, distinct, p, q, order = case
     lo = p // q
     hi = min(lo + 1, kt)
-    clamps = bounds._cut(kt, distinct, lo), bounds._cut(kt, distinct, hi)
+    clamps = closed_form_cut(kt, distinct, lo), closed_form_cut(kt, distinct, hi)
     combs, brackets = [], []
 
     def comb(n, k):
@@ -1021,13 +1110,8 @@ def test_theorem_order_cut_never_falls_as_the_category_grows(case):
 
 
 def test_theorem_order_cut_never_falls_past_hypothesis_range():
-    # eight consecutive categories from a random start below 2*KT, where a small
-    # t's cut can still move, and a sorted sample over the whole range; each
-    # detail walk at KT 500 costs milliseconds, so the cases are few
+    # every category 1..3*KT + 2 at KT 500, for a small t, whose cut can still move
     rng = random.Random(500)
     kt = 500
     for q in (1, 3, 8):
-        t = F(rng.randint(q, 4 * q), q)
-        start = rng.randint(1, 2 * kt)
-        assert_theorem_cut_never_falls(kt, t, range(start, start + 8))
-        assert_theorem_cut_never_falls(kt, t, sorted(rng.sample(range(1, 3 * kt + 3), 8)))
+        assert_theorem_cut_never_falls(kt, F(rng.randint(q, 4 * q), q), range(1, 3 * kt + 3))
