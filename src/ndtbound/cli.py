@@ -27,7 +27,7 @@ import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
@@ -45,14 +45,11 @@ from .bounds import (
 from .combinatorics import MAX_LITERAL_DIGITS, _as_fraction, _check_int, _Checked, to_decimal
 from .comparator import Unavailable, default_registry
 from .demands import DistinctCountDistribution, distinct_distribution, sample_demands
-from .oracle import full_verification
+from .oracle import MAX_LIMIT, MAX_LP_TRANSMITTERS, full_verification
 
 # fixed stride mixing the user seed with the grid index for per-point
 # Monte-Carlo sub-streams
 SUB_SEED_STRIDE = 1_000_003
-
-# distinct counts a Monte-Carlo column reads and tallies at a time
-_MC_CHUNK = 4096
 
 # larger grids are refused before any point is built (10**6 points take seconds
 # to build; a preset's grid has 41)
@@ -63,8 +60,8 @@ MAX_GRID_POINTS = 10**6
 MAX_PMF_CELLS = 4 * 10**6
 
 # an expected sweep past grid points * min(files, receivers) category bounds is
-# refused (a cold category bound takes about 3 us at kt = 20 and 50 us at
-# kt = 2000, so about 3 s and 50 s at the cap, before the average)
+# refused (at the cap, 500 points at 2000 receivers and files, the whole request
+# takes about 11 s at kt = 20 and 105 s at kt = 2000 on a shared 2-CPU host)
 MAX_CATEGORY_BOUNDS = 10**6
 
 # Monte-Carlo columns past samples * grid points * receivers draws are refused
@@ -179,9 +176,10 @@ class RunConfig(_Checked, _RunConfig):
              f"--decimal may be at most {MAX_DECIMAL}, got {self.decimal}"),
             (self.transmitters > MAX_TRANSMITTERS,
              f"--kt may be at most {MAX_TRANSMITTERS}, got {self.transmitters}"),
-            (not 1 <= self.limit <= 16, f"--limit must lie in [1, 16], got {self.limit}"),
-            (not 1 <= self.max_transmitters <= 10,
-             f"--kt-max must lie in [1, 10], got {self.max_transmitters}"),
+            (not 1 <= self.limit <= MAX_LIMIT,
+             f"--limit must lie in [1, {MAX_LIMIT}], got {self.limit}"),
+            (not 1 <= self.max_transmitters <= MAX_LP_TRANSMITTERS,
+             f"--kt-max must lie in [1, {MAX_LP_TRANSMITTERS}], got {self.max_transmitters}"),
             (cells > MAX_PMF_CELLS,
              f"the pmf needs --kr * min(--files, --kr) = {Decimal(cells)} steps, over the cap of "
              f"{MAX_PMF_CELLS}"),
@@ -382,28 +380,23 @@ def _emit_table(config: RunConfig, columns: dict[str, Iterable]):
 def _mc_column(config: RunConfig, grid: tuple[Fraction, ...]) -> list[Fraction]:
     """Per-point sample mean of the per-demand category bound.
 
-    Each point's samples form a sampled ``DistinctCountDistribution``: the
-    distinct counts ``len(set(demand))``, counted over ``--samples`` demands,
-    which ``weighted_sum`` averages the category bounds over, as the exact
-    sweep averages them over the exact pmf.  The counts are read in chunks of
-    ``_MC_CHUNK``, each tallied in C, so memory stays at one chunk however many
-    samples are drawn.  Each sample still calls ``category_bound`` (a cache hit
-    keyed by ints after the first sample of each distinct count), because the
-    benchmark pins one call per sample; one call per distinct count waits for
-    that pin to be re-derived (ROADMAP item 1).
+    Each point's distinct counts ``len(set(demand))`` over its ``--samples``
+    demands are tallied in one ``Counter``: a sampled ``DistinctCountDistribution``
+    that ``weighted_sum`` averages the category bounds over, as the exact sweep
+    averages them over the exact pmf.  The column holds only the tally, at most
+    ``min(files, receivers)`` counts, however many samples are drawn.
+    ``tally.elements()`` replays one ``category_bound`` call per sample (an
+    int-keyed cache hit after each count's first), as the benchmark pins.
     """
     kt, order = config.transmitters, config.envelope_order
     means = []
     for index, mu in enumerate(grid):
         sub_seed = config.seed * SUB_SEED_STRIDE + index
         demands = sample_demands(config.files, config.receivers, config.samples, sub_seed)
-        t, counts = kt * mu, map(len, map(set, demands))
-        tally, bound_of = Counter(), {}
-        while chunk := list(islice(counts, _MC_CHUNK)):
-            tally.update(chunk)
-            bound_of.update(zip(
-                chunk, map(category_bound, repeat(kt), chunk, repeat(t), repeat(order))
-            ))
+        t, tally = kt * mu, Counter(map(len, map(set, demands)))
+        bound_of = dict(zip(tally.elements(), map(
+            category_bound, repeat(kt), tally.elements(), repeat(t), repeat(order)
+        )))
         sampled = DistinctCountDistribution(config.files, config.receivers, config.samples, tally)
         means.append(sampled.weighted_sum([bound_of[s] for s in sampled.counts]))
     return means

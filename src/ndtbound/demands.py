@@ -100,6 +100,11 @@ class DistinctCountDistribution(_Checked, _DistinctCountDistribution):
                 raise ValueError(f"count of {s} must be nonnegative, got {count}")
         return self.files, self.receivers, self.total, MappingProxyType(counts)
 
+    def __getnewargs__(self):
+        # a mappingproxy does not pickle: pickle and deepcopy rebuild the record
+        # through the constructor, from a plain dict of the counts
+        return (*self[:3], dict(self.counts))
+
     @property
     def masses(self) -> Mapping[int, Fraction]:
         """Each count over the total, in counts order, built on every read."""

@@ -27,6 +27,10 @@ from .combinatorics import _as_fraction, _check_int, _Checked, binom
 # the grid scan's resolution: pair weights are multiples of 1/SCAN_STEPS
 SCAN_STEPS = 64
 
+# verify's scope caps: the identity suite's --limit and the LP suites' --kt-max
+MAX_LIMIT = 16
+MAX_LP_TRANSMITTERS = 10
+
 
 class Infeasible(ValueError):
     """Replication outside [1, transmitters]; the LP has no feasible point."""
@@ -329,7 +333,7 @@ def check_averaging_identities(limit: int = 16) -> CheckReport:
     * cut-avoidance probability: the closed binomial form matches direct
       enumeration over every cut subset (subset sizes capped at 8).
     """
-    _check_int("limit", limit, 1, 16)
+    _check_int("limit", limit, 1, MAX_LIMIT)
     subset_cap = min(limit, 8)
 
     def complement():
@@ -381,7 +385,7 @@ def lp_matches_corner_claim(max_transmitters: int = 6) -> CheckReport:
     """LP optimum equals the corner weight at integer replication and the
     envelope interpolation of neighbouring corners at fractional replication
     (quarter grid)."""
-    _check_int("max_transmitters", max_transmitters, 1, 10)
+    _check_int("max_transmitters", max_transmitters, 1, MAX_LP_TRANSMITTERS)
 
     def corners():
         for kt, cut in _pairs(max_transmitters):
@@ -442,7 +446,7 @@ def check_convexity_sweep(max_transmitters: int = 8) -> CheckReport:
 def check_lp_against_grid_scan(max_transmitters: int = 5) -> CheckReport:
     """Vertex optimum vs. naive grid scan, at SCAN_STEPS, on a quarter
     replication grid."""
-    _check_int("max_transmitters", max_transmitters, 1, 10)
+    _check_int("max_transmitters", max_transmitters, 1, MAX_LP_TRANSMITTERS)
     resolution = Fraction(1, SCAN_STEPS)
 
     def outcomes():

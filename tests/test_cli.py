@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -336,41 +337,32 @@ def test_monte_carlo_column_makes_one_bound_call_per_sample(capsys, monkeypatch)
     assert [point for point, _ in calls] == [point for point in range(41) for _ in range(20)]
 
 
-def test_monte_carlo_column_holds_one_chunk_of_counts(capsys, monkeypatch):
-    """The column reads each point's stream one chunk at a time: its first
-    bound call comes after at most one chunk of demands, and its k-th after at
-    most k // chunk + 1 chunks."""
-    monkeypatch.chdir(PRESETS.parent)
-    expected = run_cli(capsys, *TOY_MC_REQUEST)
-    monkeypatch.setattr(cli, "_MC_CHUNK", 7)
-    drawn, calls = _count_column_work(monkeypatch)
-    assert run_cli(capsys, *TOY_MC_REQUEST) == expected
-    assert drawn == [20] * 41
-    for point in range(41):
-        yielded = [count for index, count in calls if index == point]
-        assert len(yielded) == 20 and yielded[0] <= 7
-        assert all(count <= 7 * (k // 7 + 1) for k, count in enumerate(yielded)), point
+def test_monte_carlo_column_holds_its_tally_not_its_samples():
+    """The column tallies each point's distinct counts as the stream yields them:
+    at one point with 100,000 samples its tracemalloc peak stays under 256 KB,
+    where a list of the 100,000 counts alone takes 800 KB."""
+    config = RunConfig("expected-sweep", mu_grid=(F(1, 2),), samples=100_000, seed=7)
+    tracemalloc.start()
+    try:
+        cli._mc_column(config, config.mu_grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
 
 
 # 100 and 255 files are drawn from each word's top byte, 256 from whole words
 @pytest.mark.parametrize("order", ["theorem", "proof"])
 @pytest.mark.parametrize("files", [100, 255, 256])
-def test_monte_carlo_column_is_the_running_fraction_sum(capsys, monkeypatch, files, order):
+def test_monte_carlo_column_is_the_running_fraction_sum(capsys, files, order):
     # 1/5:1:9 puts every other point on an integer replication t = 5*mu, and
     # --kr 1 groups each demand from the stream by a zip over one iterator
     for receivers, grid_text in [(20, "1/5:1:11"), (20, "1/5:1:9"), (1, "1/5:1:9")]:
-        # the column read in chunks of one, of 7 (the last of them partial), of
-        # exactly the 150 samples, and of the default, one chunk holding them all
-        runs = []
-        for chunk in (1, 7, 150, 4096):
-            monkeypatch.setattr(cli, "_MC_CHUNK", chunk)
-            runs.append(run_cli(
-                capsys, "expected-sweep", "--kt", "5", "--kr", str(receivers),
-                "--files", str(files), "--grid", grid_text, "--samples", "150", "--seed", "3",
-                "--envelope-order", order,
-            ))
-        assert runs == runs[:1] * 4, (receivers, grid_text)
-        status, out, err = runs[0]
+        status, out, err = run_cli(
+            capsys, "expected-sweep", "--kt", "5", "--kr", str(receivers),
+            "--files", str(files), "--grid", grid_text, "--samples", "150", "--seed", "3",
+            "--envelope-order", order,
+        )
         assert (status, err) == (0, "")
         rows = [line.split(",") for line in out.splitlines()[1:]]
         grid = parse_grid(grid_text)

@@ -3,6 +3,8 @@ constructor's checks on every way in (the constructor, ``_make``, ``_replace``).
 
 from __future__ import annotations
 
+import copy
+import pickle
 import re
 from fractions import Fraction
 
@@ -175,6 +177,20 @@ def test_replace_normalizes_as_the_constructor_does():
 def test_repr_names_the_class_and_its_fields(case):
     cls, args = case[:2]
     assert repr(cls(*args)).startswith(f"{cls.__name__}({cls._fields[0]}=")
+
+
+@pytest.mark.parametrize("case", RECORDS, ids=_ids)
+def test_record_round_trips_through_pickle_and_deepcopy(case):
+    """A record can cross to a process pool's worker: pickle and deepcopy
+    rebuild it through the constructor, equal and of the same class."""
+    cls, args = case[:2]
+    record = cls(*args)
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(copied) is cls and copied == record
+        if cls is DistinctCountDistribution:  # its counts keep their order, read-only
+            assert list(copied.counts.items()) == list(record.counts.items())
+            with pytest.raises(TypeError):
+                copied.counts[1] = 0
 
 
 def test_repr_reads_like_the_constructor_call():
