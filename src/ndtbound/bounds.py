@@ -50,7 +50,28 @@ sequences that are log-concave in c (binomial coefficients are log-concave in
 the upper index: Stanley 1989, "Log-concave and unimodal sequences in
 algebra, combinatorics, and geometry").  So its ratio from c to c + 1 never
 increases, and the smallest argmax is the first c of the bracket with
-``f(c + 1) <= f(c)``: a bisection.
+``f(c + 1) <= f(c)``, else cut(hi).
+
+Cut lemma.  With ``t = lo + r/q``, ``u = r*lo`` and ``v = (q - r)*(KT - lo)``,
+``w_hi/w_lo = u/v``, so on the bracket f is proportional to
+``F(c) = (s - c)*C(c - 1, lo - 1)*(lo*v + u*(c - lo))``.  For lo <= c < s every
+factor is positive, and ``F(c + 1) <= F(c)`` cross-multiplies to
+``(s - c - 1)*c*(lo*v + u*(c + 1 - lo)) <= (s - c)*(c - lo + 1)*(lo*v + u*(c - lo))``.
+The cubic terms cancel, leaving ``D(c) = a*c**2 + b*c + e >= 0`` with
+``a = u*(lo + 1)``, ``b = lo**2*(v - u) - u*(s*lo - 1)``, ``e = lo*(lo - 1)*s*(u - v)``,
+and by the log-concavity lemma D's sign on the bracket runs - then +.  So the
+cut is cut(lo) when ``D(cut(lo)) >= 0``, which always holds at u = 0 (integer
+t, where ``D(c) = lo*v*(c*lo - s*(lo - 1))``); else D has a real root past
+cut(lo) (a > 0), and the cut is the first integer c at or past it, capped at
+cut(hi).  ``2*a*c + b`` is an integer, so c is past the root iff
+``2*a*c + b >= ceil(sqrt(b**2 - 4*a*e))``, with the exact ceiling
+``ceil(sqrt(n)) = isqrt(n - 1) + 1`` for n >= 1.  *The cut never falls as s
+grows.*  D is linear in s with slope ``-lo*(u*(c - lo + 1) + v*(lo - 1)) <= 0``
+for c >= lo, and cut(lo) and cut(hi) never fall as s grows.  Let c' be the cut
+at s + 1 and c* the cut at s > lo (at s <= lo the cut is 1).  If c' < c*, then
+c' lies in both brackets, below c*, so D(c') < 0 at s and so at s + 1; then c'
+is neither the first c with D >= 0 at s + 1 nor cut(hi) at s + 1, which is at
+least cut(hi) at s >= c*: a contradiction.
 
 Run lemma.  ``category_bound_detail``'s segment is the pair of hull vertices
 nearest t of ``h(x) = T_x(c)/(x*C(KT, x))``, at the winning cut (theorem order)
@@ -72,10 +93,10 @@ So the proof order's run is ``[s, KT]`` when s < KT (the zero tail), else
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -300,15 +321,13 @@ def _category_value(
         best_cut = None  # each end at its own best cut: the chord of the maxima
     elif distinct <= lo:
         return Fraction(1), 1  # every term is 0
-    else:  # both ends at one shared cut, bisected between the two
-        if cut_lo < cut_hi:
-
-            def extra(c: int) -> int:
-                return (distinct - c) * (w_lo * comb(c - 1, lo - 1) + w_hi * comb(c - 1, hi - 1))
-
-            cut_lo += bisect_left(
-                range(cut_lo, cut_hi), True, key=lambda c: extra(c + 1) <= extra(c)
-            )
+    else:  # both ends at one shared cut: the first c of the bracket with D(c) >= 0
+        if cut_lo < cut_hi and p % q:  # else one cut, or integer t: D(cut(lo)) >= 0
+            u, v = p % q * lo, (q - p % q) * (transmitters - lo)  # t - lo == (p % q)/q
+            a, b = u * (lo + 1), lo * lo * (v - u) - u * (distinct * lo - 1)
+            e = lo * (u - v) * distinct * (lo - 1)
+            if (a * cut_lo + b) * cut_lo + e < 0:  # the first integer at or past D's upper root
+                cut_lo = min(-((b - isqrt(b * b - 4 * a * e - 1) - 1) // (2 * a)), cut_hi)
         best_cut = cut_hi = cut_lo
     return Fraction(
         denominator

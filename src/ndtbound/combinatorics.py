@@ -18,6 +18,8 @@ Rational = Fraction
 # CPython's default int-to-str digit limit: a rational literal whose exact value
 # has a longer numerator or denominator is refused, so every accepted one prints
 MAX_LITERAL_DIGITS = 4300
+# the smallest magnitude with more digits, built once rather than per literal
+_LITERAL_BOUND = 10**MAX_LITERAL_DIGITS
 # a decimal literal split at its exponent (Fraction's grammar; no p/q form)
 _EXPONENT = re.compile(r"([^/eE]*)[eE]([-+]?[\d_]+)\s*", re.DOTALL)
 
@@ -83,10 +85,6 @@ def _as_fraction(value) -> Fraction:
         )
     if not isinstance(value, str):
         return Fraction(value)
-    too_long = (
-        f"the exact value of {value!r} has a numerator or denominator of more than "
-        f"{MAX_LITERAL_DIGITS} digits"
-    )
     split = _EXPONENT.fullmatch(value)
     # m * 10**k keeps more than |k| - len(m) digits in its numerator or
     # denominator unless m is 0, so a long exponent is decided from the text,
@@ -94,12 +92,19 @@ def _as_fraction(value) -> Fraction:
     if split and abs(int(split[2])) > len(split[1]) + MAX_LITERAL_DIGITS:
         mantissa = Fraction(split[1])
         if mantissa:
-            raise ValueError(too_long)
+            raise _too_long(value)
         return mantissa
     result = Fraction(value)
-    if max(abs(result.numerator), result.denominator) >= 10**MAX_LITERAL_DIGITS:
-        raise ValueError(too_long)
+    if max(abs(result.numerator), result.denominator) >= _LITERAL_BOUND:
+        raise _too_long(value)
     return result
+
+
+def _too_long(value: str) -> ValueError:
+    return ValueError(
+        f"the exact value of {value!r} has a numerator or denominator of more than "
+        f"{MAX_LITERAL_DIGITS} digits"
+    )
 
 
 def surjection_count(k: int, s: int) -> int:

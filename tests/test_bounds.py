@@ -949,8 +949,8 @@ def test_theorem_order_segment_matches_its_closed_form():
 
 
 def theorem_order_by_linear_scan(kt: int, distinct: int, t) -> tuple[Fraction, int]:
-    """The linear scan the bisection replaces: the theorem-order value and its
-    smallest maximizing cut, over the chords
+    """The linear scan that the closed-form cut is checked against: the
+    theorem-order value and its smallest maximizing cut, over the chords
     ``(s - c)*(w_lo*C(c - 1, lo - 1) + w_hi*C(c - 1, hi - 1))`` between
     ``lo = floor(t)`` and ``hi = min(lo + 1, KT)``."""
     t = F(t)
@@ -986,9 +986,10 @@ def theorem_cut_cases(draw):
 @example((12, 30, 5))  # integer t: one end, the closed-form cut
 @example((60, 182, 60))  # t = KT
 @example((40, 122, F(9, 8)))  # the bracket spans most cuts
+@example((3, 6, F(3, 2)))  # D(2) = 0, an integer root: cuts 2 and 3 tie
 def test_theorem_order_cut_is_the_smallest_argmax(case):
-    """The bracket and log-concavity lemmas: bisection between the two ends'
-    closed-form cuts finds the linear scan's smallest argmax."""
+    """The bracket, log-concavity and cut lemmas: the first integer of the
+    bracket at or past D's upper root is the linear scan's smallest argmax."""
     check_theorem_order_cut(*case)
 
 
@@ -1061,35 +1062,75 @@ def category_value_cases(draw):
 @example((10, 4, 13, 2, "theorem"))  # s <= lo: every term is 0, cut 1
 @example((10, 4, 13, 2, "proof"))
 @example((40, 80, 40, 1, "proof"))  # t = KT: both ends clamp to KT
-@example((40, 80, 9, 8, "theorem"))  # clamps 1 and 40: a bisection
+@example((40, 80, 9, 8, "theorem"))  # clamps 1 and 40: the cut is D's root
+@example((3, 6, 3, 2, "theorem"))  # D(2) = 0, an integer root: cuts 2 and 3 tie
 @example((5, 3, 7, 3, "proof"))  # s < KT
 def test_inline_category_value_matches_its_helpers(case):
-    """The inline body gives the helpers' value and cut, and its two cut clamps
-    are ``closed_form_cut``'s at the chord ends: the proof order reads the slope term at
-    exactly those cuts, and the theorem order bisects exactly between them."""
+    """The inline body gives the helpers' value and cut, and reads the slope
+    term at exactly the cuts it uses: the proof order at ``closed_form_cut``'s
+    cut of each chord end, the theorem order at its winning cut alone (the cut
+    lemma reads no binomial), or nothing when s <= lo."""
     kt, distinct, p, q, order = case
     lo = p // q
     hi = min(lo + 1, kt)
-    clamps = closed_form_cut(kt, distinct, lo), closed_form_cut(kt, distinct, hi)
-    combs, brackets = [], []
+    combs = []
 
     def comb(n, k):
         combs.append((n, k))
         return binom(n, k)
 
-    def bisect(cuts, *args, **kwargs):
-        brackets.append(cuts)
-        return bisect_left(cuts, *args, **kwargs)
-
-    with patch.object(bounds, "comb", comb), patch.object(bounds, "bisect_left", bisect):
+    with patch.object(bounds, "comb", comb):
         value, best_cut = bounds._category_value(kt, distinct, p, q, order)
     assert (value, best_cut) == category_value_by_helpers(kt, distinct, p, q, order)
     if order == "proof":
+        clamps = closed_form_cut(kt, distinct, lo), closed_form_cut(kt, distinct, hi)
         assert combs == [(clamps[0] - 1, lo - 1), (clamps[1] - 1, hi - 1)]
     elif distinct > lo:
-        # no bisection when the bracket holds one cut
-        assert brackets == ([range(*clamps)] if clamps[0] < clamps[1] else [])
-        assert clamps[0] <= best_cut <= clamps[1]
+        assert combs == [(best_cut - 1, lo - 1), (best_cut - 1, hi - 1)]
+    else:
+        assert combs == []
+
+
+def test_inline_category_value_matches_its_helpers_past_hypothesis_range():
+    rng = random.Random(2000)
+    for _ in range(300):
+        kt, q = rng.randint(1, 2000), rng.randint(1, 1000)
+        p, q = F(rng.randint(q, kt * q), q).as_integer_ratio()
+        case = kt, rng.randint(1, 6000), p, q, "theorem"
+        assert bounds._category_value(*case) == category_value_by_helpers(*case), case
+
+
+@settings(max_examples=200, deadline=None)
+@given(theorem_cut_cases())
+@example((40, 122, F(9, 8)))  # the bracket spans most cuts
+@example((12, 30, 5))  # integer t: u = 0
+@example((3, 6, F(3, 2)))  # D(2) = 0
+def test_cut_lemma_quadratic_is_the_ratio_test(case):
+    """On the bracket ``[cut(lo), cut(hi))``, ``D(c) >= 0`` holds exactly when the
+    theorem objective ``extra(c + 1) <= extra(c)``, with ``extra`` read from
+    binomials; and D is the cross-multiplied ratio test, cubic terms cancelled."""
+    kt, distinct, t = case[0], case[1], F(case[2])
+    p, q = t.as_integer_ratio()
+    lo = p // q
+    hi = min(lo + 1, kt)
+    if distinct <= lo:
+        return  # every term is 0 and there is no bracket
+    r = p - lo * q
+    u, v = r * lo, (q - r) * (kt - lo)
+    a, b = u * (lo + 1), lo * lo * (v - u) - u * (distinct * lo - 1)
+    e = lo * (u - v) * distinct * (lo - 1)
+    w_lo, w_hi = (1 - (t - lo)) / (lo * binom(kt, lo)), (t - lo) / (hi * binom(kt, hi))
+    assert w_hi * v == w_lo * u  # the chord weights' ratio in small integers
+
+    def extra(c):
+        return w_lo * slope_term(kt, distinct, lo, c) + w_hi * slope_term(kt, distinct, hi, c)
+
+    for c in range(closed_form_cut(kt, distinct, lo), closed_form_cut(kt, distinct, hi)):
+        d = (a * c + b) * c + e
+        assert d == (distinct - c) * (c - lo + 1) * (lo * v + u * (c - lo)) - (
+            distinct - c - 1
+        ) * c * (lo * v + u * (c + 1 - lo)), (case, c)
+        assert (d >= 0) == (extra(c + 1) <= extra(c)), (case, c)
 
 
 def assert_theorem_cut_never_falls(kt: int, t, distincts):

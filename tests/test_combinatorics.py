@@ -5,11 +5,13 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ndtbound import combinatorics
 from ndtbound.combinatorics import (
     MAX_LITERAL_DIGITS,
     _as_fraction,
@@ -193,6 +195,19 @@ def test_literal_digit_limit_examples():
     for text in ("1/2e99999", "1e5e99999", "1e 99999"):
         with pytest.raises(ValueError, match="Invalid literal for Fraction"):
             _as_fraction(text)
+
+
+def test_literal_digit_limit_reads_one_precomputed_bound():
+    """Each literal is compared with one module-level power of ten, not a fresh
+    ``10**4300`` per call (58 us a literal, against 3 us for ``Fraction(text)``)."""
+    assert combinatorics._LITERAL_BOUND == 10**MAX_LITERAL_DIGITS
+    assert _as_fraction("123") == 123
+    with patch.object(combinatorics, "_LITERAL_BOUND", 10**3):
+        assert _as_fraction("999") == 999
+        with pytest.raises(ValueError, match="numerator or denominator of more than"):
+            _as_fraction("1234")
+        with pytest.raises(ValueError, match="numerator or denominator of more than"):
+            _as_fraction("1/1000")
 
 
 def digits(n: int) -> int:
