@@ -20,8 +20,10 @@ Two evaluation orders are exposed for comparison at fractional replication:
 The proof order is never below the theorem order; both agree at every integer
 replication.
 
-Neither order needs a hull.  The bound for cut c is ``1 + (s - c)*g_c(t)``
-with ``g_c(t) = C(c - 1, t - 1) / (t*C(KT, t))``, the coverage weight over c,
+Neither order needs a hull, and no bound value builds one: the reference
+hull, ``combinatorics.ConvexEnvelope``, is built only by ``envelope_for_cut``
+and by the oracle.  The bound for cut c is ``1 + (s - c)*g_c(t)`` with
+``g_c(t) = C(c - 1, t - 1) / (t*C(KT, t))``, the coverage weight over c,
 which is convex on the integers 1..KT (the oracle's
 ``discrete-convexity-full-range`` check); so is each ``(s - c)*g_c``, as
 ``s - c >= 0``, and so is their maximum over c.  A convex sequence is its own
@@ -93,14 +95,19 @@ So the proof order's run is ``[s, KT]`` when s < KT (the zero tail), else
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
-from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .combinatorics import _as_fraction, _check_count, _check_int, _Checked, binom
+from .combinatorics import (
+    ConvexEnvelope,
+    _as_fraction,
+    _check_count,
+    _check_int,
+    _Checked,
+    binom,
+)
 from .demands import DistinctCountDistribution, distinct_distribution
 
 ENVELOPE_ORDERS = ("theorem", "proof")
@@ -147,73 +154,6 @@ class NetworkConfig(_Checked, _NetworkConfig):
     def replication(self) -> Fraction:
         """Cache replication parameter t = transmitters * cache_fraction."""
         return self.transmitters * self.cache_fraction
-
-
-def _exact_points(pairs) -> tuple[tuple[int, Fraction], ...]:
-    points = []
-    for t, v in pairs:
-        x = _as_fraction(t)  # floats and bools raise TypeError
-        if x.denominator != 1:
-            raise ValueError(f"envelope abscissae must be integers, got {t!r}")
-        points.append((x.numerator, _as_fraction(v)))
-    return tuple(points)
-
-
-class _ConvexEnvelope(NamedTuple):
-    points: tuple[tuple[int, Fraction], ...]
-    vertices: tuple[tuple[int, Fraction], ...] | None = None
-
-
-class ConvexEnvelope(_Checked, _ConvexEnvelope):
-    """Lower convex envelope of points with integer abscissae.
-
-    ``points`` are the raw (t, value) pairs; ``vertices``, the envelope corners,
-    are derived from them.  Evaluation between vertices interpolates linearly,
-    so the envelope value at any abscissa never exceeds the raw value there.
-    """
-
-    __slots__ = ()
-
-    def _checked(self):
-        pts = _exact_points(self.points)
-        if not pts:
-            raise ValueError("envelope needs at least one point")
-        if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
-            raise ValueError("abscissae must be strictly increasing")
-        hull: list[tuple[int, Fraction]] = []
-        for p in pts:
-            # pop the last vertex while it is on or above the chord to p
-            while len(hull) >= 2:
-                o, a = hull[-2], hull[-1]
-                cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-                if cross <= 0:
-                    hull.pop()
-                else:
-                    break
-            hull.append(p)
-        vertices = tuple(hull)
-        if self.vertices is not None and _exact_points(self.vertices) != vertices:
-            raise ValueError(f"vertices must be the hull of the points, got {self.vertices!r}")
-        return pts, vertices
-
-    @classmethod
-    def of_points(cls, points: Iterable[tuple[int, Fraction]]) -> "ConvexEnvelope":
-        return cls(tuple(points))
-
-    def evaluate(self, x: Fraction) -> Fraction:
-        x = _as_fraction(x)
-        lo, hi = self.vertices[0][0], self.vertices[-1][0]
-        if not lo <= x <= hi:
-            raise ValueError(f"abscissa {x} outside envelope domain [{lo}, {hi}]")
-        # vertex abscissae are integers, so searching for floor(x) finds the
-        # same vertex as searching for x, with integer comparisons only
-        floor = x.numerator // x.denominator
-        i = bisect_right(self.vertices, floor, key=itemgetter(0)) - 1
-        x1, y1 = self.vertices[i]
-        if x == x1:
-            return y1
-        x2, y2 = self.vertices[i + 1]
-        return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
 
 
 def bound_expression(

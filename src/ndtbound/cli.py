@@ -115,6 +115,7 @@ class RunConfig(_Checked, _RunConfig):
         self = _RunConfig._make(self)._replace(
             output_format=row.formats[0] if self.output_format is None else self.output_format,
             overlays=tuple(self.overlays),
+            mu=None if self.mu is None else _as_fraction(self.mu),
         )
         choices = [(option.field, option.keywords["choices"])
                    for option in _OPTIONS.values() if "choices" in option.keywords]
@@ -122,10 +123,12 @@ class RunConfig(_Checked, _RunConfig):
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
-        # flags and config files parse ints; a config built in code may hold a bool or a float
+        # flags and config files parse ints; a config built in code may hold a bool, a
+        # float, or a None that means "unset" only where it is the default
         for key, option in _OPTIONS.items():
             value = getattr(self, option.field)
-            if option.keywords.get("type") is int and value is not None:
+            unset = value is None and RunConfig._field_defaults[option.field] is None
+            if option.keywords.get("type") is int and not unset:
                 _check_int(f"--{key}", value)
         known = default_registry().names()
         unknown = next((name for name in self.overlays if name not in known), None)
@@ -192,8 +195,10 @@ class RunConfig(_Checked, _RunConfig):
         ):
             if bad:
                 raise ValueError(message)
-        # a colon grid's points, built once every check passed
-        return self if self.mu_grid is None else self._replace(mu_grid=tuple(self.mu_grid))
+        # a colon grid's points, built once every check passed, and each one exact
+        if self.mu_grid is None:
+            return self
+        return self._replace(mu_grid=tuple(map(_as_fraction, self.mu_grid)))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -288,8 +293,8 @@ def _file_tokens(command: str, path: str) -> list[str]:
     that only other commands take are skipped, keys that no command takes are
     errors, and no key is read as an abbreviation."""
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path!r}: {exc}") from None
     # every command takes --format and --out, and some command takes each option
     taken = {"format", "out", *_COMMANDS[command].options}
@@ -352,7 +357,7 @@ def _render(config: RunConfig, value):
 def _emit(config: RunConfig, text: str):
     if config.output_path:
         try:
-            Path(config.output_path).write_text(text)
+            Path(config.output_path).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise CliError(f"cannot write {config.output_path!r}: {exc}") from None
     else:

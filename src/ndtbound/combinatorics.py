@@ -4,14 +4,22 @@ All counts are Python big integers and every ratio is a
 ``fractions.Fraction`` (re-exported as :data:`Rational`), so the core never
 touches floating point.  Decimal strings exist only at output boundaries via
 :func:`to_decimal`.
+
+The primitives are binomials and surjection counts, the exact-input checks,
+and :class:`ConvexEnvelope`, the lower convex envelope of integer-abscissa
+points: the reference hull that the oracle's placement-LP check and the
+bound tests compare against.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from decimal import Decimal
 from fractions import Fraction
+from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 Rational = Fraction
 
@@ -105,6 +113,73 @@ def _too_long(value: str) -> ValueError:
         f"the exact value of {value!r} has a numerator or denominator of more than "
         f"{MAX_LITERAL_DIGITS} digits"
     )
+
+
+def _exact_points(pairs) -> tuple[tuple[int, Fraction], ...]:
+    points = []
+    for t, v in pairs:
+        x = _as_fraction(t)  # floats and bools raise TypeError
+        if x.denominator != 1:
+            raise ValueError(f"envelope abscissae must be integers, got {t!r}")
+        points.append((x.numerator, _as_fraction(v)))
+    return tuple(points)
+
+
+class _ConvexEnvelope(NamedTuple):
+    points: tuple[tuple[int, Fraction], ...]
+    vertices: tuple[tuple[int, Fraction], ...] | None = None
+
+
+class ConvexEnvelope(_Checked, _ConvexEnvelope):
+    """Lower convex envelope of points with integer abscissae.
+
+    ``points`` are the raw (t, value) pairs; ``vertices``, the envelope corners,
+    are derived from them.  Evaluation between vertices interpolates linearly,
+    so the envelope value at any abscissa never exceeds the raw value there.
+    """
+
+    __slots__ = ()
+
+    def _checked(self):
+        pts = _exact_points(self.points)
+        if not pts:
+            raise ValueError("envelope needs at least one point")
+        if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
+            raise ValueError("abscissae must be strictly increasing")
+        hull: list[tuple[int, Fraction]] = []
+        for p in pts:
+            # pop the last vertex while it is on or above the chord to p
+            while len(hull) >= 2:
+                o, a = hull[-2], hull[-1]
+                cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
+                if cross <= 0:
+                    hull.pop()
+                else:
+                    break
+            hull.append(p)
+        vertices = tuple(hull)
+        if self.vertices is not None and _exact_points(self.vertices) != vertices:
+            raise ValueError(f"vertices must be the hull of the points, got {self.vertices!r}")
+        return pts, vertices
+
+    @classmethod
+    def of_points(cls, points: Iterable[tuple[int, Fraction]]) -> "ConvexEnvelope":
+        return cls(tuple(points))
+
+    def evaluate(self, x: Fraction) -> Fraction:
+        x = _as_fraction(x)
+        lo, hi = self.vertices[0][0], self.vertices[-1][0]
+        if not lo <= x <= hi:
+            raise ValueError(f"abscissa {x} outside envelope domain [{lo}, {hi}]")
+        # vertex abscissae are integers, so searching for floor(x) finds the
+        # same vertex as searching for x, with integer comparisons only
+        floor = x.numerator // x.denominator
+        i = bisect_right(self.vertices, floor, key=itemgetter(0)) - 1
+        x1, y1 = self.vertices[i]
+        if x == x1:
+            return y1
+        x2, y2 = self.vertices[i + 1]
+        return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
 
 
 def surjection_count(k: int, s: int) -> int:

@@ -20,8 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .bounds import ConvexEnvelope
-from .combinatorics import _as_fraction, _check_int, _Checked, binom
+from .combinatorics import ConvexEnvelope, _as_fraction, _check_int, _Checked, binom
 
 
 # the grid scan's resolution: pair weights are multiples of 1/SCAN_STEPS

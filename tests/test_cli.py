@@ -535,6 +535,38 @@ def test_config_file_errors(tmp_path, capsys):
     assert status == 1
 
 
+def test_config_and_out_files_are_utf8_in_any_locale(tmp_path):
+    """A config file is read, and ``--out`` written, as UTF-8: under the C locale
+    a non-ASCII comment parses, and no open falls back to the locale's encoding."""
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_bytes("# \u00b5 grid\nkt = 3\nkr = 3\nfiles = 3\ngrid = 1/3:1:3\n".encode())
+    out = tmp_path / "out.csv"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = os.environ | {"PYTHONPATH": path}
+
+    def request(*args, **extra_env):
+        return subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "ndtbound", "peak-sweep", "--config", str(cfg), *args],
+            capture_output=True, timeout=60, env=env | extra_env,
+        )
+
+    plain = request()
+    assert (plain.returncode, plain.stderr) == (0, b"")
+    c_locale = request("--out", str(out), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    assert (c_locale.returncode, c_locale.stdout, c_locale.stderr) == (0, b"", b"")
+    assert out.read_bytes() == plain.stdout
+
+
+def test_undecodable_config_file_is_a_read_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"kt = 3  # \xb5\n")
+    status, out, err = run_cli(capsys, "peak-sweep", "--config", str(cfg))
+    assert (status, out) == (1, "")
+    assert err.startswith(f"error: cannot read config file {str(cfg)!r}: 'utf-8' codec")
+
+
 def test_mu_outside_validity_region_exit_1(capsys):
     status, _, err = run_cli(
         capsys, "point", "--kt", "4", "--kr", "4", "--files", "4", "--mu", "1/8"
@@ -1013,6 +1045,17 @@ def test_run_config_refuses_bool_and_float_int_settings(key):
     for bad in (True, float(value)):
         with pytest.raises(TypeError, match=re.escape(f"--{key} must be an int, got {bad!r}")):
             RunConfig(command, **required | {field: bad})
+
+
+@pytest.mark.parametrize("key", [key for key in INT_FLAGS if key not in ("samples", "decimal")])
+def test_run_config_refuses_none_for_numeric_int_settings(key):
+    # None means "unset" only for --samples and --decimal, whose default it is;
+    # elsewhere it failed as a bare comparison, or passed where no row compared it
+    field = cli._OPTIONS[key].field
+    assert RunConfig._field_defaults[field] is not None
+    for command in ("peak-sweep", "verify"):
+        with pytest.raises(TypeError, match=re.escape(f"--{key} must be an int, got None")):
+            RunConfig(command, **REQUIRED.get(command, {}) | {field: None})
 
 
 def test_unread_settings_are_refused_last():

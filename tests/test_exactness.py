@@ -56,7 +56,7 @@ def row(name, call, *args, **kwargs):
 
 
 # one valid call per public callable that takes an int or a rational; only its
-# int and Fraction arguments, and the ints of its flat tuple arguments, are probed
+# int and Fraction arguments, and those items of its flat tuple arguments, are probed
 ROWS = [
     row("BoundCurve", BoundCurve, "peak", 3, 3, 3, ((F(1, 3), F(5, 3)), (F(2, 3), F(7, 6)))),
     row("CategoryBoundDetail", CategoryBoundDetail, F(5, 3), 1, (1, 2)),
@@ -90,11 +90,12 @@ ROWS = [
     row("surjection_count", surjection_count, 3, 2),
     row("sweep", sweep, 3, 3, 3, GRID, "peak"),
     row("to_decimal", to_decimal, F(1, 3), 4),
-    # RunConfig's int settings, as a config built in code holds them
+    # RunConfig's int and rational settings, as a config built in code holds them
     row(
         "RunConfig", RunConfig, "expected-sweep",
         transmitters=3, receivers=4, files=5, mu_grid=GRID, samples=2, seed=1, decimal=2,
     ),
+    row("RunConfig", RunConfig, "point", mu=F(1, 3)),
     row("RunConfig", RunConfig, "verify", limit=4, max_transmitters=3),
 ]
 
@@ -127,7 +128,7 @@ def _substitutions(args, kwargs):
             swaps = [
                 (f"{slot}[{i}]", value[:i] + (bad,) + value[i + 1 :])
                 for i, item in enumerate(value)
-                if type(item) is int
+                if type(item) in (int, Fraction)
                 for bad in (True, float(item))
             ]
         elif type(value) in (int, Fraction):
