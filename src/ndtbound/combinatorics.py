@@ -80,17 +80,17 @@ class _Checked:
         return cls(*iterable)
 
 
-def _as_fraction(value) -> Fraction:
+def _as_fraction(value, name: str | None = None) -> Fraction:
     """Exact rational from an int, Fraction or decimal string; floats and bools
     are rejected rather than silently widened to their binary expansion, and a
     string whose exact numerator or denominator would have more than
-    MAX_LITERAL_DIGITS digits is refused."""
+    MAX_LITERAL_DIGITS digits is refused.  A ``name`` is the setting the
+    rejection message names."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (bool, float)):
-        raise TypeError(
-            f"expected an exact rational (int, Fraction or string), got {value!r}"
-        )
+        expected = "expected" if name is None else f"{name} must be"
+        raise TypeError(f"{expected} an exact rational (int, Fraction or string), got {value!r}")
     if not isinstance(value, str):
         return Fraction(value)
     split = _EXPONENT.fullmatch(value)

@@ -19,8 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ndtbound
 from ndtbound import bounds, cli
 from ndtbound.bounds import (
+    ENVELOPE_ORDERS,
     NetworkConfig,
     category_bound,
     category_bound_detail,
@@ -378,18 +380,117 @@ def test_monte_carlo_column_is_the_running_fraction_sum(capsys, files, order):
             assert F(mc_value) == total / 150, (receivers, grid_text, mu)
 
 
-def test_outputs_are_byte_identical(tmp_path):
-    args = [
-        "expected-sweep",
-        "--kt", "3", "--kr", "4", "--files", "5",
-        "--grid", "1/3:1:5", "--samples", "100", "--seed", "9",
-        "--overlay", "baseline", "--overlay", "sengupta-bound",
+def buffered_table(config, columns) -> str:
+    """The buffered writer, kept as the oracle of the streamed one: every row
+    rendered, then the whole table joined (CSV) or dumped (JSON) as one string."""
+    header = list(columns)
+    rows = [[str(cli._render(config, value)) for value in row] for row in zip(*columns.values())]
+    if config.output_format == "csv":
+        lines = [",".join(header)]
+        lines.extend(",".join(row) for row in rows)
+        return "\n".join(lines) + "\n"
+    metadata = {"command": config.command} | {
+        key.replace("-", "_"): getattr(config, cli._OPTIONS[key].field)
+        for key in _COMMANDS[config.command].options
+        if cli._OPTIONS[key].echoed
+    }
+    records = [dict(zip(header, row)) for row in rows]
+    payload = {"metadata": metadata | {"version": ndtbound.__version__}, "rows": records}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def buffered_point(fields: dict, output_format: str) -> str:
+    """The buffered writer of ``point``'s rendered fields."""
+    if output_format == "json":
+        return json.dumps(fields, indent=2) + "\n"
+    text = [f"{key} = {item}" for key, item in fields.items() if key != "categories"]
+    text += [
+        "category s={s}: mass={mass} bound={bound} argmax_cut={argmax_cut} "
+        "segment={segment}".format(**entry)
+        for entry in fields.get("categories", [])
     ]
-    path_a = tmp_path / "a.csv"
-    path_b = tmp_path / "b.csv"
-    assert main(args + ["--out", str(path_a)]) == 0
-    assert main(args + ["--out", str(path_b)]) == 0
-    assert path_a.read_bytes() == path_b.read_bytes()
+    return "\n".join(text) + "\n"
+
+
+def buffered_output(args: list[str], monkeypatch) -> str:
+    """The request's whole output as the buffered writer builds it, from the
+    values each command hands its writer; nothing is written."""
+    config = parse_run_config(args)
+    texts, full_verification = [], cli.full_verification
+
+    def verification(*settings):
+        report = full_verification(*settings)
+        json_lines = config.output_format == "json"
+        texts.append((report.to_json_lines() if json_lines else report.to_text()) + "\n")
+        return report
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_emit", lambda config, chunks: None)
+        patch.setattr(cli, "_emit_table", lambda config, columns: texts.append(
+            buffered_table(config, columns)
+        ))
+        # point's fields reach its writer only as the JSON payload, which the
+        # text form prints too
+        patch.setattr(cli, "_json", lambda fields: texts.append(
+            buffered_point(fields, config.output_format)
+        ))
+        patch.setattr(cli, "full_verification", verification)
+        cli.run(config._replace(output_format="json") if config.command == "point" else config)
+    (text,) = texts
+    return text
+
+
+# every command in each of its formats: a one-row table, --decimal, 'unavailable'
+# overlay cells, a Monte-Carlo column, point peak and expected in both orders
+BUFFERED = [
+    "expected-sweep --kt 3 --kr 4 --files 5 --grid 1/3:1:5 --samples 100 --seed 9 "
+    "--overlay baseline --overlay sengupta-bound",
+    "expected-sweep --kt 3 --kr 4 --files 5 --grid 1/3:1:5 --samples 100 --seed 9 "
+    "--overlay baseline --overlay sengupta-bound --format json",
+    "peak-sweep --kt 2 --kr 3 --files 3 --grid 1/2:1/2:1",
+    "peak-sweep --kt 2 --kr 3 --files 3 --grid 1/2:1/2:1 --format json",
+    "peak-sweep --config presets/peak_kt5_kr5.cfg --overlay mn-scheme --decimal 4",
+    "peak-sweep --config presets/peak_kt5_kr5.cfg --overlay mn-scheme --decimal 4 --format json",
+    "distribution --files 7 --kr 3 --decimal 4",
+    "distribution --files 7 --kr 3 --format json",
+    "distribution --files 1 --kr 1",
+    "verify --limit 3 --kt-max 2",
+    "verify --limit 3 --kt-max 2 --format json",
+] + [
+    f"point --kt 3 --kr 4 --files {files} --mu 1/2 --kind {kind} --envelope-order {order}{form}"
+    for files, kind in [(4, "peak"), (3, "expected")]
+    for order in ENVELOPE_ORDERS
+    for form in ("", " --format json", " --decimal 3")
+]
+
+
+def test_outputs_are_byte_identical(tmp_path, capsys, monkeypatch):
+    # stdout and the --out file carry the buffered writer's bytes, run after run
+    monkeypatch.chdir(PRESETS.parent)
+    for request_line in BUFFERED:
+        args = request_line.split()
+        want = buffered_output(args, monkeypatch)
+        assert run_cli(capsys, *args) == (0, want, ""), request_line
+        for name in ("a", "b"):
+            assert run_cli(capsys, *args, "--out", str(tmp_path / name)) == (0, "", "")
+            assert (tmp_path / name).read_bytes() == want.encode("utf-8"), request_line
+
+
+@pytest.mark.parametrize("output_format, ratio", [("csv", 1), ("json", 2)])
+def test_tables_are_written_as_they_are_rendered(output_format, ratio, tmp_path):
+    """The 600 x 600 pmf's traced peak stays below its file's size for CSV
+    (a buffered writer holds the rows and their join, about four times it) and
+    below twice the size for JSON, whose records stay buffered."""
+    path = tmp_path / f"pmf.{output_format}"
+    args = ["distribution", "--files", "600", "--kr", "600", "--format", output_format]
+    distinct_distribution.cache_clear()  # the pmf is built under the trace
+    tracemalloc.start()
+    try:
+        assert main([*args, "--out", str(path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ratio * path.stat().st_size, (peak, path.stat().st_size)
 
 
 @pytest.mark.parametrize(
@@ -1058,6 +1159,19 @@ def test_run_config_refuses_none_for_numeric_int_settings(key):
             RunConfig(command, **REQUIRED.get(command, {}) | {field: None})
 
 
+def test_run_config_names_the_setting_of_an_inexact_rational():
+    # floats and bools are refused as _as_fraction refuses them, under the flag's name
+    for bad in (0.5, True):
+        with pytest.raises(TypeError, match=re.escape(
+            f"--mu must be an exact rational (int, Fraction or string), got {bad!r}"
+        )):
+            RunConfig("point", mu=bad)
+        with pytest.raises(TypeError, match=re.escape(
+            f"--grid must be an exact rational (int, Fraction or string), got {bad!r}"
+        )):
+            RunConfig("peak-sweep", mu_grid=(F(1, 2), bad))
+
+
 def test_unread_settings_are_refused_last():
     with pytest.raises(ValueError, match="peak-sweep does not read --samples"):
         cli.run(RunConfig(
@@ -1087,6 +1201,20 @@ def test_grid_size_is_capped_in_both_forms(monkeypatch):
         with pytest.raises(CliError, match="a grid may have at most 2 points, got 3"):
             parse_grid(text)
     assert parse_grid("1/2:1:2") == parse_grid("1/2,1") == (F(1, 2), F(1))
+
+
+def test_an_over_cap_comma_grid_is_refused_before_it_is_split(monkeypatch):
+    # 100,000 points in 0.4 MB of text: split into parts, they took 6 MB to refuse
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 1000)
+    text = ",".join(["1/2"] * 100_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CliError, match="a grid may have at most 1000 points, got 100000"):
+            parse_grid(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text), peak
 
 
 def test_run_config_caps_a_grid_built_in_code(monkeypatch):
