@@ -14,18 +14,19 @@ point
     active envelope segment, read from the integer chords behind the value
     (no hull is built).
 
-Exit codes: 0 ok, 1 bad configuration, 2 infeasible (peak bound with fewer
-files than receivers).  Output is byte-identical for identical inputs,
-including the seed.
+Exit codes: 0 ok, 1 bad configuration or a failed write, 2 infeasible (peak
+bound with fewer files than receivers).  Output is byte-identical for
+identical inputs, including the seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
-from decimal import Decimal
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain, repeat
 from typing import Callable, Iterable, NamedTuple
@@ -41,7 +42,9 @@ from .bounds import (
     category_bound_detail,
     sweep,
 )
-from .combinatorics import MAX_LITERAL_DIGITS, _as_fraction, _check_int, _Checked, to_decimal
+from .combinatorics import (
+    MAX_LITERAL_DIGITS, _as_fraction, _check_int, _Checked, _digits, to_decimal,
+)
 from .comparator import Unavailable, default_registry
 from .demands import DistinctCountDistribution, distinct_distribution, sample_demands
 from .oracle import MAX_LIMIT, MAX_LP_TRANSMITTERS, full_verification
@@ -154,8 +157,7 @@ class RunConfig(_Checked, _RunConfig):
             if option.field not in read
             and getattr(self, option.field) != RunConfig._field_defaults[option.field]
         ), None)
-        # the other settings, one row each, all checked before any bound is computed; the
-        # products print through Decimal, exempt from the int-to-str limit of 4300 digits
+        # the other settings, one row each, all checked before any bound is computed
         for bad, message in (
             ("grid" in row.options and self.mu_grid is None, "missing required options: --grid"),
             ("mu" in row.options and self.mu is None, "missing required options: --mu"),
@@ -170,7 +172,7 @@ class RunConfig(_Checked, _RunConfig):
             (sampled >= SUB_SEED_STRIDE,
              f"a sampled grid must have fewer than {SUB_SEED_STRIDE} points, got {sampled}"),
             (draws > MAX_DRAWS,
-             f"Monte-Carlo sampling needs --samples * grid points * --kr = {Decimal(draws)} "
+             f"Monte-Carlo sampling needs --samples * grid points * --kr = {_digits(draws)} "
              f"draws, over the cap of {MAX_DRAWS}"),
             (unknown is not None, f"unknown overlay {unknown!r}; registered: {', '.join(known)}"),
             (self.decimal is not None and self.decimal < 0,
@@ -184,10 +186,10 @@ class RunConfig(_Checked, _RunConfig):
             (not 1 <= self.max_transmitters <= MAX_LP_TRANSMITTERS,
              f"--kt-max must lie in [1, {MAX_LP_TRANSMITTERS}], got {self.max_transmitters}"),
             (cells > MAX_PMF_CELLS,
-             f"the pmf needs --kr * min(--files, --kr) = {Decimal(cells)} steps, over the cap of "
+             f"the pmf needs --kr * min(--files, --kr) = {_digits(cells)} steps, over the cap of "
              f"{MAX_PMF_CELLS}"),
             (categories > MAX_CATEGORY_BOUNDS,
-             f"the sweep needs grid points * min(--files, --kr) = {Decimal(categories)} category "
+             f"the sweep needs grid points * min(--files, --kr) = {_digits(categories)} category "
              f"bounds, over the cap of {MAX_CATEGORY_BOUNDS}"),
             # last, so that a setting's own check speaks first
             (unread is not None, f"{self.command} does not read --{unread}"),
@@ -291,7 +293,7 @@ def _file_tokens(command: str, path: str) -> list[str]:
     that only other commands take are skipped, keys that no command takes are
     errors, and no key is read as an abbreviation."""
     try:
-        with open(path, encoding="utf-8") as file:
+        with open(path, encoding="utf-8-sig") as file:
             lines = file.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path!r}: {exc}") from None
@@ -347,21 +349,21 @@ def _render(config: RunConfig, value):
         return value
     if config.decimal is not None:
         return to_decimal(value, config.decimal)
-    # str(Decimal(n)) prints the digits of str(n), but is exempt from the
-    # interpreter's int-to-str digit limit (4300 by default), so any size prints
-    numerator, denominator = (str(Decimal(n)) for n in value.as_integer_ratio())
+    numerator, denominator = map(_digits, value.as_integer_ratio())
     return numerator if denominator == "1" else f"{numerator}/{denominator}"
 
 
 def _emit(config: RunConfig, chunks: Iterable[str]):
     """The one output sink: each chunk is written as it is rendered, to stdout or to --out."""
-    if not config.output_path:
-        return sys.stdout.writelines(chunks)
+    path = config.output_path
     try:
-        with open(config.output_path, "w", encoding="utf-8") as out:
+        with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
             out.writelines(chunks)
+            out.flush()
     except OSError as exc:
-        raise CliError(f"cannot write {config.output_path!r}: {exc}") from None
+        if not path:  # stdout keeps the bytes it could not write: flush them at exit to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise CliError(f"cannot write {path or 'standard output'!r}: {exc}") from exc
 
 
 def _json(payload) -> Iterable[str]:
@@ -414,8 +416,8 @@ def _mc_column(config: RunConfig, grid: tuple[Fraction, ...]) -> list[Fraction]:
 def _run_sweep(config: RunConfig) -> int:
     kind = "peak" if config.command == "peak-sweep" else "expected"
     network = (config.transmitters, config.receivers, config.files)
-    curve = sweep(*network, config.mu_grid, kind, config.envelope_order)
-    grid = tuple(mu for mu, _ in curve.samples)
+    grid = config.mu_grid
+    curve = sweep(*network, grid, kind, config.envelope_order)
     columns = {"mu": grid, "value": curve.values()}
     if config.samples:
         columns["mc_value"] = _mc_column(config, grid)
@@ -547,7 +549,8 @@ def main(argv=None) -> int:
     try:
         return run(parse_run_config(argv))
     except (InfeasibleLibrary, CliError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if not isinstance(exc.__cause__, BrokenPipeError):  # the reader closed the pipe early
+            print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InfeasibleLibrary) else 1
 
 

@@ -39,7 +39,7 @@ def binom(n: int, k: int) -> int:
     replication t exceeds the cut size c, so k < 0 and k > n return 0
     instead of raising.  Both are ints, not floats or bools.
     """
-    # inline rather than _check_int: a sweep makes tens of thousands of calls
+    # inline rather than _check_int: the default verify makes 17,716 calls
     if not (type(n) is int and type(k) is int):
         raise TypeError(f"n and k must be ints, got {n!r} and {k!r}")
     if n < 0:
@@ -47,6 +47,11 @@ def binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def _digits(n: int) -> str:
+    """``str(n)`` at any size: ``str(Decimal(n))`` is exempt from the int-to-str digit limit."""
+    return str(Decimal(n))
 
 
 def _check_int(name: str, value, low: int | None = None, high: int | None = None) -> None:
@@ -218,9 +223,7 @@ def to_decimal(value: Fraction, digits: int) -> str:
         doubled == magnitude.denominator and whole % 2 == 1
     ):
         whole += 1
-    # str(Decimal(n)) is str(n) without the int-to-str digit limit; padded to
-    # one digit before the point
-    text = str(Decimal(whole)).rjust(digits + 1, "0")
+    text = _digits(whole).rjust(digits + 1, "0")  # at least one digit before the point
     if digits:
         text = f"{text[:-digits]}.{text[-digits:]}"
     return f"-{text}" if negative and whole != 0 else text

@@ -35,14 +35,13 @@ from __future__ import annotations
 import math
 import random
 import struct
-from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, product, repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .combinatorics import _as_fraction, _check_count, _check_int, _Checked
+from .combinatorics import _as_fraction, _check_count, _check_int, _Checked, _digits
 
 Demand = tuple[int, ...]
 
@@ -193,21 +192,20 @@ def enumerate_demands(files: int, receivers: int) -> Iterator[Demand]:
     """
     _check_count("files", files)
     _check_count("receivers", receivers)
-    # files**receivers >= 2**bits: past twice the cap's bits the power is refused unbuilt,
-    # and the message prints through Decimal, exempt from the int-to-str digit limit
+    # files**receivers >= 2**bits: past twice the cap's bits the power is refused unbuilt
     bits = receivers * (files.bit_length() - 1)
     total = files**receivers if bits <= 2 * DEFAULT_ENUMERATION_CAP.bit_length() else None
     if total is None or total > DEFAULT_ENUMERATION_CAP:
-        size = f">= 2^{Decimal(bits)}" if total is None else f"= {total}"
+        size = f">= 2^{_digits(bits)}" if total is None else f"= {total}"
         raise CapExceeded(
-            f"{Decimal(files)}^{Decimal(receivers)} {size} demand vectors exceed the cap of "
+            f"{_digits(files)}^{_digits(receivers)} {size} demand vectors exceed the cap of "
             f"{DEFAULT_ENUMERATION_CAP}"
         )
     # one file passes the vector cap at any length, but product builds a pool
     # entry per receiver before it yields
     if receivers > DEFAULT_ENUMERATION_CAP:
         raise CapExceeded(
-            f"{Decimal(receivers)} receivers exceed the cap of {DEFAULT_ENUMERATION_CAP} "
+            f"{_digits(receivers)} receivers exceed the cap of {DEFAULT_ENUMERATION_CAP} "
             "entries per demand vector"
         )
     return iter(product(range(1, files + 1), repeat=receivers))

@@ -660,6 +660,49 @@ def test_config_and_out_files_are_utf8_in_any_locale(tmp_path):
     assert out.read_bytes() == plain.stdout
 
 
+def test_a_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    """Editors that save UTF-8 with a BOM write it before the first key."""
+    preset = PRESETS / "peak_kt3_kr3.cfg"
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes("\ufeff".encode() + preset.read_bytes())
+    plain = run_cli(capsys, "peak-sweep", "--config", str(preset))
+    assert plain[0] == 0
+    assert run_cli(capsys, "peak-sweep", "--config", str(cfg)) == plain
+
+
+def _cli_child(*args, **popen) -> subprocess.Popen:
+    """``python -m ndtbound`` in a fresh interpreter, importing this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = os.environ | {"PYTHONPATH": path}
+    return subprocess.Popen([sys.executable, "-m", "ndtbound", *args], env=env, **popen)
+
+
+def test_a_closed_pipe_ends_the_request_quietly():
+    """A reader that closes stdout early, as ``| head -c 100`` does, ends the request
+    with exit 1 and nothing on stderr: no traceback, and no ``Exception ignored``
+    line when the interpreter flushes stdout at exit."""
+    child = _cli_child("distribution", "--files", "2000", "--kr", "2000",
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(child.stdout.read(100)) == 100
+    child.stdout.close()
+    _, err = child.communicate(timeout=120)
+    assert (child.returncode, err) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_stdout_write_is_an_error_line():
+    """Stdout's write errors take --out's path: one error line and exit 1, also
+    when the interpreter flushes stdout again at exit."""
+    with open("/dev/full", "w") as full:
+        child = _cli_child("distribution", "--files", "200", "--kr", "200",
+                           stdout=full, stderr=subprocess.PIPE, text=True)
+        _, err = child.communicate(timeout=60)
+    assert child.returncode == 1
+    assert err.startswith("error: cannot write 'standard output': ")
+    assert err.count("\n") == 1
+
+
 def test_undecodable_config_file_is_a_read_error(tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"
     cfg.write_bytes(b"kt = 3  # \xb5\n")

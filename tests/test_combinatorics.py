@@ -2,19 +2,21 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ndtbound import combinatorics
 from ndtbound.combinatorics import (
     MAX_LITERAL_DIGITS,
     _as_fraction,
+    _digits,
     binom,
     surjection_count,
     to_decimal,
@@ -166,6 +168,24 @@ def test_to_decimal_round_trips_within_1e12():
     for value in random_fractions(200, seed=7):
         rendered = to_decimal(value, 12)
         assert abs(Fraction(rendered) - value) <= tolerance
+
+
+@given(st.integers(), st.integers(min_value=0, max_value=20_000))
+@example(10**4299, 0).via("the largest int with 4300 digits")
+@example(-(10**4300), 0).via("the smallest negative int with 4301 digits")
+@example(0, 0)
+@settings(max_examples=200, deadline=None)
+def test_digits_is_str_at_any_size(n, shift):
+    """``_digits`` is ``str(n)`` wherever ``str(n)`` works; past the int-to-str limit
+    it is still a canonical decimal numeral that reads back as ``n``."""
+    n <<= shift  # up to about 6000 more digits, past the 4300-digit limit
+    text = _digits(n)
+    try:
+        assert text == str(n)
+    except ValueError:  # str(n) refuses the digit count
+        assert len(text.lstrip("-")) > MAX_LITERAL_DIGITS
+    assert re.fullmatch(r"-?(0|[1-9][0-9]*)", text)
+    assert int(Decimal(text)) == n
 
 
 def test_to_decimal_prints_past_the_int_to_str_limit():

@@ -57,3 +57,21 @@ def _sibling_imports(path: Path) -> set[str]:
 def test_each_module_imports_only_its_declared_siblings():
     assert SIBLINGS.keys() == {path.stem for path in PACKAGE.glob("*.py")}
     assert {name: _sibling_imports(PACKAGE / f"{name}.py") for name in SIBLINGS} == SIBLINGS
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The top-level names of the absolute imports in ``path``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_combinatorics_imports_decimal():
+    """Every int that may pass the int-to-str limit prints through
+    ``combinatorics._digits``, so no other module needs ``decimal``."""
+    importers = {path.stem for path in PACKAGE.glob("*.py") if "decimal" in _imported_modules(path)}
+    assert importers == {"combinatorics"}
