@@ -91,14 +91,23 @@ iff ``x*(s - KT + 1) >= s``, cut KT - 1 iff ``x*(s - KT + 2) >= s >= x*(s - KT +
 So the proof order's run is ``[s, KT]`` when s < KT (the zero tail), else
 ``[ceil(s/(s - KT + 2)), floor(s/(s - KT + 1))]`` (cut KT - 1's line) and
 ``[ceil(s/(s - KT + 1)), KT]`` (cut KT's constant ``(s - KT)/KT``).
+
+Proof-order sweep.  Each category's proof-order bound is the chord of its
+values at lo and hi, so it is linear in t between integers, and so is its
+average over a pmf: at each t a sweep's value is one integer sum over the pmf's
+counts, ``sum(count_s*(D + w_lo*T_lo(s) + w_hi*T_hi(s))) / (total*D)`` with each
+end x read at its own cut(x), and no category bound (``_proof_order_bounds``).
+The theorem order's shared cut moves with t, so ``sweep`` averages its category
+bounds point by point (``expected_bound_for_distribution``), the reference that
+the proof order's sum is tested against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
-from typing import NamedTuple, Sequence
+from math import comb, gcd, isqrt
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .combinatorics import (
     ConvexEnvelope,
@@ -357,7 +366,9 @@ def expected_bound_for_distribution(
 ) -> Fraction:
     """Average the per-category bound against an arbitrary distinct-count pmf:
     one ``category_bound`` per support element, in counts order, then one
-    integer sum (``DistinctCountDistribution.weighted_sum``)."""
+    integer sum (``DistinctCountDistribution.weighted_sum``).  ``sweep`` takes
+    this path in the theorem order; in the proof order this is the reference
+    that its one integer sum per point is tested against."""
     t = _as_fraction(replication)
     return distribution.weighted_sum(
         [category_bound(transmitters, s, t, order) for s in distribution.counts]
@@ -416,6 +427,45 @@ def validate_grid(transmitters: int, mu_grid: Sequence[Fraction]) -> tuple[Fract
     return grid
 
 
+def _proof_order_bounds(
+    transmitters: int, distribution: DistinctCountDistribution, replications: Iterable[Fraction]
+) -> Iterator[Fraction]:
+    """``expected_bound_for_distribution(transmitters, distribution, t, "proof")``
+    at each exact t in [1, KT], each as one integer sum over the counts (module
+    docstring, proof-order sweep).  ``T_x(s)`` is 0 for s <= x.  Past x's line,
+    ``s*(x - 1) > (KT - 1)*x``, cut(x) is KT and ``T_x(s) = (s - KT)*C(KT - 1, x - 1)``;
+    as cut(lo) <= cut(hi), both ends read cut KT past lo's line, so those s add
+    one multiple of their ``sum(count_s*(s - KT))``, taken as its value over all
+    counts (once per curve) less its value below the line.  From lo = 2 on at
+    most 2*KT - 2 categories lie below the line, so a point multiplies at most
+    that many counts by a term."""
+    kt, counts = transmitters, distribution.counts
+    mass = sum(counts.values())  # not the total: a pmf's counts need not sum to it
+    excess = sum(count * (s - kt) for s, count in counts.items())
+    for t in replications:
+        denominator, lo, w_lo, hi, w_hi = _cut_slopes(kt, *t.as_integer_ratio())
+        # the weights' common factor, at fractional t a multiple of C(KT, lo), divides the
+        # denominator too (w_lo*a + w_hi*b in _cut_slopes), and would only lengthen each product
+        common = gcd(w_lo, w_hi)
+        denominator, w_lo, w_hi = denominator // common, w_lo // common, w_hi // common
+        numerator, line, below = denominator * mass, (kt - 1) * lo, 0
+        for s, count in counts.items():
+            if s * (lo - 1) <= line:  # else cut(lo) == cut(hi) == KT
+                below += count * (s - kt)
+                if s > lo:  # else T_lo(s) == T_hi(s) == 0
+                    c_lo = -(-s * (lo - 1) // lo) or 1  # at most KT here, so unclipped
+                    c_hi = min(-(-s * (hi - 1) // hi) or 1, kt)
+                    numerator += count * (
+                        w_lo * (s - c_lo) * comb(c_lo - 1, lo - 1)
+                        + w_hi * (s - c_hi) * comb(c_hi - 1, hi - 1)
+                    )
+        if excess != below:  # the s past the line add something
+            numerator += (
+                w_lo * comb(kt - 1, lo - 1) + w_hi * comb(kt - 1, hi - 1)
+            ) * (excess - below)
+        yield Fraction(numerator, distribution.total * denominator)
+
+
 def sweep(
     transmitters: int,
     receivers: int,
@@ -424,14 +474,20 @@ def sweep(
     kind: str,
     order: str = "theorem",
 ) -> BoundCurve:
-    """Evaluate one bound over a cache-size grid: one distribution for the
-    curve, then one ``expected_bound_for_distribution`` per grid point."""
+    """Evaluate one bound over a cache-size grid, from one distribution for the
+    curve.  The theorem order makes one ``expected_bound_for_distribution`` per
+    grid point; the proof order makes one integer sum per grid point
+    (``_proof_order_bounds``) and no ``category_bound`` call."""
     grid = validate_grid(transmitters, mu_grid)
     dist = bound_distribution(NetworkConfig(transmitters, receivers, files, grid[0]), kind)
-    samples = tuple(
-        (mu, expected_bound_for_distribution(transmitters, dist, transmitters * mu, order))
-        for mu in grid
-    )
+    if order == "proof":
+        values = _proof_order_bounds(transmitters, dist, (transmitters * mu for mu in grid))
+    else:
+        values = (
+            expected_bound_for_distribution(transmitters, dist, transmitters * mu, order)
+            for mu in grid
+        )
+    samples = tuple(zip(grid, values))
     return BoundCurve(
         kind=kind,
         transmitters=transmitters,

@@ -64,7 +64,9 @@ MAX_PMF_CELLS = 4 * 10**6
 
 # an expected sweep past grid points * min(files, receivers) category bounds is
 # refused (at the cap, 500 points at 2000 receivers and files, the whole request
-# takes about 11 s at kt = 20 and 105 s at kt = 2000 on a shared 2-CPU host)
+# takes 7-8 s at kt = 20 and 98 s at kt = 2000 in the theorem order, which averages
+# that many category bounds, and 5.3 s and 71 s in the proof order, which sums each
+# point's terms over as many counts, on a shared 2-CPU host)
 MAX_CATEGORY_BOUNDS = 10**6
 
 # Monte-Carlo columns past samples * grid points * receivers draws are refused
@@ -157,45 +159,49 @@ class RunConfig(_Checked, _RunConfig):
             if option.field not in read
             and getattr(self, option.field) != RunConfig._field_defaults[option.field]
         ), None)
-        # the other settings, one row each, all checked before any bound is computed
-        for bad, message in (
+        # the other settings, one row each, all checked before any bound is computed;
+        # a row is (bad, template, *values), and only the row that fires is formatted,
+        # its ints through _digits, so that a setting of any size is echoed
+        for bad, template, *values in (
             ("grid" in row.options and self.mu_grid is None, "missing required options: --grid"),
             ("mu" in row.options and self.mu is None, "missing required options: --mu"),
             # the parser's check, also for a grid built in code; len builds no point
             (points > MAX_GRID_POINTS,
-             f"a grid may have at most {MAX_GRID_POINTS} points, got {points}"),
+             "a grid may have at most {} points, got {}", MAX_GRID_POINTS, points),
             (self.samples is not None and self.samples < 1,
-             f"--samples must be positive, got {self.samples}"),
+             "--samples must be positive, got {}", self.samples),
             # random.Random seeds with |seed|, so seed -1 would replay seed 1
-            (self.seed < 0, f"--seed must be nonnegative, got {self.seed}"),
+            (self.seed < 0, "--seed must be nonnegative, got {}", self.seed),
             # from the stride on, per-point sub-seeds reach the next seed's streams
             (sampled >= SUB_SEED_STRIDE,
-             f"a sampled grid must have fewer than {SUB_SEED_STRIDE} points, got {sampled}"),
+             "a sampled grid must have fewer than {} points, got {}", SUB_SEED_STRIDE, sampled),
             (draws > MAX_DRAWS,
-             f"Monte-Carlo sampling needs --samples * grid points * --kr = {_digits(draws)} "
-             f"draws, over the cap of {MAX_DRAWS}"),
-            (unknown is not None, f"unknown overlay {unknown!r}; registered: {', '.join(known)}"),
+             "Monte-Carlo sampling needs --samples * grid points * --kr = {} draws, over the "
+             "cap of {}", draws, MAX_DRAWS),
+            (unknown is not None, "unknown overlay {!r}; registered: {}", unknown, ", ".join(known)),
             (self.decimal is not None and self.decimal < 0,
-             f"--decimal must be nonnegative, got {self.decimal}"),
+             "--decimal must be nonnegative, got {}", self.decimal),
             (self.decimal is not None and self.decimal > MAX_DECIMAL,
-             f"--decimal may be at most {MAX_DECIMAL}, got {self.decimal}"),
+             "--decimal may be at most {}, got {}", MAX_DECIMAL, self.decimal),
             (self.transmitters > MAX_TRANSMITTERS,
-             f"--kt may be at most {MAX_TRANSMITTERS}, got {self.transmitters}"),
+             "--kt may be at most {}, got {}", MAX_TRANSMITTERS, self.transmitters),
             (not 1 <= self.limit <= MAX_LIMIT,
-             f"--limit must lie in [1, {MAX_LIMIT}], got {self.limit}"),
+             "--limit must lie in [1, {}], got {}", MAX_LIMIT, self.limit),
             (not 1 <= self.max_transmitters <= MAX_LP_TRANSMITTERS,
-             f"--kt-max must lie in [1, {MAX_LP_TRANSMITTERS}], got {self.max_transmitters}"),
+             "--kt-max must lie in [1, {}], got {}", MAX_LP_TRANSMITTERS, self.max_transmitters),
             (cells > MAX_PMF_CELLS,
-             f"the pmf needs --kr * min(--files, --kr) = {_digits(cells)} steps, over the cap of "
-             f"{MAX_PMF_CELLS}"),
+             "the pmf needs --kr * min(--files, --kr) = {} steps, over the cap of {}",
+             cells, MAX_PMF_CELLS),
             (categories > MAX_CATEGORY_BOUNDS,
-             f"the sweep needs grid points * min(--files, --kr) = {_digits(categories)} category "
-             f"bounds, over the cap of {MAX_CATEGORY_BOUNDS}"),
+             "the sweep needs grid points * min(--files, --kr) = {} category bounds, over the "
+             "cap of {}", categories, MAX_CATEGORY_BOUNDS),
             # last, so that a setting's own check speaks first
-            (unread is not None, f"{self.command} does not read --{unread}"),
+            (unread is not None, "{} does not read --{}", self.command, unread),
         ):
             if bad:
-                raise ValueError(message)
+                raise ValueError(template.format(
+                    *(_digits(value) if type(value) is int else value for value in values)
+                ))
         # a colon grid's points, built once every check passed, and each one exact
         if self.mu_grid is None:
             return self

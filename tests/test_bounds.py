@@ -638,6 +638,74 @@ def test_one_category_bound_lookup_per_category():
         assert (after.hits + after.misses) - (before.hits + before.misses) == len(dist.counts)
 
 
+@settings(max_examples=60, deadline=None)
+@given(kt=st.integers(1, 40), data=st.data())
+def test_proof_order_sum_matches_the_category_average(kt, data):
+    """The proof order's one integer sum per point equals the average of its
+    category bounds, on hand-built counts (unnormalised, zeros, any key order)
+    at integer and fractional t up to KT, and through ``sweep`` for both kinds."""
+    top = data.draw(st.integers(1, 3 * kt + 2))
+    support = data.draw(st.lists(st.integers(1, top), unique=True))
+    counts = {s: data.draw(st.sampled_from([0, 1]) | st.integers(0, 10**12)) for s in support}
+    dist = DistinctCountDistribution(top, top, data.draw(st.integers(1, 10**12)), counts)
+    drawn = data.draw(st.lists(replications(kt), max_size=6))
+    ts = sorted({F(t) for t in (1, kt, data.draw(st.integers(1, kt)), *drawn)})
+    assert list(bounds._proof_order_bounds(kt, dist, ts)) == [
+        expected_bound_for_distribution(kt, dist, t, "proof") for t in ts
+    ]
+    kr = data.draw(st.integers(1, 2 * kt + 2))
+    files = data.draw(st.integers(kr, 3 * kt + 2))
+    grid = tuple(t / kt for t in ts)
+    for kind in BOUND_KINDS:
+        reference = bound_distribution(NetworkConfig(kt, kr, files, grid[0]), kind)
+        assert sweep(kt, kr, files, grid, kind, "proof").values() == tuple(
+            expected_bound_for_distribution(kt, reference, t, "proof") for t in ts
+        )
+
+
+def test_proof_order_sum_matches_the_category_average_past_hypothesis_range():
+    # KT 200 over 400 receivers: from lo = 2 on, categories lie on both sides of
+    # lo's line s*(lo - 1) = 199*lo, where every cut reaches KT
+    rng = random.Random(200)
+    kt, kr = 200, 400
+    drawn = [F(rng.randint(q, kt * q), q * kt) for q in (1, 3, 7, 996) for _ in range(2)]
+    grid = sorted({F(1, kt), F(1, 2), F(1), *drawn})
+    ts = [kt * mu for mu in grid]
+    exact = distinct_distribution(kr, kr)
+    assert sweep(kt, kr, kr, grid, "expected", "proof").values() == tuple(
+        expected_bound_for_distribution(kt, exact, t, "proof") for t in ts
+    )
+    counts = {s: rng.randint(0, 10**30) for s in rng.sample(range(1, kr + 1), 150)}
+    hand = DistinctCountDistribution(kr, kr, 10**25, counts)
+    assert list(bounds._proof_order_bounds(kt, hand, ts)) == [
+        expected_bound_for_distribution(kt, hand, t, "proof") for t in ts
+    ]
+
+
+def test_proof_order_sweep_makes_no_category_bound_call(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a proof-order sweep called category_bound")
+
+    monkeypatch.setattr(bounds, "category_bound", refused)
+    for kind in BOUND_KINDS:
+        assert len(sweep(5, 20, 100, mu_grid(5, 41), kind, "proof").values()) == 41
+    with pytest.raises(AssertionError):
+        sweep(5, 20, 100, mu_grid(5, 41), "expected")
+
+
+def test_theorem_order_sweep_makes_one_category_bound_call_per_category(monkeypatch):
+    # the benchmark's toy request pins the same count for this sweep
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return category_bound(*args)
+
+    monkeypatch.setattr(bounds, "category_bound", counted)
+    sweep(5, 20, 100, mu_grid(5, 41), "expected")
+    assert len(calls) == 41 * 20
+
+
 def test_inexact_masses_never_reach_the_average():
     for counts in ({3: 0.5, 2: 0.5}, {3: F(1, 2)}, {3: True}):
         with pytest.raises(TypeError):

@@ -1042,6 +1042,21 @@ def test_cap_messages_print_products_past_the_digit_limit(capsys):
         assert run_cli(capsys, *args) == (1, "", f"error: {message}\n")
 
 
+def test_settings_past_the_digit_limit_echo_their_own_row():
+    # a config built in code may hold an int that str() refuses: a valid one builds,
+    # and an invalid one raises its row's message, with the int in full
+    huge, grid = 10**5000, (F(1, 5), F(1))
+    assert RunConfig("expected-sweep", mu_grid=grid, seed=huge).seed == huge
+    assert RunConfig("expected-sweep", mu_grid=grid).samples is None
+    for field, value, message in (
+        ("samples", -huge, f"--samples must be positive, got {Decimal(-huge)}"),
+        ("transmitters", huge, f"--kt may be at most {cli.MAX_TRANSMITTERS}, got {Decimal(huge)}"),
+    ):
+        with pytest.raises(ValueError) as raised:
+            RunConfig("expected-sweep", mu_grid=grid, **{field: value})
+        assert str(raised.value) == message
+
+
 def test_help_names_every_option_of_each_command(capsys):
     # argparse %-formats help text, so a stray % in a help string would crash here
     with pytest.raises(SystemExit) as exit_info:
