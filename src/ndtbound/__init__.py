@@ -23,7 +23,7 @@ from .bounds import (
     peak_ndt_lower_bound,
     sweep,
 )
-from .combinatorics import Rational, binom, surjection_count, to_decimal
+from .combinatorics import binom, surjection_count, to_decimal
 from .comparator import (
     UNAVAILABLE,
     CurveRegistry,
@@ -75,7 +75,6 @@ __all__ = [
     "LpSolution",
     "NetworkConfig",
     "PlacementProfile",
-    "Rational",
     "ReferenceCurve",
     "UNAVAILABLE",
     "Unavailable",

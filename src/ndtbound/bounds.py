@@ -205,12 +205,14 @@ def _cut_slopes(transmitters: int, p: int, q: int) -> tuple[int, int, int, int, 
     """The chord of every cut's slope ``g_c(t)`` between ``lo = floor(t)`` and
     ``hi = min(lo + 1, KT)``, as ``(denominator, lo, w_lo, hi, w_hi)``: cut c's
     chord is ``(w_lo*C(c - 1, lo - 1) + w_hi*C(c - 1, hi - 1)) / denominator``.
-    Keyed by the replication's integer ratio ``p/q``, so a lookup hashes no
-    ``Fraction``."""
+    The weights' gcd, at fractional t a multiple of C(KT, lo), divides the
+    denominator ``w_lo*a + w_hi*b`` too, and is divided out of all three.  Keyed
+    by the replication's integer ratio ``p/q``, so a lookup hashes no ``Fraction``."""
     lo, r = divmod(p, q)  # t - lo == r/q
     hi = min(lo + 1, transmitters)
     a, b = lo * binom(transmitters, lo), hi * binom(transmitters, hi)
-    return q * a * b, lo, (q - r) * b, hi, r * a
+    common = gcd((q - r) * b, r * a)
+    return q * a * b // common, lo, (q - r) * b // common, hi, r * a // common
 
 
 class _CategoryBoundDetail(NamedTuple):
@@ -400,12 +402,12 @@ class BoundCurve(_Checked, _BoundCurve):
             raise ValueError(f"kind must be 'peak' or 'expected', got {self.kind!r}")
         for name in ("transmitters", "receivers", "files"):
             _check_count(name, getattr(self, name))
-        samples = tuple((_as_fraction(mu), _as_fraction(v)) for mu, v in self.samples)
-        validate_grid(self.transmitters, [mu for mu, _ in samples])
+        samples = [(mu, _as_fraction(v)) for mu, v in self.samples]
+        grid = validate_grid(self.transmitters, [mu for mu, _ in samples])
         values = [v for _, v in samples]
         if any(b > a for a, b in zip(values, values[1:])):
             raise ValueError("bound values must be non-increasing in cache size")
-        return *self[:4], samples
+        return *self[:4], tuple(zip(grid, values))
 
     def values(self) -> tuple[Fraction, ...]:
         return tuple(v for _, v in self.samples)
@@ -444,10 +446,6 @@ def _proof_order_bounds(
     excess = sum(count * (s - kt) for s, count in counts.items())
     for t in replications:
         denominator, lo, w_lo, hi, w_hi = _cut_slopes(kt, *t.as_integer_ratio())
-        # the weights' common factor, at fractional t a multiple of C(KT, lo), divides the
-        # denominator too (w_lo*a + w_hi*b in _cut_slopes), and would only lengthen each product
-        common = gcd(w_lo, w_hi)
-        denominator, w_lo, w_hi = denominator // common, w_lo // common, w_hi // common
         numerator, line, below = denominator * mass, (kt - 1) * lo, 0
         for s, count in counts.items():
             if s * (lo - 1) <= line:  # else cut(lo) == cut(hi) == KT

@@ -98,7 +98,7 @@ class _RunConfig(NamedTuple):
     seed: int = 0
     decimal: int | None = None
     output_format: str | None = None  # None: the command's first format
-    output_path: str | None = None
+    output_path: str | os.PathLike | None = None
     overlays: tuple[str, ...] = ()
     envelope_order: str = "theorem"
     kind: str = "peak"
@@ -134,6 +134,9 @@ class RunConfig(_Checked, _RunConfig):
             unset = value is None and RunConfig._field_defaults[option.field] is None
             if option.keywords.get("type") is int and not unset:
                 _check_int(f"--{key}", value)
+        # open() would take an int, or a bool, as a file descriptor to write to and close
+        if not isinstance(self.output_path, (str, os.PathLike, type(None))):
+            raise TypeError(f"--out must be a str or os.PathLike path, got {self.output_path!r}")
         known = default_registry().names()
         unknown = next((name for name in self.overlays if name not in known), None)
         points = 0 if self.mu_grid is None else len(self.mu_grid)
@@ -179,6 +182,8 @@ class RunConfig(_Checked, _RunConfig):
              "Monte-Carlo sampling needs --samples * grid points * --kr = {} draws, over the "
              "cap of {}", draws, MAX_DRAWS),
             (unknown is not None, "unknown overlay {!r}; registered: {}", unknown, ", ".join(known)),
+            # an empty path would silently write to stdout
+            (self.output_path == "", "--out must name a file, got an empty path"),
             (self.decimal is not None and self.decimal < 0,
              "--decimal must be nonnegative, got {}", self.decimal),
             (self.decimal is not None and self.decimal > MAX_DECIMAL,

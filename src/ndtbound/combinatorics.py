@@ -1,9 +1,8 @@
 """Exact combinatorial primitives shared by every other module.
 
 All counts are Python big integers and every ratio is a
-``fractions.Fraction`` (re-exported as :data:`Rational`), so the core never
-touches floating point.  Decimal strings exist only at output boundaries via
-:func:`to_decimal`.
+``fractions.Fraction``, so the core never touches floating point.  Decimal
+strings exist only at output boundaries via :func:`to_decimal`.
 
 The primitives are binomials and surjection counts, the exact-input checks,
 and :class:`ConvexEnvelope`, the lower convex envelope of integer-abscissa
@@ -20,8 +19,6 @@ from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, NamedTuple
-
-Rational = Fraction
 
 # CPython's default int-to-str digit limit: a rational literal whose exact value
 # has a longer numerator or denominator is refused, so every accepted one prints

@@ -4,6 +4,7 @@ import random
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
+from math import gcd
 from unittest.mock import patch
 
 import pytest
@@ -1157,6 +1158,35 @@ def test_inline_category_value_matches_its_helpers(case):
         assert combs == [(best_cut - 1, lo - 1), (best_cut - 1, hi - 1)]
     else:
         assert combs == []
+
+
+@st.composite
+def chord_cases(draw):
+    """``(KT, p, q)`` for a replication ``p/q`` in lowest terms in [1, KT], q <= 12."""
+    kt, q = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    return kt, *F(draw(st.integers(q, kt * q)), q).as_integer_ratio()
+
+
+@settings(max_examples=300, deadline=None)
+@given(chord_cases())
+@example((1, 1, 1))
+@example((40, 40, 1))  # t = KT: hi clamps to lo
+@example((40, 79, 2))  # t = 39.5: the unreduced weights share 40
+@example((12, 71, 12))  # lo = 5: the unreduced weights share a multiple of C(12, 5)
+def test_cut_slopes_divides_out_the_weights_gcd(case):
+    """``_cut_slopes``' weights are coprime, and its chord is the same map as the
+    unreduced chord ``(q*a*b, (q - r)*b, r*a)``: each weight over the denominator
+    is unchanged."""
+    kt, p, q = case
+    lo, r = divmod(p, q)
+    hi = min(lo + 1, kt)
+    a, b = lo * binom(kt, lo), hi * binom(kt, hi)
+    unreduced, unreduced_lo, unreduced_hi = q * a * b, (q - r) * b, r * a
+    denominator, chord_lo, w_lo, chord_hi, w_hi = bounds._cut_slopes(kt, p, q)
+    assert (chord_lo, chord_hi) == (lo, hi)
+    assert gcd(w_lo, w_hi) == 1
+    assert F(w_lo, denominator) == F(unreduced_lo, unreduced)
+    assert F(w_hi, denominator) == F(unreduced_hi, unreduced)
 
 
 def test_inline_category_value_matches_its_helpers_past_hypothesis_range():

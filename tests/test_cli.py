@@ -1230,6 +1230,32 @@ def test_run_config_names_the_setting_of_an_inexact_rational():
             RunConfig("peak-sweep", mu_grid=(F(1, 2), bad))
 
 
+def test_run_config_refuses_an_output_path_that_is_not_a_path(tmp_path, capsys):
+    # open() takes an int or a bool as a file descriptor, and would write the table to
+    # it and close it (True and 1 are stdout, 2 is stderr); a float would fail only
+    # inside open(), with a message that names no setting
+    for bad in (True, 1, 2, 3.5, b"out.csv"):
+        with pytest.raises(TypeError, match=re.escape(
+            f"--out must be a str or os.PathLike path, got {bad!r}"
+        )):
+            RunConfig("distribution", files=2, receivers=2, output_path=bad)
+    path = tmp_path / "out.csv"
+    assert cli.run(RunConfig("distribution", files=2, receivers=2, output_path=path)) == 0
+    _, out, _ = run_cli(capsys, "distribution", "--files", "2", "--kr", "2")
+    assert path.read_text(encoding="utf-8") == out
+
+
+def test_an_empty_out_is_refused_not_read_as_stdout(tmp_path, capsys):
+    message = "--out must name a file, got an empty path"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RunConfig("distribution", files=2, receivers=2, output_path="")
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("out =\n")
+    for source in (["--out", ""], ["--config", str(cfg)]):
+        status, out, err = run_cli(capsys, "distribution", "--files", "2", "--kr", "2", *source)
+        assert (status, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_unread_settings_are_refused_last():
     with pytest.raises(ValueError, match="peak-sweep does not read --samples"):
         cli.run(RunConfig(

@@ -108,7 +108,6 @@ EXEMPT = {
     "InfeasibleLibrary": "an exception",
     "UNAVAILABLE": "the sentinel for a curve value that cannot be computed",
     "Unavailable": "the sentinel's class, which takes no arguments",
-    "Rational": "an alias of fractions.Fraction",
     "CheckReport": "takes only CheckRecords",
     "CurveRegistry": "takes no arguments; its methods take names and NetworkConfigs",
     "ReferenceCurve": "takes two strings and a callable",
