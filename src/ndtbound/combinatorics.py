@@ -36,7 +36,7 @@ def binom(n: int, k: int) -> int:
     replication t exceeds the cut size c, so k < 0 and k > n return 0
     instead of raising.  Both are ints, not floats or bools.
     """
-    # inline rather than _check_int: the default verify makes 17,716 calls
+    # inline rather than _check_int: the default verify makes 14,832 calls
     if not (type(n) is int and type(k) is int):
         raise TypeError(f"n and k must be ints, got {n!r} and {k!r}")
     if n < 0:
@@ -47,8 +47,17 @@ def binom(n: int, k: int) -> int:
 
 
 def _digits(n: int) -> str:
-    """``str(n)`` at any size: ``str(Decimal(n))`` is exempt from the int-to-str digit limit."""
-    return str(Decimal(n))
+    """``str(n)`` at any size, of an int or a bool (``"1"``, not ``"True"``).
+
+    The interpreter's own conversion is the fast one, but it refuses ints past
+    its int-to-str digit limit (``sys.set_int_max_str_digits``), which may be
+    lowered or lifted at any time.  So it is tried first, and only an int it
+    refuses goes through ``str(Decimal(n))``, which is exempt from the limit
+    and prints the same digits; the limit itself is never changed."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def _check_int(name: str, value, low: int | None = None, high: int | None = None) -> None:

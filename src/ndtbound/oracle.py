@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -111,10 +112,23 @@ def lp_min_placement(transmitters: int, cut_size: int, replication) -> LpSolutio
     Each candidate is scored in integers as a (numerator, denominator) pair
     and compared by cross-multiplication; only the winner becomes Fractions.
     With t = p/q, the pair (n1, n2) stores (n2*q - p)/((n2 - n1)*q) of the
-    library at n1 copies and the rest at n2.
+    library at n1 copies and the rest at n2.  The arguments are checked on
+    every call; each distinct solve is memoized below the checks.
     """
-    t, covered, total = _placement_inputs(transmitters, cut_size, replication)
-    p, q = t.numerator, t.denominator
+    t = _replication(transmitters, cut_size, replication)
+    return _lp_min_placement(transmitters, cut_size, t.numerator, t.denominator)
+
+
+# Keyed by ints, with the replication as its ratio p/q, so a hit hashes no
+# Fraction.  lp_min_placement refuses bools and floats before the lookup, so an
+# entry made by an int never answers an equal bool or float.  The default
+# verify's LP suites make 567 solves of 301 distinct tuples; the size holds the
+# distinct tuples of the largest verify: every quarter-step replication of
+# every cut of every KT <= MAX_LP_TRANSMITTERS (1,375).
+@lru_cache(maxsize=sum(kt * (4 * kt - 3) for kt in range(1, MAX_LP_TRANSMITTERS + 1)))
+def _lp_min_placement(transmitters: int, cut_size: int, p: int, q: int) -> LpSolution:
+    """``lp_min_placement`` at the checked replication t = p/q."""
+    covered, total = _columns(transmitters, cut_size)
     best = best_pair = None
     if q == 1:
         best = covered[p], total[p]
@@ -151,7 +165,8 @@ def grid_scan_min_placement(transmitters: int, cut_size: int, replication) -> Fr
     never beat the vertex optimum.  Returns None if no scanned profile
     meets the replication constraint exactly.
     """
-    t, covered, total = _placement_inputs(transmitters, cut_size, replication)
+    t = _replication(transmitters, cut_size, replication)
+    covered, total = _columns(transmitters, cut_size)
     q, target = t.denominator, t.numerator * SCAN_STEPS
     # with S = SCAN_STEPS, the pair weight a1 = j/S is admitted when a1*n1 + (1 - a1)*n2 == t,
     # tested in integers; an admitted point scores
@@ -185,8 +200,7 @@ def _check_cut(transmitters: int, cut_size: int) -> None:
 def _columns(transmitters: int, cut_size: int) -> tuple[list[int], list[int]]:
     """The two integer columns of the coverage weights, indexed by copy count
     n = 0..transmitters: C(cut_size, n) and C(transmitters, n), so that weight
-    n is their ratio."""
-    _check_cut(transmitters, cut_size)
+    n is their ratio.  The caller has checked the cut (``_check_cut``)."""
     copies = range(transmitters + 1)
     return [binom(cut_size, n) for n in copies], [binom(transmitters, n) for n in copies]
 
@@ -194,17 +208,17 @@ def _columns(transmitters: int, cut_size: int) -> tuple[list[int], list[int]]:
 def _weights(transmitters: int, cut_size: int) -> list[Fraction]:
     """The coverage weights at one cut size as Fractions, indexed by copy
     count n = 0..transmitters."""
+    _check_cut(transmitters, cut_size)
     return list(map(Fraction, *_columns(transmitters, cut_size)))
 
 
-def _placement_inputs(transmitters: int, cut_size: int, replication):
-    """The checked replication as a Fraction, and the two integer columns of
-    the weights the LP averages (see ``_columns``)."""
-    covered, total = _columns(transmitters, cut_size)
+def _replication(transmitters: int, cut_size: int, replication) -> Fraction:
+    """The placement LP's checked replication as a Fraction, after its cut."""
+    _check_cut(transmitters, cut_size)
     t = _as_fraction(replication)
     if not 1 <= t <= transmitters:
         raise Infeasible(f"replication must lie in [1, {transmitters}], got {t}")
-    return t, covered, total
+    return t
 
 
 def _convex_through(f: list[Fraction], last: int) -> bool:
@@ -335,27 +349,33 @@ def check_averaging_identities(limit: int = 16) -> CheckReport:
     _check_int("limit", limit, 1, MAX_LIMIT)
     subset_cap = min(limit, 8)
 
+    # every denominator is a positive binomial or s, so a/b == c/d is a*d == c*b;
+    # a counterexample's text prints both ratios as Fractions, in lowest terms
     def complement():
         for total in range(1, limit + 1):
             for n in range(total + 1):
                 for l in range(total + 1):
-                    lhs = Fraction(binom(total - n, l), binom(total, l))
-                    rhs = Fraction(binom(total - l, n), binom(total, n))
-                    yield None if lhs == rhs else f"K={total}, n={n}, l={l}: {lhs} != {rhs}"
+                    a, b = binom(total - n, l), binom(total, l)
+                    c, d = binom(total - l, n), binom(total, n)
+                    yield None if a * d == c * b else (
+                        f"K={total}, n={n}, l={l}: {Fraction(a, b)} != {Fraction(c, d)}"
+                    )
 
     def counting():
         for s, cut in _pairs(limit):
-            lhs = Fraction(binom(s - 1, s - cut - 1), binom(s, cut))
-            rhs = Fraction(s - cut, s)
-            yield None if lhs == rhs else f"s={s}, cut={cut}: {lhs} != {rhs}"
+            a, b = binom(s - 1, s - cut - 1), binom(s, cut)
+            yield None if a * s == (s - cut) * b else (
+                f"s={s}, cut={cut}: {Fraction(a, b)} != {Fraction(s - cut, s)}"
+            )
 
     def avoidance():
         for total, cut in _pairs(subset_cap):
             for marked in range(1, total + 1):
+                marked_set = set(range(marked))
                 covering = sum(
                     1
                     for subset in combinations(range(total), cut)
-                    if set(range(marked)) <= set(subset)
+                    if marked_set.issubset(subset)
                 )
                 enumerated = Fraction(covering, binom(total, cut))
                 closed = Fraction(

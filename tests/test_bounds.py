@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ndtbound import bounds, demands
+from ndtbound import bounds, demands, oracle
 from ndtbound.bounds import (
     BOUND_KINDS,
     ENVELOPE_ORDERS,
@@ -170,6 +170,7 @@ def test_caches_are_bounded():
         bounds.envelope_for_cut,
         bounds._cut_slopes,
         demands.distinct_distribution,
+        oracle._lp_min_placement,
     ):
         assert cached.cache_info().maxsize is not None, cached
 

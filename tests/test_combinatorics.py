@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -170,22 +172,48 @@ def test_to_decimal_round_trips_within_1e12():
         assert abs(Fraction(rendered) - value) <= tolerance
 
 
+@contextlib.contextmanager
+def int_digit_limit(limit: int | None):
+    """The interpreter's int-to-str digit limit, set for the block, then
+    restored; None leaves it as it is."""
+    if limit is None:
+        yield
+        return
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
+# the default limit, the lowest one the interpreter takes, and none; an
+# interpreter without the limit runs only the first
+DIGIT_LIMITS = (None, 640, 0) if hasattr(sys, "set_int_max_str_digits") else (None,)
+
+
 @given(st.integers(), st.integers(min_value=0, max_value=20_000))
 @example(10**4299, 0).via("the largest int with 4300 digits")
 @example(-(10**4300), 0).via("the smallest negative int with 4301 digits")
+@example(10**640 - 1, 0).via("the largest int with 640 digits")
+@example(-(10**640), 0).via("the smallest negative int with 641 digits")
 @example(0, 0)
 @settings(max_examples=200, deadline=None)
 def test_digits_is_str_at_any_size(n, shift):
-    """``_digits`` is ``str(n)`` wherever ``str(n)`` works; past the int-to-str limit
-    it is still a canonical decimal numeral that reads back as ``n``."""
+    """``_digits`` is ``str(n)`` wherever ``str(n)`` works, under each of
+    DIGIT_LIMITS; past the limit it is still a canonical decimal numeral that
+    reads back as ``n``.  A bool prints as its int."""
     n <<= shift  # up to about 6000 more digits, past the 4300-digit limit
-    text = _digits(n)
-    try:
-        assert text == str(n)
-    except ValueError:  # str(n) refuses the digit count
-        assert len(text.lstrip("-")) > MAX_LITERAL_DIGITS
-    assert re.fullmatch(r"-?(0|[1-9][0-9]*)", text)
-    assert int(Decimal(text)) == n
+    for limit in DIGIT_LIMITS:
+        with int_digit_limit(limit):
+            text = _digits(n)
+            try:
+                assert text == str(n)
+            except ValueError:  # str(n) refuses the digit count
+                assert len(text.lstrip("-")) > sys.get_int_max_str_digits() > 0
+            assert _digits(True) == "1"
+        assert re.fullmatch(r"-?(0|[1-9][0-9]*)", text)
+        assert int(Decimal(text)) == n
 
 
 def test_to_decimal_prints_past_the_int_to_str_limit():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -224,6 +225,7 @@ def test_lp_oracles_build_one_fraction_per_call_not_per_candidate(monkeypatch):
 
     def count(call):
         built.clear()
+        oracle._lp_min_placement.cache_clear()  # a memo hit builds none
         call()
         return len(built)
 
@@ -412,8 +414,12 @@ def test_full_verification_report_formats():
 
 def test_largest_full_verification_passes():
     # verify --limit 16 --kt-max 10, the largest request the CLI accepts
+    oracle._lp_min_placement.cache_clear()
     report = full_verification(16, 10)
     assert report.passed
+    # the LP memo holds every distinct tuple: none is evicted and solved again
+    info = oracle._lp_min_placement.cache_info()
+    assert info.misses == info.currsize == 1375 <= info.maxsize
     assert {record.name: record.checked for record in report.records} == {
         "complement-subset-symmetry": sum((k + 1) ** 2 for k in range(1, 17)),  # 1784
         "receiver-averaging-count": 136,  # 1 <= cut <= s <= 16
@@ -424,6 +430,53 @@ def test_largest_full_verification_passes():
         "discrete-convexity-full-range": 55,
         "lp-vertex-vs-grid-scan": sum(k * (4 * k - 3) for k in range(1, 6)),  # 175
     }
+
+
+def test_lp_memo_solves_each_default_verify_tuple_once(monkeypatch):
+    memo = oracle._lp_min_placement
+    keys = []
+    monkeypatch.setattr(oracle, "_lp_min_placement", lambda *key: keys.append(key) or memo(*key))
+    memo.cache_clear()
+    full_verification()
+    info = memo.cache_info()
+    assert (len(keys), info.misses, info.hits) == (567, 301, 266)
+    # each memoized solve equals an uncached one, record for record
+    for key in set(keys):
+        assert memo(*key) == memo.__wrapped__(*key)
+
+
+def test_lp_memo_refuses_a_bool_or_float_after_an_equal_int():
+    # the checks run before the memo lookup, so an int's entry answers no bool or float
+    assert lp_min_placement(1, 1, 1).optimum == 1
+    for args, message in (
+        ((True, 1, 1), "transmitters must be an int, got True"),
+        ((1, True, 1), "cut_size must be an int, got True"),
+        ((1, 1, True), "expected an exact rational (int, Fraction or string), got True"),
+        ((1.0, 1, 1), "transmitters must be an int, got 1.0"),
+        ((1, 1.0, 1), "cut_size must be an int, got 1.0"),
+        ((1, 1, 1.0), "expected an exact rational (int, Fraction or string), got 1.0"),
+    ):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            lp_min_placement(*args)
+
+
+def test_identity_counterexamples_print_the_ratios_in_lowest_terms(monkeypatch):
+    # the identities compare integer cross-products; a counterexample prints both
+    # ratios as Fractions do, reduced: 2/4 as 1/2 and 6/12 as 1/2
+    real_binom = binom
+    expected = {
+        (4, 2): ("K=4, n=1, l=2: 3/8 != 1/2", "s=4, cut=2: 3/8 != 1/2"),
+        (5, 2): ("K=5, n=1, l=2: 1/2 != 3/5", "s=5, cut=2: 1/2 != 3/5"),
+    }
+    for wrong, counterexamples in expected.items():
+        monkeypatch.setattr(
+            oracle, "binom", lambda n, k, wrong=wrong: real_binom(n, k) + 2 * ((n, k) == wrong)
+        )
+        records = check_averaging_identities(6).records
+        assert tuple(record.counterexample for record in records[:2]) == counterexamples
+        assert [json.loads(record.to_json())["counterexample"] for record in records[:2]] == list(
+            counterexamples
+        )
 
 
 def test_report_rendering_of_failures(monkeypatch):
