@@ -4,7 +4,8 @@ Three families of checks, all in exact arithmetic:
 
 * the placement LP (minimize the average cut-coverage weight over storage
   profiles with unit total mass and a fixed replication), solved by
-  exhaustive vertex enumeration and cross-checked by a naive grid scan;
+  exhaustive vertex enumeration and cross-checked by a scan of pair weights
+  on a 1/SCAN_STEPS grid;
 * discrete convexity and monotonicity of the coverage-weight sequence;
 * the subset-averaging identities used to collapse the cut averages into
   closed binomial forms.
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, NamedTuple
 
 from .combinatorics import ConvexEnvelope, _as_fraction, _check_int, _Checked, binom
@@ -158,36 +159,33 @@ def _lp_min_placement(transmitters: int, cut_size: int, p: int, q: int) -> LpSol
 
 
 def grid_scan_min_placement(transmitters: int, cut_size: int, replication) -> Fraction | None:
-    """Naive cross-check: scan pair-supported profiles on a weight grid.
+    """Grid cross-check: scan pair-supported profiles on a weight grid.
 
     Only profiles whose pair weight is an exact multiple of 1/SCAN_STEPS are
     admitted, so the scan explores a subset of the feasible set and can
-    never beat the vertex optimum.  Returns None if no scanned profile
-    meets the replication constraint exactly.
+    never beat the vertex optimum.  Each pair tests its one candidate weight
+    against the replication constraint itself, so a wrong candidate can only
+    miss a point, never admit one off the constraint.  Returns None if no
+    scanned profile meets the replication constraint exactly.
     """
     t = _replication(transmitters, cut_size, replication)
     covered, total = _columns(transmitters, cut_size)
     q, target = t.denominator, t.numerator * SCAN_STEPS
-    # with S = SCAN_STEPS, the pair weight a1 = j/S is admitted when a1*n1 + (1 - a1)*n2 == t,
-    # tested in integers; an admitted point scores
+    # with S = SCAN_STEPS and t = p/q, the pair weight a1 = j/S meets a1*n1 + (1 - a1)*n2 == t
+    # only at j = S*(n2*q - p)/((n2 - n1)*q); at n1 == n2 every j scores the same, so j = 0
+    # stands for all.  An admitted j scores, in integers,
     # (j*covered[n1]*total[n2] + (S - j)*covered[n2]*total[n1]) / (S*total[n1]*total[n2])
-    admitted = (
-        (
-            j * covered[n1] * total[n2] + (SCAN_STEPS - j) * covered[n2] * total[n1],
-            SCAN_STEPS * total[n1] * total[n2],
-        )
-        for n1 in range(1, transmitters + 1)
-        for n2 in range(n1, transmitters + 1)
-        for j in range(SCAN_STEPS + 1)
-        if q * (j * n1 + (SCAN_STEPS - j) * n2) == target
-    )
-    best = next(admitted, None)
-    if best is None:
-        return None
-    for score in admitted:
-        if score[0] * best[1] < best[0] * score[1]:
-            best = score
-    return Fraction(*best)
+    best = None
+    for n1, n2 in combinations_with_replacement(range(1, transmitters + 1), 2):
+        j = (n2 * q * SCAN_STEPS - target) // ((n2 - n1) * q) if n1 < n2 else 0
+        if 0 <= j <= SCAN_STEPS and q * (j * n1 + (SCAN_STEPS - j) * n2) == target:
+            score = (
+                j * covered[n1] * total[n2] + (SCAN_STEPS - j) * covered[n2] * total[n1],
+                SCAN_STEPS * total[n1] * total[n2],
+            )
+            if best is None or score[0] * best[1] < best[0] * score[1]:
+                best = score
+    return None if best is None else Fraction(*best)
 
 
 def _check_cut(transmitters: int, cut_size: int) -> None:
@@ -463,8 +461,8 @@ def check_convexity_sweep(max_transmitters: int = 8) -> CheckReport:
 
 
 def check_lp_against_grid_scan(max_transmitters: int = 5) -> CheckReport:
-    """Vertex optimum vs. naive grid scan, at SCAN_STEPS, on a quarter
-    replication grid."""
+    """Vertex optimum vs. grid scan, at SCAN_STEPS, on a quarter replication
+    grid."""
     _check_int("max_transmitters", max_transmitters, 1, MAX_LP_TRANSMITTERS)
     resolution = Fraction(1, SCAN_STEPS)
 

@@ -165,6 +165,12 @@ def scan_cases(draw):
 @example((5, 3, F(7, 5)))  # t off the 1/64 grid of every pair: None on both sides
 @example((6, 4, F(13, 4)))
 @example((1, 1, F(1)))
+@example((4, 2, F(3)))  # t == n2 of the pairs (1, 3) and (2, 3): j = 0
+@example((3, 1, F(1)))  # t == n1 of (1, 2) and (1, 3): j = 64; (2, 3) solves at j = 128
+@example((3, 1, F(3)))  # n2 < t: the pair (1, 2) solves the constraint at j = -64
+@example((10, 5, F(37, 4)))  # at the suite's cap of KT = 10
+@example((10, 7, F(11, 2)))
+@example((10, 10, F(10)))  # t == KT: every pair (n1, 10) is admitted at j = 0
 def test_grid_scan_matches_fraction_admission(case):
     assert grid_scan_min_placement(*case) == fraction_admission_scan(*case)
 
@@ -230,8 +236,8 @@ def test_lp_oracles_build_one_fraction_per_call_not_per_candidate(monkeypatch):
         return len(built)
 
     # 2 straddling pairs against 25, a singleton and 3 pairs against a singleton
-    # and 29 pairs, and 2 admitted grid points against more than 65 (every j at
-    # n1 = n2 = 5)
+    # and 29 pairs, and 2 admitted grid points against 17 (one per pair whose
+    # candidate weight is on the grid, (5, 5) included)
     for few, many in (
         (lambda: lp_min_placement(3, 2, F(3, 2)), lambda: lp_min_placement(10, 5, F(11, 2))),
         (lambda: lp_min_placement(3, 2, F(2)), lambda: lp_min_placement(10, 5, F(5))),
@@ -313,9 +319,9 @@ def test_grid_scan_suite_checks_its_size():
         with pytest.raises(ValueError):
             check_lp_against_grid_scan(size)
     assert check_lp_against_grid_scan(1).passed
-    assert check_lp_against_grid_scan(10).records[0].checked == sum(
-        k * (4 * k - 3) for k in range(1, 11)
-    )
+    largest = check_lp_against_grid_scan(10)
+    assert largest.passed
+    assert largest.records[0].checked == sum(k * (4 * k - 3) for k in range(1, 11))
 
 
 def test_grid_scan_checks_its_steps():
