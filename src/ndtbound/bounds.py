@@ -24,6 +24,7 @@ Neither order needs a hull, and no bound value builds one: the reference
 hull, ``combinatorics.ConvexEnvelope``, is built only by ``envelope_for_cut``
 and by the oracle.  The bound for cut c is ``1 + (s - c)*g_c(t)`` with
 ``g_c(t) = C(c - 1, t - 1) / (t*C(KT, t))``, the coverage weight over c,
+as ``C(c - 1, t - 1) = (t/c)*C(c, t)`` (so the oracle's placement LP checks the bound),
 which is convex on the integers 1..KT (the oracle's
 ``discrete-convexity-full-range`` check); so is each ``(s - c)*g_c``, as
 ``s - c >= 0``, and so is their maximum over c.  A convex sequence is its own

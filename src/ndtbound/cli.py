@@ -377,16 +377,18 @@ def _emit(config: RunConfig, chunks: Iterable[str]):
         raise CliError(f"cannot write {path or 'standard output'!r}: {exc}") from exc
 
 
-def _json(payload) -> Iterable[str]:
-    """``json.dumps(payload, indent=2) + "\\n"``, chunk by chunk as it is encoded."""
-    return chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
+def _json(config: RunConfig, payload) -> Iterable[str]:
+    """``json.dumps(payload, indent=2) + "\\n"``, chunk by chunk as it is encoded; the
+    encoder hands ``_render`` each value it cannot encode (a rational, ``Unavailable``)."""
+    encoder = json.JSONEncoder(indent=2, default=lambda value: _render(config, value))
+    return chain(encoder.iterencode(payload), ["\n"])
 
 
 def _emit_table(config: RunConfig, columns: dict[str, Iterable]):
-    header = list(columns)
-    rows = ([str(_render(config, value)) for value in row] for row in zip(*columns.values()))
+    header, rows = list(columns), zip(*columns.values())
     if config.output_format == "csv":
-        _emit(config, (",".join(row) + "\n" for row in chain([header], rows)))
+        cells = ([_render(config, value) for value in row] for row in rows)
+        _emit(config, (",".join(row) + "\n" for row in chain([header], cells)))
     else:
         # the command, its echoed settings under their flag names, and the tool version
         metadata = {"command": config.command} | {
@@ -396,7 +398,7 @@ def _emit_table(config: RunConfig, columns: dict[str, Iterable]):
         }
         records = [dict(zip(header, row)) for row in rows]
         payload = {"metadata": metadata | {"version": __version__}, "rows": records}
-        _emit(config, _json(payload))
+        _emit(config, _json(config, payload))
 
 
 def _mc_column(config: RunConfig, grid: tuple[Fraction, ...]) -> list[Fraction]:
@@ -443,7 +445,7 @@ def _run_sweep(config: RunConfig) -> int:
 def _run_distribution(config: RunConfig) -> int:
     dist = distinct_distribution(config.files, config.receivers)
     support = dist.support()
-    _emit_table(config, {"s": support, "mass": map(dist.mass, support)})
+    _emit_table(config, {"s": map(_digits, support), "mass": map(dist.mass, support)})
     return 0
 
 
@@ -474,19 +476,17 @@ def _run_point(config: RunConfig) -> int:
         categories.append({"s": s, "mass": dist.mass(s), "bound": detail.value} | evidence)
     fields["value"] = dist.weighted_sum([entry["bound"] for entry in categories])
     if config.kind == "peak":  # the one category, s = kr: its evidence is the point's
-        fields |= evidence
-    else:
-        fields["categories"] = [
-            {key: _render(config, item) for key, item in entry.items()} for entry in categories
-        ]
-    fields = {key: _render(config, item) for key, item in fields.items()}
-    lines = (f"{key} = {item}\n" for key, item in fields.items() if key != "categories")
-    categories = (
-        "category s={s}: mass={mass} bound={bound} argmax_cut={argmax_cut} "
-        "segment={segment}\n".format(**entry)
-        for entry in fields.get("categories", [])
+        fields, categories = fields | evidence, []  # and it prints no category line
+    elif config.output_format == "json":
+        fields["categories"] = categories
+    # each value is rendered as its line, or its JSON chunk, is written
+    lines = chain(
+        (f"{key} = {_render(config, item)}\n" for key, item in fields.items()),
+        ("category s={}: mass={} bound={} argmax_cut={} segment={}\n".format(
+            *(_render(config, item) for item in entry.values())
+        ) for entry in categories),
     )
-    _emit(config, _json(fields) if config.output_format == "json" else chain(lines, categories))
+    _emit(config, _json(config, fields) if config.output_format == "json" else lines)
     return 0
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ndtbound import oracle
-from ndtbound.bounds import bound_expression
+from ndtbound.bounds import ENVELOPE_ORDERS, bound_expression, category_bound
 from ndtbound.combinatorics import binom
 from ndtbound.oracle import (
     SCAN_STEPS,
@@ -259,6 +259,53 @@ def test_lp_optimum_feeds_the_bound_expression():
                 for distinct in (cut, cut + 1, cut + 3, 12):
                     expected = 1 + F(distinct - cut, cut) * optimum
                     assert bound_expression(kt, distinct, cut, t) == expected
+
+
+def lp_category_bound(kt, s, t, order):
+    """The category bound from the placement LP alone, by
+    ``C(c - 1, x - 1) = (x/c)*C(c, x)``: cut c's bound is ``1 + (s - c)/c`` times
+    its coverage weight.  The theorem order maximizes over cuts the LP optimum,
+    the convex envelope of those weights at t; the proof order is the chord,
+    between floor(t) and min(floor(t) + 1, KT), of the best cut's bound at each
+    integer corner."""
+    cuts = range(1, min(kt, s) + 1)
+    if order == "theorem":
+        return max(1 + F(s - c, c) * lp_min_placement(kt, c, t).optimum for c in cuts)
+    lo = int(t)
+    low, high = (
+        max(1 + F(s - c, c) * coverage_weight(kt, c, x) for c in cuts)
+        for x in (lo, min(lo + 1, kt))
+    )
+    return (1 - (t - lo)) * low + (t - lo) * high
+
+
+def test_category_bound_matches_the_placement_lp():
+    # all 1,134 cases with KT <= 7, s <= 2*KT + 2 and quarter-step t, in both orders
+    cases = [
+        (kt, s, t) for kt in range(1, 8) for s in range(1, 2 * kt + 3) for t in quarter_grid(kt)
+    ]
+    assert len(cases) == 1134
+    for case in cases:
+        for order in ENVELOPE_ORDERS:
+            assert category_bound(*case, order) == lp_category_bound(*case, order), (case, order)
+
+
+@st.composite
+def lp_bound_cases(draw):
+    kt = draw(st.integers(1, oracle.MAX_LP_TRANSMITTERS))
+    denominator = draw(st.integers(1, 12))
+    t = F(draw(st.integers(denominator, kt * denominator)), denominator)
+    return kt, draw(st.integers(1, 4 * kt)), t, draw(st.sampled_from(ENVELOPE_ORDERS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_bound_cases())
+@example((10, 40, F(37, 4), "theorem"))  # at the LP's cap of KT = 10
+@example((10, 11, F(11, 2), "proof"))
+@example((10, 10, F(10), "theorem"))
+def test_category_bound_matches_the_placement_lp_up_to_its_cap(case):
+    kt, s, t, order = case
+    assert category_bound(kt, s, t, order) == lp_category_bound(kt, s, t, order)
 
 
 def test_discrete_convexity_examples():
