@@ -103,8 +103,6 @@ bounds point by point (``expected_bound_for_distribution``), the reference that
 the proof order's sum is tested against.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt
@@ -116,6 +114,7 @@ from .combinatorics import (
     _check_count,
     _check_int,
     _Checked,
+    _echo,
     binom,
 )
 from .demands import DistinctCountDistribution, distinct_distribution
@@ -156,7 +155,7 @@ class NetworkConfig(_Checked, _NetworkConfig):
         mu = _as_fraction(self.cache_fraction)
         if not Fraction(1, self.transmitters) <= mu <= 1:
             raise ValueError(
-                f"cache_fraction must lie in [1/{self.transmitters}, 1], got {mu}"
+                f"cache_fraction must lie in [1/{_echo(self.transmitters)}, 1], got {_echo(mu)}"
             )
         return *self[:3], mu
 
@@ -176,11 +175,13 @@ def bound_expression(
     _check_int("cut_size", cut_size)
     if replication > transmitters:
         raise ValueError(
-            f"replication must be an integer in [1, {transmitters}], got {replication}"
+            f"replication must be an integer in [1, {_echo(transmitters)}], "
+            f"got {_echo(replication)}"
         )
     if not 1 <= cut_size <= min(transmitters, distinct):
         raise DomainError(
-            f"cut_size must lie in [1, min({transmitters}, {distinct})], got {cut_size}"
+            f"cut_size must lie in [1, min({_echo(transmitters)}, {_echo(distinct)})], "
+            f"got {_echo(cut_size)}"
         )
     base = replication * binom(transmitters, replication)
     extra = (distinct - cut_size) * binom(cut_size - 1, replication - 1)
@@ -237,7 +238,7 @@ class CategoryBoundDetail(_Checked, _CategoryBoundDetail):
             _check_count("best_cut", self.best_cut)
         segment = tuple(self.segment)
         if len(segment) != 2:
-            raise ValueError(f"segment must hold two copy counts, got {segment!r}")
+            raise ValueError(f"segment must hold two copy counts, got {_echo(segment, True)}")
         for end in segment:
             _check_count("segment", end)
         return _as_fraction(self.value), self.best_cut, segment
@@ -255,7 +256,7 @@ def _category_value(
     inline (``tests/test_bounds.py`` keeps both as references).  Chord ends and
     cuts are at least 1, so ``math.comb`` needs no range mapping."""
     if order not in ENVELOPE_ORDERS:
-        raise ValueError(f"order must be one of {ENVELOPE_ORDERS}, got {order!r}")
+        raise ValueError(f"order must be one of {ENVELOPE_ORDERS}, got {_echo(order, True)}")
     # inline type gates, as in binom; _check_count speaks for a bad value
     if type(transmitters) is not int or transmitters < 1:
         _check_count("transmitters", transmitters)
@@ -263,7 +264,7 @@ def _category_value(
         _check_count("distinct", distinct)
     if not q <= p <= transmitters * q:
         raise ValueError(
-            f"replication must lie in [1, {transmitters}], got {Fraction(p, q)}"
+            f"replication must lie in [1, {_echo(transmitters)}], got {_echo(Fraction(p, q))}"
         )
     denominator, lo, w_lo, hi, w_hi = _cut_slopes(transmitters, p, q)
     # cut(x) at each chord end: ceil(s*(x - 1)/x) is at most s, and 0 only at x = 1
@@ -342,13 +343,13 @@ def bound_distribution(config: NetworkConfig, kind: str) -> DistinctCountDistrib
     with files < receivers no demand does, and InfeasibleLibrary is raised.
     """
     if kind not in BOUND_KINDS:
-        raise ValueError(f"kind must be 'peak' or 'expected', got {kind!r}")
+        raise ValueError(f"kind must be 'peak' or 'expected', got {_echo(kind, True)}")
     if kind == "expected":
         return distinct_distribution(config.files, config.receivers)
     if config.files < config.receivers:
         raise InfeasibleLibrary(
             "peak bound needs at least as many files as receivers "
-            f"(files={config.files} < receivers={config.receivers})"
+            f"(files={_echo(config.files)} < receivers={_echo(config.receivers)})"
         )
     return DistinctCountDistribution(config.files, config.receivers, 1, {config.receivers: 1})
 
@@ -400,7 +401,7 @@ class BoundCurve(_Checked, _BoundCurve):
 
     def _checked(self):
         if self.kind not in BOUND_KINDS:
-            raise ValueError(f"kind must be 'peak' or 'expected', got {self.kind!r}")
+            raise ValueError(f"kind must be 'peak' or 'expected', got {_echo(self.kind, True)}")
         for name in ("transmitters", "receivers", "files"):
             _check_count(name, getattr(self, name))
         samples = [(mu, _as_fraction(v)) for mu, v in self.samples]
@@ -424,8 +425,8 @@ def validate_grid(transmitters: int, mu_grid: Sequence[Fraction]) -> tuple[Fract
     lo, hi = Fraction(1, transmitters), Fraction(1)
     if grid[0] < lo or grid[-1] > hi:
         raise ValueError(
-            f"cache-size grid must stay within [1/{transmitters}, 1], got "
-            f"[{grid[0]}, {grid[-1]}]"
+            f"cache-size grid must stay within [1/{_echo(transmitters)}, 1], got "
+            f"[{_echo(grid[0])}, {_echo(grid[-1])}]"
         )
     return grid
 

@@ -19,8 +19,6 @@ bound with fewer files than receivers).  Output is byte-identical for
 identical inputs, including the seed.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -43,7 +41,7 @@ from .bounds import (
     sweep,
 )
 from .combinatorics import (
-    MAX_LITERAL_DIGITS, _as_fraction, _check_int, _Checked, _digits, to_decimal,
+    MAX_LITERAL_DIGITS, _as_fraction, _check_int, _Checked, _digits, _echo, to_decimal,
 )
 from .comparator import Unavailable, default_registry
 from .demands import DistinctCountDistribution, distinct_distribution, sample_demands
@@ -113,7 +111,9 @@ class RunConfig(_Checked, _RunConfig):
 
     def _checked(self):
         if self.command not in _COMMANDS:
-            raise ValueError(f"command must be one of {tuple(_COMMANDS)}, got {self.command!r}")
+            raise ValueError(
+                f"command must be one of {tuple(_COMMANDS)}, got {_echo(self.command, True)}"
+            )
         row = _COMMANDS[self.command]
         # checked as normalized, on the plain record, whose _replace checks nothing
         self = _RunConfig._make(self)._replace(
@@ -126,7 +126,7 @@ class RunConfig(_Checked, _RunConfig):
         for name, allowed in [("output_format", row.formats), *choices]:
             value = getattr(self, name)
             if value not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+                raise ValueError(f"{name} must be one of {allowed}, got {_echo(value, True)}")
         # flags and config files parse ints; a config built in code may hold a bool, a
         # float, or a None that means "unset" only where it is the default
         for key, option in _OPTIONS.items():
@@ -136,7 +136,9 @@ class RunConfig(_Checked, _RunConfig):
                 _check_int(f"--{key}", value)
         # open() would take an int, or a bool, as a file descriptor to write to and close
         if not isinstance(self.output_path, (str, os.PathLike, type(None))):
-            raise TypeError(f"--out must be a str or os.PathLike path, got {self.output_path!r}")
+            raise TypeError(
+                f"--out must be a str or os.PathLike path, got {_echo(self.output_path, True)}"
+            )
         known = default_registry().names()
         unknown = next((name for name in self.overlays if name not in known), None)
         points = 0 if self.mu_grid is None else len(self.mu_grid)
@@ -164,7 +166,7 @@ class RunConfig(_Checked, _RunConfig):
         ), None)
         # the other settings, one row each, all checked before any bound is computed;
         # a row is (bad, template, *values), and only the row that fires is formatted,
-        # its ints through _digits, so that a setting of any size is echoed
+        # its values through _echo, so that a setting of any size is echoed
         for bad, template, *values in (
             ("grid" in row.options and self.mu_grid is None, "missing required options: --grid"),
             ("mu" in row.options and self.mu is None, "missing required options: --mu"),
@@ -181,7 +183,8 @@ class RunConfig(_Checked, _RunConfig):
             (draws > MAX_DRAWS,
              "Monte-Carlo sampling needs --samples * grid points * --kr = {} draws, over the "
              "cap of {}", draws, MAX_DRAWS),
-            (unknown is not None, "unknown overlay {!r}; registered: {}", unknown, ", ".join(known)),
+            (unknown is not None,
+             "unknown overlay {}; registered: {}", _echo(unknown, True), ", ".join(known)),
             # an empty path would silently write to stdout
             (self.output_path == "", "--out must name a file, got an empty path"),
             (self.decimal is not None and self.decimal < 0,
@@ -204,9 +207,7 @@ class RunConfig(_Checked, _RunConfig):
             (unread is not None, "{} does not read --{}", self.command, unread),
         ):
             if bad:
-                raise ValueError(template.format(
-                    *(_digits(value) if type(value) is int else value for value in values)
-                ))
+                raise ValueError(template.format(*map(_echo, values)))
         # a colon grid's points, built once every check passed, and each one exact
         if self.mu_grid is None:
             return self

@@ -10,8 +10,6 @@ points: the reference hull that the oracle's placement-LP check and the
 bound tests compare against.
 """
 
-from __future__ import annotations
-
 import math
 import re
 from bisect import bisect_right
@@ -38,9 +36,9 @@ def binom(n: int, k: int) -> int:
     """
     # inline rather than _check_int: the default verify makes 14,832 calls
     if not (type(n) is int and type(k) is int):
-        raise TypeError(f"n and k must be ints, got {n!r} and {k!r}")
+        raise TypeError(f"n and k must be ints, got {_echo(n, True)} and {_echo(k, True)}")
     if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+        raise ValueError(f"n must be nonnegative, got {_echo(n)}")
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -60,20 +58,41 @@ def _digits(n: int) -> str:
         return str(Decimal(n))
 
 
+def _echo(value, as_repr: bool = False) -> str:
+    """``repr(value)`` if ``as_repr``, else ``str(value)``, for a rejection message
+    that echoes a caller's value: every int, alone, as a ``Fraction``'s numerator
+    or denominator, or as a tuple item, is written by ``_digits``, so a value of
+    any size is echoed and the message never turns into the interpreter's
+    int-to-str limit error.  Bools, floats and strings are written as usual."""
+    if type(value) is int:
+        return _digits(value)
+    if isinstance(value, Fraction):
+        numerator, denominator = map(_digits, value.as_integer_ratio())
+        if as_repr:
+            return f"{type(value).__name__}({numerator}, {denominator})"
+        return numerator if denominator == "1" else f"{numerator}/{denominator}"
+    if type(value) is tuple:
+        items = [_echo(item, True) for item in value]
+        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+    return repr(value) if as_repr else str(value)
+
+
 def _check_int(name: str, value, low: int | None = None, high: int | None = None) -> None:
     """Reject anything but an int, and, when a range is given, an int outside
     [low, high]; bools are ints to Python, not counts."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {value!r}")
+        raise TypeError(f"{name} must be an int, got {_echo(value, True)}")
     if low is not None and not low <= value <= high:
-        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
+        raise ValueError(
+            f"{name} must lie in [{_echo(low)}, {_echo(high)}], got {_echo(value)}"
+        )
 
 
 def _check_count(name: str, value) -> None:
     """Reject anything but a positive int (``_check_int``)."""
     _check_int(name, value)
     if value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        raise ValueError(f"{name} must be a positive integer, got {_echo(value, True)}")
 
 
 class _Checked:
@@ -131,7 +150,7 @@ def _exact_points(pairs) -> tuple[tuple[int, Fraction], ...]:
     for t, v in pairs:
         x = _as_fraction(t)  # floats and bools raise TypeError
         if x.denominator != 1:
-            raise ValueError(f"envelope abscissae must be integers, got {t!r}")
+            raise ValueError(f"envelope abscissae must be integers, got {_echo(t, True)}")
         points.append((x.numerator, _as_fraction(v)))
     return tuple(points)
 
@@ -170,7 +189,9 @@ class ConvexEnvelope(_Checked, _ConvexEnvelope):
             hull.append(p)
         vertices = tuple(hull)
         if self.vertices is not None and _exact_points(self.vertices) != vertices:
-            raise ValueError(f"vertices must be the hull of the points, got {self.vertices!r}")
+            raise ValueError(
+                f"vertices must be the hull of the points, got {_echo(self.vertices, True)}"
+            )
         return pts, vertices
 
     @classmethod
@@ -181,7 +202,9 @@ class ConvexEnvelope(_Checked, _ConvexEnvelope):
         x = _as_fraction(x)
         lo, hi = self.vertices[0][0], self.vertices[-1][0]
         if not lo <= x <= hi:
-            raise ValueError(f"abscissa {x} outside envelope domain [{lo}, {hi}]")
+            raise ValueError(
+                f"abscissa {_echo(x)} outside envelope domain [{_echo(lo)}, {_echo(hi)}]"
+            )
         # vertex abscissae are integers, so searching for floor(x) finds the
         # same vertex as searching for x, with integer comparisons only
         floor = x.numerator // x.denominator
@@ -219,7 +242,7 @@ def to_decimal(value: Fraction, digits: int) -> str:
     value = _as_fraction(value)
     _check_int("digits", digits)
     if digits < 0:
-        raise ValueError(f"digits must be nonnegative, got {digits}")
+        raise ValueError(f"digits must be nonnegative, got {_echo(digits)}")
     negative = value < 0
     magnitude = -value if negative else value
     scale = 10**digits

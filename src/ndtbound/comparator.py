@@ -7,13 +7,11 @@ whose closed form has not been transcribed yet report the explicit
 as a missing value.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import Callable, NamedTuple, Union
 
 from .bounds import NetworkConfig
-from .combinatorics import _Checked
+from .combinatorics import _Checked, _echo
 
 
 class DuplicateName(ValueError):
@@ -51,13 +49,13 @@ class ReferenceCurve(_Checked, _ReferenceCurve):
 
     def _checked(self):
         if not isinstance(self.name, str):
-            raise TypeError(f"name must be a str, got {self.name!r}")
+            raise TypeError(f"name must be a str, got {_echo(self.name, True)}")
         if self.kind not in ("achievable", "converse"):
             raise ValueError(
-                f"kind must be 'achievable' or 'converse', got {self.kind!r}"
+                f"kind must be 'achievable' or 'converse', got {_echo(self.kind, True)}"
             )
         if not callable(self.evaluator):
-            raise TypeError(f"evaluator must be callable, got {self.evaluator!r}")
+            raise TypeError(f"evaluator must be callable, got {_echo(self.evaluator, True)}")
         return self
 
 
@@ -98,7 +96,7 @@ class CurveRegistry:
 
     def register(self, curve: ReferenceCurve) -> str:
         if curve.name in self._curves:
-            raise DuplicateName(f"curve {curve.name!r} is already registered")
+            raise DuplicateName(f"curve {_echo(curve.name, True)} is already registered")
         self._curves[curve.name] = curve
         return curve.name
 
@@ -108,7 +106,7 @@ class CurveRegistry:
     def get(self, name: str) -> ReferenceCurve:
         if name not in self._curves:
             raise KeyError(
-                f"unknown curve {name!r}; registered: {', '.join(self._curves)}"
+                f"unknown curve {_echo(name, True)}; registered: {', '.join(self._curves)}"
             )
         return self._curves[name]
 

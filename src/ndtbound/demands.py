@@ -30,8 +30,6 @@ demand tuple takes the next ``receivers`` draws, built in C with no Python
 code per demand.
 """
 
-from __future__ import annotations
-
 import math
 import random
 import struct
@@ -41,7 +39,7 @@ from itertools import chain, islice, product, repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .combinatorics import _as_fraction, _check_count, _check_int, _Checked, _digits
+from .combinatorics import _as_fraction, _check_count, _check_int, _Checked, _echo
 
 Demand = tuple[int, ...]
 
@@ -94,9 +92,11 @@ class DistinctCountDistribution(_Checked, _DistinctCountDistribution):
             _check_count("distinct count", s)
             _check_int("count", count)
             if s > top:
-                raise ValueError(f"distinct count {s} exceeds min(files, receivers) = {top}")
+                raise ValueError(
+                    f"distinct count {_echo(s)} exceeds min(files, receivers) = {_echo(top)}"
+                )
             if count < 0:
-                raise ValueError(f"count of {s} must be nonnegative, got {count}")
+                raise ValueError(f"count of {_echo(s)} must be nonnegative, got {_echo(count)}")
         return self.files, self.receivers, self.total, MappingProxyType(counts)
 
     def __getnewargs__(self):
@@ -196,16 +196,16 @@ def enumerate_demands(files: int, receivers: int) -> Iterator[Demand]:
     bits = receivers * (files.bit_length() - 1)
     total = files**receivers if bits <= 2 * DEFAULT_ENUMERATION_CAP.bit_length() else None
     if total is None or total > DEFAULT_ENUMERATION_CAP:
-        size = f">= 2^{_digits(bits)}" if total is None else f"= {total}"
+        size = f">= 2^{_echo(bits)}" if total is None else f"= {total}"
         raise CapExceeded(
-            f"{_digits(files)}^{_digits(receivers)} {size} demand vectors exceed the cap of "
+            f"{_echo(files)}^{_echo(receivers)} {size} demand vectors exceed the cap of "
             f"{DEFAULT_ENUMERATION_CAP}"
         )
     # one file passes the vector cap at any length, but product builds a pool
     # entry per receiver before it yields
     if receivers > DEFAULT_ENUMERATION_CAP:
         raise CapExceeded(
-            f"{_digits(receivers)} receivers exceed the cap of {DEFAULT_ENUMERATION_CAP} "
+            f"{_echo(receivers)} receivers exceed the cap of {DEFAULT_ENUMERATION_CAP} "
             "entries per demand vector"
         )
     return iter(product(range(1, files + 1), repeat=receivers))
@@ -227,7 +227,7 @@ def sample_demands(
     _check_count("count", count)
     _check_int("seed", seed)
     if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed!r}")
+        raise ValueError(f"seed must be nonnegative, got {_echo(seed, True)}")
     rng = random.Random(seed)
     if files < 2**32:
         draws = chain.from_iterable(_batched_draws(rng, files))

@@ -14,15 +14,13 @@ Each check produces a :class:`CheckRecord`; a :class:`CheckReport` renders
 them as human-readable text or machine-readable JSON lines.
 """
 
-from __future__ import annotations
-
 import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, NamedTuple
 
-from .combinatorics import ConvexEnvelope, _as_fraction, _check_int, _Checked, binom
+from .combinatorics import ConvexEnvelope, _as_fraction, _check_int, _Checked, _echo, binom
 
 
 # the grid scan's resolution: pair weights are multiples of 1/SCAN_STEPS
@@ -68,7 +66,7 @@ class PlacementProfile(_Checked, _PlacementProfile):
             raise ValueError("storage fractions must be nonnegative")
         total = sum(stored, Fraction(0))
         if total != 1:
-            raise ValueError(f"storage fractions must sum to 1, got {total}")
+            raise ValueError(f"storage fractions must sum to 1, got {_echo(total)}")
         return (alphas,)
 
     @property
@@ -90,7 +88,9 @@ class LpSolution(_Checked, _LpSolution):
     def _checked(self):
         optimum = _as_fraction(self.optimum)
         if not isinstance(self.profile, PlacementProfile):
-            raise TypeError(f"profile must be a PlacementProfile, got {self.profile!r}")
+            raise TypeError(
+                f"profile must be a PlacementProfile, got {_echo(self.profile, True)}"
+            )
         if len(self.support) > 2:
             raise ValueError("basic solutions have at most two nonzero fractions")
         return optimum, self.profile
@@ -215,7 +215,7 @@ def _replication(transmitters: int, cut_size: int, replication) -> Fraction:
     _check_cut(transmitters, cut_size)
     t = _as_fraction(replication)
     if not 1 <= t <= transmitters:
-        raise Infeasible(f"replication must lie in [1, {transmitters}], got {t}")
+        raise Infeasible(f"replication must lie in [1, {_echo(transmitters)}], got {_echo(t)}")
     return t
 
 
@@ -259,12 +259,14 @@ class CheckRecord(_Checked, _CheckRecord):
     def _checked(self):
         for name in ("name", "scope"):
             if not isinstance(getattr(self, name), str):
-                raise TypeError(f"{name} must be a str, got {getattr(self, name)!r}")
+                raise TypeError(f"{name} must be a str, got {_echo(getattr(self, name), True)}")
         _check_int("checked", self.checked)
         if self.checked < 0:
-            raise ValueError(f"checked must be nonnegative, got {self.checked}")
+            raise ValueError(f"checked must be nonnegative, got {_echo(self.checked)}")
         if not (self.counterexample is None or isinstance(self.counterexample, str)):
-            raise TypeError(f"counterexample must be None or a str, got {self.counterexample!r}")
+            raise TypeError(
+                f"counterexample must be None or a str, got {_echo(self.counterexample, True)}"
+            )
         # a counterexample is one of the checked tuples
         if self.checked == 0 and self.counterexample is not None:
             raise ValueError(
@@ -303,7 +305,7 @@ class CheckReport(_Checked, _CheckReport):
         records = tuple(self.records)
         for record in records:
             if not isinstance(record, CheckRecord):
-                raise TypeError(f"records must be CheckRecords, got {record!r}")
+                raise TypeError(f"records must be CheckRecords, got {_echo(record, True)}")
         return (records,)
 
     @property

@@ -19,6 +19,7 @@ from ndtbound.combinatorics import (
     MAX_LITERAL_DIGITS,
     _as_fraction,
     _digits,
+    _echo,
     binom,
     surjection_count,
     to_decimal,
@@ -214,6 +215,32 @@ def test_digits_is_str_at_any_size(n, shift):
             assert _digits(True) == "1"
         assert re.fullmatch(r"-?(0|[1-9][0-9]*)", text)
         assert int(Decimal(text)) == n
+
+
+ECHOED = st.recursive(
+    st.integers() | st.fractions() | st.booleans() | st.floats() | st.text() | st.none(),
+    lambda items: st.lists(items, max_size=3).map(tuple),
+    max_leaves=6,
+)
+
+
+@given(ECHOED)
+@example(Fraction(7)).via("a whole Fraction keeps its repr's denominator")
+@example((Fraction(-1, 3),)).via("a one-item tuple")
+@example(())
+def test_echo_is_str_and_repr_within_the_limit(value):
+    assert _echo(value) == str(value)
+    assert _echo(value, True) == repr(value)
+
+
+def test_echo_writes_every_int_past_the_limit():
+    big = 10**5000
+    digits = "1" + "0" * 5000
+    assert _echo(-big) == _echo(-big, True) == "-" + digits
+    assert _echo(Fraction(big)) == digits
+    assert _echo(Fraction(1, big), True) == f"Fraction(1, {digits})"
+    assert _echo((big, "kt", True, 0.5)) == f"({digits}, 'kt', True, 0.5)"
+    assert _echo((Fraction(-big, 3),)) == f"(Fraction(-{digits}, 3),)"
 
 
 def test_to_decimal_prints_past_the_int_to_str_limit():

@@ -1,5 +1,6 @@
 """One exactness contract over ``ndtbound.__all__``: every public callable that
-takes an int or a rational refuses ``True`` and a float in its place.
+takes an int or a rational refuses ``True`` and a float in its place, and
+rejects a value of any size as it rejects a small one of the same kind.
 
 ``True == 1`` and a float equal to an int hashes alike, so a cache consulted
 before the check would answer either from the exact value's entry; each row
@@ -8,6 +9,8 @@ makes its valid call first, so that such a cache is warm.
 
 from __future__ import annotations
 
+import contextlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -56,7 +59,8 @@ def row(name, call, *args, **kwargs):
 
 
 # one valid call per public callable that takes an int or a rational; only its
-# int and Fraction arguments, and those items of its flat tuple arguments, are probed
+# int and Fraction arguments, and those items, keys and values of its flat tuple
+# and dict arguments, are probed
 ROWS = [
     row("BoundCurve", BoundCurve, "peak", 3, 3, 3, ((F(1, 3), F(5, 3)), (F(2, 3), F(7, 6)))),
     row("CategoryBoundDetail", CategoryBoundDetail, F(5, 3), 1, (1, 2)),
@@ -119,26 +123,45 @@ EXEMPT = {
 }
 
 
-def _substitutions(args, kwargs):
-    """Each probed value swapped for True and for its float: (label, args, kwargs)."""
+def _probed(item):
+    return type(item) in (int, Fraction)
+
+
+def _substitutions(args, kwargs, stand_ins):
+    """Each probed value swapped for each of its ``stand_ins(value)``, a list of
+    (name, value) pairs: (label, args, kwargs)."""
     slots = [*enumerate(args), *kwargs.items()]
     for slot, value in slots:
         if type(value) is tuple:
             swaps = [
-                (f"{slot}[{i}]", value[:i] + (bad,) + value[i + 1 :])
+                (f"{slot}[{i}]={name}", value[:i] + (bad,) + value[i + 1 :])
                 for i, item in enumerate(value)
-                if type(item) in (int, Fraction)
-                for bad in (True, float(item))
+                if _probed(item)
+                for name, bad in stand_ins(item)
             ]
-        elif type(value) in (int, Fraction):
-            swaps = [(f"{slot}", bad) for bad in (True, float(value))]
+        elif type(value) is dict:
+            items = list(value.items())
+            swaps = [
+                (f"{slot}[{i}].{part}={name}", dict(items[:i] + [pair] + items[i + 1 :]))
+                for i, (key, count) in enumerate(items)
+                for part, item in (("key", key), ("value", count))
+                if _probed(item)
+                for name, bad in stand_ins(item)
+                for pair in [(bad, count) if part == "key" else (key, bad)]
+            ]
+        elif _probed(value):
+            swaps = [(f"{slot}={name}", bad) for name, bad in stand_ins(value)]
         else:
             swaps = []
         for label, bad in swaps:
             if isinstance(slot, int):
-                yield f"{label}={bad!r}", (*args[:slot], bad, *args[slot + 1 :]), kwargs
+                yield label, (*args[:slot], bad, *args[slot + 1 :]), kwargs
             else:
-                yield f"{label}={bad!r}", args, {**kwargs, slot: bad}
+                yield label, args, {**kwargs, slot: bad}
+
+
+def _inexact(value):
+    return [(repr(bad), bad) for bad in (True, float(value))]
 
 
 def _id(case):
@@ -151,7 +174,7 @@ def test_true_and_floats_raise_type_error(case):
     name, call, args, kwargs = case
     call(*args, **kwargs)
     holes = []
-    for label, bad_args, bad_kwargs in _substitutions(args, kwargs):
+    for label, bad_args, bad_kwargs in _substitutions(args, kwargs, _inexact):
         try:
             call(*bad_args, **bad_kwargs)
         except TypeError:
@@ -161,6 +184,77 @@ def test_true_and_floats_raise_type_error(case):
         else:
             holes.append(f"{label}: accepted")
     assert holes == [], f"{name} does not refuse inexact values: {holes}"
+
+
+def _sized(value, digits):
+    """A probed value's stand-ins with ``digits + 1``-digit parts: for an int, a
+    negative int and a Fraction (a positive count could drive a loop that never
+    ends, as ``surjection_count(3, 10**5000)`` would); for a Fraction, a large one
+    and a small one."""
+    big = 10**digits
+    if type(value) is int:
+        return [("-10**n", -big), ("Fraction(10**n)", Fraction(big))]
+    return [("Fraction(10**n)", Fraction(big)), ("Fraction(1, 10**n)", Fraction(1, big))]
+
+
+def _outcome(call, args, kwargs):
+    """The type of the exception that the call raises, or None, and its message."""
+    try:
+        call(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None, ""
+
+
+@contextlib.contextmanager
+def _int_digit_limit(limit):
+    """The interpreter's int-to-str digit limit, set for the block, then restored;
+    None leaves it as it is."""
+    if limit is None:
+        yield
+        return
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
+# the interpreter's int-to-str limit error, which a rejection echoing a big
+# value through str or repr would raise in place of its own
+LIMIT_ERROR = "for integer string conversion"
+
+
+@pytest.mark.parametrize(
+    "digits, limit", [(5000, None), (700, 640)], ids=["default-limit", "limit-640"]
+)
+@pytest.mark.parametrize("case", ROWS, ids=_id)
+def test_values_of_any_size_are_rejected_as_small_ones_are(case, digits, limit):
+    """Each probed value swapped for a stand-in past the int-to-str limit raises
+    what the same stand-in with 10 digits raises, with the row's own message: an
+    int slot given a Fraction raises TypeError at any size."""
+    name, call, args, kwargs = case
+    call(*args, **kwargs)
+    holes = []
+    big = _substitutions(args, kwargs, lambda value: _sized(value, digits))
+    small = _substitutions(args, kwargs, lambda value: _sized(value, 9))
+    with _int_digit_limit(limit):
+        for (label, *big_call), (_, *small_call) in zip(big, small, strict=True):
+            got, message = _outcome(call, *big_call)
+            want, _ = _outcome(call, *small_call)
+            if got is not want or LIMIT_ERROR in message:
+                raised = got and f"{got.__name__}: {message[:60]}"
+                holes.append(f"{label}: {raised}, not {want and want.__name__}")
+    assert holes == [], f"{name} rejects a large value unlike a small one: {holes}"
+
+
+def test_out_of_any_size_is_refused_as_a_path():
+    for path in (-(10**5000), 10**5000):
+        with pytest.raises(TypeError, match=r"^--out must be a str or os.PathLike path, got -?\d+$"):
+            RunConfig("verify", output_path=path)
 
 
 def test_every_public_name_has_a_row_or_an_exemption():

@@ -1,10 +1,13 @@
 """Source hygiene: no module binds a top-level function or class name twice, so
-no definition is silently replaced by a later one of the same name; and each
-package module imports only the sibling modules declared for it."""
+no definition is silently replaced by a later one of the same name; each
+package module imports only the sibling modules declared for it; and no package
+module postpones its annotations, so records hold evaluated types."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -75,3 +78,32 @@ def test_only_combinatorics_imports_decimal():
     ``combinatorics._digits``, so no other module needs ``decimal``."""
     importers = {path.stem for path in PACKAGE.glob("*.py") if "decimal" in _imported_modules(path)}
     assert importers == {"combinatorics"}
+
+
+def test_no_package_module_imports_from_future():
+    """Postponed annotations would make every record field a string that
+    ``typing.NamedTuple`` turns into a ``ForwardRef`` on each import."""
+    importers = {
+        path.stem for path in PACKAGE.glob("*.py") if "__future__" in _imported_modules(path)
+    }
+    assert importers == set()
+
+
+def test_records_annotate_their_fields_with_types():
+    # each module's own records; importing __main__ would run the CLI
+    modules = [importlib.import_module(f"ndtbound.{name}") for name in SIBLINGS if name[0] != "_"]
+    records = [
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == module.__name__
+        and issubclass(value, tuple) and "_fields" in vars(value)
+    ]
+    assert records, "no typing.NamedTuple record found"
+    postponed = {
+        f"{record.__qualname__}.{field}": annotation
+        for record in records
+        for field, annotation in record.__annotations__.items()
+        if isinstance(annotation, (str, typing.ForwardRef))
+    }
+    assert postponed == {}
