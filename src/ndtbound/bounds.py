@@ -113,7 +113,7 @@ from .combinatorics import (
     _as_fraction,
     _check_count,
     _check_int,
-    _Checked,
+    _checked_record,
     _echo,
     binom,
 )
@@ -131,14 +131,8 @@ class InfeasibleLibrary(Exception):
     """Peak bound requested with fewer files than receivers."""
 
 
-class _NetworkConfig(NamedTuple):
-    transmitters: int
-    receivers: int
-    files: int
-    cache_fraction: Fraction
-
-
-class NetworkConfig(_Checked, _NetworkConfig):
+@_checked_record
+class NetworkConfig(NamedTuple):
     """One network instance: transmitter/receiver counts, library size, cache size.
 
     ``cache_fraction`` is the normalized per-transmitter cache size (cache
@@ -147,7 +141,10 @@ class NetworkConfig(_Checked, _NetworkConfig):
     is never used.  Out-of-range values are rejected, not clamped.
     """
 
-    __slots__ = ()
+    transmitters: int
+    receivers: int
+    files: int
+    cache_fraction: Fraction
 
     def _checked(self):
         for name in ("transmitters", "receivers", "files"):
@@ -217,13 +214,8 @@ def _cut_slopes(transmitters: int, p: int, q: int) -> tuple[int, int, int, int, 
     return q * a * b // common, lo, (q - r) * b // common, hi, r * a // common
 
 
-class _CategoryBoundDetail(NamedTuple):
-    value: Fraction
-    best_cut: int | None
-    segment: tuple[int, int]
-
-
-class CategoryBoundDetail(_Checked, _CategoryBoundDetail):
+@_checked_record
+class CategoryBoundDetail(NamedTuple):
     """Category bound plus the evidence behind it.
 
     ``best_cut`` is the smallest maximizing cut size (theorem order only;
@@ -231,7 +223,9 @@ class CategoryBoundDetail(_Checked, _CategoryBoundDetail):
     ``segment`` gives the hull vertices nearest the replication on either side.
     """
 
-    __slots__ = ()
+    value: Fraction
+    best_cut: int | None
+    segment: tuple[int, int]
 
     def _checked(self):
         if self.best_cut is not None:
@@ -386,18 +380,15 @@ def expected_ndt_lower_bound(config: NetworkConfig, order: str = "theorem") -> F
     )
 
 
-class _BoundCurve(NamedTuple):
+@_checked_record
+class BoundCurve(NamedTuple):
+    """One bound evaluated over a cache-size grid."""
+
     kind: str  # "peak" | "expected"
     transmitters: int
     receivers: int
     files: int
     samples: tuple[tuple[Fraction, Fraction], ...]
-
-
-class BoundCurve(_Checked, _BoundCurve):
-    """One bound evaluated over a cache-size grid."""
-
-    __slots__ = ()
 
     def _checked(self):
         if self.kind not in BOUND_KINDS:

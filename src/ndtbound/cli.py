@@ -41,7 +41,7 @@ from .bounds import (
     sweep,
 )
 from .combinatorics import (
-    MAX_LITERAL_DIGITS, _as_fraction, _check_int, _Checked, _digits, _echo, to_decimal,
+    MAX_LITERAL_DIGITS, _as_fraction, _check_int, _checked_record, _digits, _echo, to_decimal,
 )
 from .comparator import Unavailable, default_registry
 from .demands import DistinctCountDistribution, distinct_distribution, sample_demands
@@ -85,7 +85,10 @@ class CliError(Exception):
     """Invalid configuration; maps to exit status 1."""
 
 
-class _RunConfig(NamedTuple):
+@_checked_record
+class RunConfig(NamedTuple):
+    """One CLI run; the field defaults (``_field_defaults``) are the CLI defaults."""
+
     command: str
     transmitters: int = 5
     receivers: int = 20
@@ -103,24 +106,20 @@ class _RunConfig(NamedTuple):
     limit: int = 16
     max_transmitters: int = 6
 
-
-class RunConfig(_Checked, _RunConfig):
-    """One CLI run; the field defaults (``_field_defaults``) are the CLI defaults."""
-
-    __slots__ = ()
-
     def _checked(self):
         if self.command not in _COMMANDS:
             raise ValueError(
                 f"command must be one of {tuple(_COMMANDS)}, got {_echo(self.command, True)}"
             )
         row = _COMMANDS[self.command]
-        # checked as normalized, on the plain record, whose _replace checks nothing
-        self = _RunConfig._make(self)._replace(
-            output_format=row.formats[0] if self.output_format is None else self.output_format,
-            overlays=tuple(self.overlays),
-            mu=None if self.mu is None else _as_fraction(self.mu, "--mu"),
-        )
+        # checked as normalized, on a record built past the constructor, since
+        # _replace would run these checks again
+        self = tuple.__new__(RunConfig, {
+            **self._asdict(),
+            "output_format": row.formats[0] if self.output_format is None else self.output_format,
+            "overlays": tuple(self.overlays),
+            "mu": None if self.mu is None else _as_fraction(self.mu, "--mu"),
+        }.values())
         choices = [(option.field, option.keywords["choices"])
                    for option in _OPTIONS.values() if "choices" in option.keywords]
         for name, allowed in [("output_format", row.formats), *choices]:
@@ -211,7 +210,9 @@ class RunConfig(_Checked, _RunConfig):
         # a colon grid's points, built once every check passed, and each one exact
         if self.mu_grid is None:
             return self
-        return self._replace(mu_grid=tuple(_as_fraction(mu, "--grid") for mu in self.mu_grid))
+        return {
+            **self._asdict(), "mu_grid": tuple(_as_fraction(mu, "--grid") for mu in self.mu_grid)
+        }.values()
 
 
 def parse_rational(text: str) -> Fraction:
@@ -361,8 +362,7 @@ def _render(config: RunConfig, value):
         return value
     if config.decimal is not None:
         return to_decimal(value, config.decimal)
-    numerator, denominator = map(_digits, value.as_integer_ratio())
-    return numerator if denominator == "1" else f"{numerator}/{denominator}"
+    return _echo(value)
 
 
 def _emit(config: RunConfig, chunks: Iterable[str]):

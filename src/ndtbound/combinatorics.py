@@ -5,9 +5,12 @@ All counts are Python big integers and every ratio is a
 strings exist only at output boundaries via :func:`to_decimal`.
 
 The primitives are binomials and surjection counts, the exact-input checks,
-and :class:`ConvexEnvelope`, the lower convex envelope of integer-abscissa
-points: the reference hull that the oracle's placement-LP check and the
-bound tests compare against.
+the rejection-message writer ``_echo``, and :class:`ConvexEnvelope`, the lower
+convex envelope of integer-abscissa points: the reference hull that the
+oracle's placement-LP check and the bound tests compare against.  Every record
+with invariants, here and in the other modules, is one ``typing.NamedTuple``
+class decorated with ``_checked_record``, which runs its ``_checked`` on every
+way in.
 """
 
 import math
@@ -58,12 +61,17 @@ def _digits(n: int) -> str:
         return str(Decimal(n))
 
 
-def _echo(value, as_repr: bool = False) -> str:
+# the brackets that repr puts around each container that _echo writes item by item
+_BRACKETS = {tuple: "()", list: "[]", dict: "{}"}
+
+
+def _echo(value, as_repr: bool = False, _open: frozenset = frozenset()) -> str:
     """``repr(value)`` if ``as_repr``, else ``str(value)``, for a rejection message
     that echoes a caller's value: every int, alone, as a ``Fraction``'s numerator
-    or denominator, or as a tuple item, is written by ``_digits``, so a value of
-    any size is echoed and the message never turns into the interpreter's
-    int-to-str limit error.  Bools, floats and strings are written as usual."""
+    or denominator, or as an item of a tuple, list or dict, is written by
+    ``_digits``, so a value of any size is echoed and the message never turns into
+    the interpreter's int-to-str limit error.  Bools, floats and strings are
+    written as usual, and a container inside itself as ``[...]``, as repr does."""
     if type(value) is int:
         return _digits(value)
     if isinstance(value, Fraction):
@@ -71,10 +79,20 @@ def _echo(value, as_repr: bool = False) -> str:
         if as_repr:
             return f"{type(value).__name__}({numerator}, {denominator})"
         return numerator if denominator == "1" else f"{numerator}/{denominator}"
-    if type(value) is tuple:
-        items = [_echo(item, True) for item in value]
-        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
-    return repr(value) if as_repr else str(value)
+    brackets = _BRACKETS.get(type(value))
+    if brackets is None:
+        return repr(value) if as_repr else str(value)
+    opening, closing = brackets
+    if id(value) in _open:
+        return f"{opening}...{closing}"
+    inner = _open | {id(value)}
+    if type(value) is dict:
+        items = [f"{_echo(k, True, inner)}: {_echo(v, True, inner)}" for k, v in value.items()]
+    else:
+        items = [_echo(item, True, inner) for item in value]
+    if type(value) is tuple and len(items) == 1:
+        return f"({items[0]},)"
+    return f"{opening}{', '.join(items)}{closing}"
 
 
 def _check_int(name: str, value, low: int | None = None, high: int | None = None) -> None:
@@ -95,19 +113,17 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer, got {_echo(value, True)}")
 
 
-class _Checked:
-    """First base of a ``NamedTuple`` subclass whose ``_checked`` checks the bound
-    fields and returns the values to keep; ``_make``, and the ``_replace`` that
-    calls it, go through the constructor, so no record skips the checks."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        return tuple.__new__(cls, super().__new__(cls, *args, **kwargs)._checked())
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+def _checked_record(cls):
+    """Make a ``typing.NamedTuple`` class a checked record: its constructor runs
+    the class's ``_checked``, which checks the built fields and returns the
+    values to keep.  ``_make``, and the ``_replace`` that calls it, go through the
+    constructor, so no record skips the checks."""
+    build = cls.__new__
+    cls.__new__ = staticmethod(
+        lambda cls, *args, **kwargs: tuple.__new__(cls, build(cls, *args, **kwargs)._checked())
+    )
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls
 
 
 def _as_fraction(value, name: str | None = None) -> Fraction:
@@ -155,12 +171,8 @@ def _exact_points(pairs) -> tuple[tuple[int, Fraction], ...]:
     return tuple(points)
 
 
-class _ConvexEnvelope(NamedTuple):
-    points: tuple[tuple[int, Fraction], ...]
-    vertices: tuple[tuple[int, Fraction], ...] | None = None
-
-
-class ConvexEnvelope(_Checked, _ConvexEnvelope):
+@_checked_record
+class ConvexEnvelope(NamedTuple):
     """Lower convex envelope of points with integer abscissae.
 
     ``points`` are the raw (t, value) pairs; ``vertices``, the envelope corners,
@@ -168,7 +180,8 @@ class ConvexEnvelope(_Checked, _ConvexEnvelope):
     so the envelope value at any abscissa never exceeds the raw value there.
     """
 
-    __slots__ = ()
+    points: tuple[tuple[int, Fraction], ...]
+    vertices: tuple[tuple[int, Fraction], ...] | None = None
 
     def _checked(self):
         pts = _exact_points(self.points)

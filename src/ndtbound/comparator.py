@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Union
 
 from .bounds import NetworkConfig
-from .combinatorics import _Checked, _echo
+from .combinatorics import _checked_record, _echo
 
 
 class DuplicateName(ValueError):
@@ -38,14 +38,11 @@ CurveValue = Union[Fraction, Unavailable]
 CurveEvaluator = Callable[[NetworkConfig], CurveValue]
 
 
-class _ReferenceCurve(NamedTuple):
+@_checked_record
+class ReferenceCurve(NamedTuple):
     name: str
     kind: str  # "achievable" | "converse"
     evaluator: CurveEvaluator
-
-
-class ReferenceCurve(_Checked, _ReferenceCurve):
-    __slots__ = ()
 
     def _checked(self):
         if not isinstance(self.name, str):

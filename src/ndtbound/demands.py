@@ -39,7 +39,7 @@ from itertools import chain, islice, product, repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .combinatorics import _as_fraction, _check_count, _check_int, _Checked, _echo
+from .combinatorics import _as_fraction, _check_count, _check_int, _checked_record, _echo
 
 Demand = tuple[int, ...]
 
@@ -63,14 +63,8 @@ def distinct_count(demand: Sequence[int]) -> int:
     return len(set(demand))
 
 
-class _DistinctCountDistribution(NamedTuple):
-    files: int
-    receivers: int
-    total: int
-    counts: Mapping[int, int]
-
-
-class DistinctCountDistribution(_Checked, _DistinctCountDistribution):
+@_checked_record
+class DistinctCountDistribution(NamedTuple):
     """Exact pmf of the distinct-file count, as integer counts over one total.
 
     ``counts`` maps each attainable count s in [1, min(files, receivers)] to a
@@ -80,7 +74,10 @@ class DistinctCountDistribution(_Checked, _DistinctCountDistribution):
     TypeError).  The counts need not sum to the total.
     """
 
-    __slots__ = ()
+    files: int
+    receivers: int
+    total: int
+    counts: Mapping[int, int]
 
     def _checked(self):
         _check_count("files", self.files)
@@ -99,10 +96,10 @@ class DistinctCountDistribution(_Checked, _DistinctCountDistribution):
                 raise ValueError(f"count of {_echo(s)} must be nonnegative, got {_echo(count)}")
         return self.files, self.receivers, self.total, MappingProxyType(counts)
 
-    def __getnewargs__(self):
-        # a mappingproxy does not pickle: pickle and deepcopy rebuild the record
-        # through the constructor, from a plain dict of the counts
-        return (*self[:3], dict(self.counts))
+    def __reduce__(self):
+        # a mappingproxy does not pickle: pickle, at every protocol, and deepcopy
+        # rebuild the record through the constructor, from a plain dict of the counts
+        return type(self), (*self[:3], dict(self.counts))
 
     @property
     def masses(self) -> Mapping[int, Fraction]:

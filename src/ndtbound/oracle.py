@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, NamedTuple
 
-from .combinatorics import ConvexEnvelope, _as_fraction, _check_int, _Checked, _echo, binom
+from .combinatorics import ConvexEnvelope, _as_fraction, _check_int, _checked_record, _echo, binom
 
 
 # the grid scan's resolution: pair weights are multiples of 1/SCAN_STEPS
@@ -47,15 +47,12 @@ def coverage_weight(transmitters: int, cut_size: int, copies: int) -> Fraction:
     return Fraction(binom(cut_size, copies), binom(transmitters, copies))
 
 
-class _PlacementProfile(NamedTuple):
-    alphas: tuple[Fraction, ...]
-
-
-class PlacementProfile(_Checked, _PlacementProfile):
+@_checked_record
+class PlacementProfile(NamedTuple):
     """Exclusive-storage profile: alphas[i] is the library fraction stored
     at exactly i+1 transmitter caches."""
 
-    __slots__ = ()
+    alphas: tuple[Fraction, ...]
 
     def _checked(self):
         alphas = tuple(map(_as_fraction, self.alphas))
@@ -75,15 +72,12 @@ class PlacementProfile(_Checked, _PlacementProfile):
         return sum((copies * a for copies, a in enumerate(self.alphas, 1) if a), Fraction(0))
 
 
-class _LpSolution(NamedTuple):
-    optimum: Fraction
-    profile: PlacementProfile
-
-
-class LpSolution(_Checked, _LpSolution):
+@_checked_record
+class LpSolution(NamedTuple):
     """A basic optimum of the placement LP: its value and its profile."""
 
-    __slots__ = ()
+    optimum: Fraction
+    profile: PlacementProfile
 
     def _checked(self):
         optimum = _as_fraction(self.optimum)
@@ -243,18 +237,15 @@ def check_discrete_convexity_full(transmitters: int, cut_size: int) -> bool:
     return _convex_through(_weights(transmitters, cut_size), transmitters - 1)
 
 
-class _CheckRecord(NamedTuple):
+@_checked_record
+class CheckRecord(NamedTuple):
+    """One check family's outcome: how many tuples it checked and the first
+    counterexample, if any; it passed when there is none."""
+
     name: str
     scope: str
     checked: int
     counterexample: str | None = None
-
-
-class CheckRecord(_Checked, _CheckRecord):
-    """One check family's outcome: how many tuples it checked and the first
-    counterexample, if any; it passed when there is none."""
-
-    __slots__ = ()
 
     def _checked(self):
         for name in ("name", "scope"):
@@ -292,14 +283,11 @@ class CheckRecord(_Checked, _CheckRecord):
         return line
 
 
-class _CheckReport(NamedTuple):
-    records: tuple[CheckRecord, ...]
-
-
-class CheckReport(_Checked, _CheckReport):
+@_checked_record
+class CheckReport(NamedTuple):
     """Check records in report order; it passed when every record did."""
 
-    __slots__ = ()
+    records: tuple[CheckRecord, ...]
 
     def _checked(self):
         records = tuple(self.records)

@@ -217,17 +217,33 @@ def test_digits_is_str_at_any_size(n, shift):
         assert int(Decimal(text)) == n
 
 
+ECHOED_KEYS = st.integers() | st.fractions() | st.text() | st.tuples(st.integers(), st.fractions())
 ECHOED = st.recursive(
     st.integers() | st.fractions() | st.booleans() | st.floats() | st.text() | st.none(),
-    lambda items: st.lists(items, max_size=3).map(tuple),
+    lambda items: (
+        st.lists(items, max_size=3).map(tuple)
+        | st.lists(items, max_size=3)
+        | st.dictionaries(ECHOED_KEYS, items, max_size=3)
+    ),
     max_leaves=6,
 )
+
+
+def _holding_itself():
+    items = [1]
+    items.append((items, {2: items}))
+    mapping = {1: items}
+    mapping[2] = mapping
+    return mapping
 
 
 @given(ECHOED)
 @example(Fraction(7)).via("a whole Fraction keeps its repr's denominator")
 @example((Fraction(-1, 3),)).via("a one-item tuple")
 @example(())
+@example([])
+@example({})
+@example(_holding_itself()).via("containers inside themselves, written as [...] and {...}")
 def test_echo_is_str_and_repr_within_the_limit(value):
     assert _echo(value) == str(value)
     assert _echo(value, True) == repr(value)
@@ -241,6 +257,8 @@ def test_echo_writes_every_int_past_the_limit():
     assert _echo(Fraction(1, big), True) == f"Fraction(1, {digits})"
     assert _echo((big, "kt", True, 0.5)) == f"({digits}, 'kt', True, 0.5)"
     assert _echo((Fraction(-big, 3),)) == f"(Fraction(-{digits}, 3),)"
+    assert _echo([(1, Fraction(big))]) == f"[(1, Fraction({digits}, 1))]"
+    assert _echo({big: [-big]}, True) == f"{{{digits}: [-{digits}]}}"
 
 
 def test_to_decimal_prints_past_the_int_to_str_limit():

@@ -20,11 +20,13 @@ from ndtbound import (
     BoundCurve,
     CategoryBoundDetail,
     CheckRecord,
+    CheckReport,
     ConvexEnvelope,
     DistinctCountDistribution,
     LpSolution,
     NetworkConfig,
     PlacementProfile,
+    ReferenceCurve,
     binom,
     bound_expression,
     category_bound,
@@ -255,6 +257,34 @@ def test_out_of_any_size_is_refused_as_a_path():
     for path in (-(10**5000), 10**5000):
         with pytest.raises(TypeError, match=r"^--out must be a str or os.PathLike path, got -?\d+$"):
             RunConfig("verify", output_path=path)
+
+
+def _echoing_a_container(digits):
+    """Calls whose rejection echoes a list or a dict holding ``10**digits``, each
+    with the exception it raises and the whole message, digits written out."""
+    big, text = 10**digits, "1" + "0" * digits
+    return [
+        (lambda: ConvexEnvelope(((1, F(2)), (2, F(1))), [(1, F(big))]), ValueError,
+         f"vertices must be the hull of the points, got [(1, Fraction({text}, 1))]"),
+        (lambda: CheckReport(([big],)), TypeError, f"records must be CheckRecords, got [{text}]"),
+        (lambda: ReferenceCurve("x", "converse", [big]), TypeError,
+         f"evaluator must be callable, got [{text}]"),
+        (lambda: ReferenceCurve("x", "converse", {1: big}), TypeError,
+         f"evaluator must be callable, got {{1: {text}}}"),
+        (lambda: RunConfig("verify", output_path=[big]), TypeError,
+         f"--out must be a str or os.PathLike path, got [{text}]"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "digits, limit", [(5000, None), (700, 640)], ids=["default-limit", "limit-640"]
+)
+def test_lists_and_dicts_of_any_size_are_echoed(digits, limit):
+    with _int_digit_limit(limit):
+        for call, error, message in _echoing_a_container(digits):
+            with pytest.raises(error) as refused:
+                call()
+            assert str(refused.value) == message
 
 
 def test_every_public_name_has_a_row_or_an_exemption():

@@ -89,17 +89,23 @@ def test_no_package_module_imports_from_future():
     assert importers == set()
 
 
-def test_records_annotate_their_fields_with_types():
-    # each module's own records; importing __main__ would run the CLI
+def _package_records():
+    """Every tuple class with named fields that a package module defines."""
+    # importing __main__ would run the CLI
     modules = [importlib.import_module(f"ndtbound.{name}") for name in SIBLINGS if name[0] != "_"]
     records = [
         value
         for module in modules
         for value in vars(module).values()
         if isinstance(value, type) and value.__module__ == module.__name__
-        and issubclass(value, tuple) and "_fields" in vars(value)
+        and issubclass(value, tuple) and hasattr(value, "_fields")
     ]
     assert records, "no typing.NamedTuple record found"
+    return records
+
+
+def test_records_annotate_their_fields_with_types():
+    records = _package_records()
     postponed = {
         f"{record.__qualname__}.{field}": annotation
         for record in records
@@ -107,3 +113,14 @@ def test_records_annotate_their_fields_with_types():
         if isinstance(annotation, (str, typing.ForwardRef))
     }
     assert postponed == {}
+
+
+def test_no_record_subclasses_another_named_tuple():
+    """A record's fields, checks and docstring live in one class: no record is a
+    subclass of a field-holding twin."""
+    subclassed = {
+        record.__qualname__: record.__bases__
+        for record in _package_records()
+        if record.__bases__ != (tuple,)
+    }
+    assert subclassed == {}

@@ -1,5 +1,6 @@
 """Record semantics: every record is a ``NamedTuple``, and a checked one runs its
-constructor's checks on every way in (the constructor, ``_make``, ``_replace``)."""
+constructor's checks on every way in (the constructor, ``_make``, ``_replace``,
+pickle and deepcopy)."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import pytest
 import ndtbound
 from ndtbound.bounds import BoundCurve, CategoryBoundDetail, ConvexEnvelope, NetworkConfig
 from ndtbound.cli import RunConfig
-from ndtbound.combinatorics import _Checked
+from ndtbound.combinatorics import _checked_record
 from ndtbound.comparator import CurveRegistry, ReferenceCurve, baseline_interference_free
 from ndtbound.demands import DistinctCountDistribution
 from ndtbound.oracle import CheckRecord, CheckReport, LpSolution, PlacementProfile
@@ -50,15 +51,26 @@ def _ids(case):
 
 def test_every_public_record_is_checked():
     """The rows name every tuple class in ``ndtbound.__all__``, plus the CLI's
-    ``RunConfig``, and each one is a checked record with a value it refuses."""
+    ``RunConfig``, and each one is a checked record with a value it refuses: one
+    ``NamedTuple`` class, with no private twin as a base."""
     public = {
         value for value in map(vars(ndtbound).get, ndtbound.__all__)
         if isinstance(value, type) and issubclass(value, tuple)
     }
     assert {case[0] for case in RECORDS} == public | {RunConfig}
     unchecked = [cls.__name__ for cls, _, field, *_ in RECORDS
-                 if field is None or not issubclass(cls, _Checked)]
+                 if field is None or not _is_checked_record(cls)]
     assert unchecked == []
+    assert [cls.__name__ for cls, *_ in RECORDS if cls.__bases__ != (tuple,)] == []
+
+
+def _is_checked_record(cls):
+    """Whether ``cls``'s constructor and ``_make`` are the ones ``_checked_record`` sets."""
+    made_here = f"{_checked_record.__module__}.{_checked_record.__qualname__}.<locals>."
+    return all(
+        f"{method.__module__}.{method.__qualname__}".startswith(made_here)
+        for method in (cls.__new__, cls._make.__func__)
+    )
 
 
 @pytest.mark.parametrize("case", RECORDS, ids=_ids)
@@ -181,11 +193,13 @@ def test_repr_names_the_class_and_its_fields(case):
 
 @pytest.mark.parametrize("case", RECORDS, ids=_ids)
 def test_record_round_trips_through_pickle_and_deepcopy(case):
-    """A record can cross to a process pool's worker: pickle and deepcopy
-    rebuild it through the constructor, equal and of the same class."""
+    """A record can cross to a process pool's worker: pickle, at every protocol,
+    and deepcopy rebuild it, equal and of the same class."""
     cls, args = case[:2]
     record = cls(*args)
-    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+    copies = [pickle.loads(pickle.dumps(record, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in (*copies, copy.deepcopy(record)):
         assert type(copied) is cls and copied == record
         if cls is DistinctCountDistribution:  # its counts keep their order, read-only
             assert list(copied.counts.items()) == list(record.counts.items())
