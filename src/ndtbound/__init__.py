@@ -10,7 +10,6 @@ from .bounds import (
     BoundCurve,
     CategoryBoundDetail,
     ConvexEnvelope,
-    DomainError,
     InfeasibleLibrary,
     NetworkConfig,
     bound_distribution,
@@ -27,7 +26,6 @@ from .combinatorics import binom, surjection_count, to_decimal
 from .comparator import (
     UNAVAILABLE,
     CurveRegistry,
-    DuplicateName,
     ReferenceCurve,
     Unavailable,
     baseline_interference_free,
@@ -44,7 +42,6 @@ from .demands import (
 from .oracle import (
     CheckRecord,
     CheckReport,
-    Infeasible,
     LpSolution,
     PlacementProfile,
     check_averaging_identities,
@@ -68,9 +65,6 @@ __all__ = [
     "ConvexEnvelope",
     "CurveRegistry",
     "DistinctCountDistribution",
-    "DomainError",
-    "DuplicateName",
-    "Infeasible",
     "InfeasibleLibrary",
     "LpSolution",
     "NetworkConfig",

@@ -123,10 +123,6 @@ ENVELOPE_ORDERS = ("theorem", "proof")
 BOUND_KINDS = ("peak", "expected")
 
 
-class DomainError(ValueError):
-    """Cut size outside its feasible range; indicates a caller bug."""
-
-
 class InfeasibleLibrary(Exception):
     """Peak bound requested with fewer files than receivers."""
 
@@ -176,7 +172,7 @@ def bound_expression(
             f"got {_echo(replication)}"
         )
     if not 1 <= cut_size <= min(transmitters, distinct):
-        raise DomainError(
+        raise ValueError(
             f"cut_size must lie in [1, min({_echo(transmitters)}, {_echo(distinct)})], "
             f"got {_echo(cut_size)}"
         )
@@ -193,6 +189,7 @@ def envelope_for_cut(transmitters: int, distinct: int, cut_size: int) -> ConvexE
 
     The direct construction, one envelope per ``(KT, s, c)``: the reference
     that the tests check the category functions against."""
+    _check_count("transmitters", transmitters)
     return ConvexEnvelope.of_points(
         (t, bound_expression(transmitters, distinct, cut_size, t))
         for t in range(1, transmitters + 1)
@@ -313,16 +310,18 @@ def category_bound(
     if type(replication) is not Fraction:  # a sweep's Fraction is exact already
         replication = _as_fraction(replication)
     p, q = replication.as_integer_ratio()
-    return _category_bound(transmitters, distinct, p, q, order)[0]
+    if type(transmitters) is int and type(distinct) is int and type(order) is str:
+        return _category_bound(transmitters, distinct, p, q, order)[0]
+    return _category_value(transmitters, distinct, p, q, order)[0]  # checked, uncached
 
 
 # Keyed by the replication's integer ratio, so a hit hashes ints and the order's
-# str in C, never a Fraction (whose __hash__ is Python code).  category_bound
-# refuses floats and bools in _as_fraction on every call, hit or miss; typed, so
-# a bool count is not answered from an int's entry.  It caches _category_value
-# itself, so a miss runs one Python frame under the cache, and
-# category_bound_detail calls the uncached body.
-_category_bound = lru_cache(maxsize=4096, typed=True)(_category_value)
+# str in C, never a Fraction (whose __hash__ is Python code).  Untyped is safe:
+# only ints and a str reach it (category_bound's gate), so no bool or float equal
+# to a key is answered from the key's entry, and no unhashable value is hashed
+# before the checks.  It caches _category_value itself, so a miss runs one Python
+# frame under the cache, and category_bound_detail calls the uncached body.
+_category_bound = lru_cache(maxsize=4096)(_category_value)
 
 
 category_bound.cache_info = _category_bound.cache_info

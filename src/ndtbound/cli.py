@@ -107,7 +107,7 @@ class RunConfig(NamedTuple):
     max_transmitters: int = 6
 
     def _checked(self):
-        if self.command not in _COMMANDS:
+        if not isinstance(self.command, str) or self.command not in _COMMANDS:
             raise ValueError(
                 f"command must be one of {tuple(_COMMANDS)}, got {_echo(self.command, True)}"
             )

@@ -61,17 +61,24 @@ def _digits(n: int) -> str:
         return str(Decimal(n))
 
 
-# the brackets that repr puts around each container that _echo writes item by item
-_BRACKETS = {tuple: "()", list: "[]", dict: "{}"}
+# the brackets that repr puts around each nonempty container that _echo writes
+# item by item; an empty one is written by repr, as "set()" or "frozenset()"
+_BRACKETS = {
+    tuple: ("(", ")"),
+    list: ("[", "]"),
+    dict: ("{", "}"),
+    set: ("{", "}"),
+    frozenset: ("frozenset({", "})"),
+}
 
 
 def _echo(value, as_repr: bool = False, _open: frozenset = frozenset()) -> str:
     """``repr(value)`` if ``as_repr``, else ``str(value)``, for a rejection message
     that echoes a caller's value: every int, alone, as a ``Fraction``'s numerator
-    or denominator, or as an item of a tuple, list or dict, is written by
-    ``_digits``, so a value of any size is echoed and the message never turns into
-    the interpreter's int-to-str limit error.  Bools, floats and strings are
-    written as usual, and a container inside itself as ``[...]``, as repr does."""
+    or denominator, or as an item of a tuple, list, set, frozenset or dict, is
+    written by ``_digits``, so a value of any size is echoed and the message never
+    turns into the interpreter's int-to-str limit error.  Bools, floats and strings
+    are written as usual, and a container inside itself as ``[...]``, as repr does."""
     if type(value) is int:
         return _digits(value)
     if isinstance(value, Fraction):
@@ -80,7 +87,7 @@ def _echo(value, as_repr: bool = False, _open: frozenset = frozenset()) -> str:
             return f"{type(value).__name__}({numerator}, {denominator})"
         return numerator if denominator == "1" else f"{numerator}/{denominator}"
     brackets = _BRACKETS.get(type(value))
-    if brackets is None:
+    if brackets is None or not value:
         return repr(value) if as_repr else str(value)
     opening, closing = brackets
     if id(value) in _open:

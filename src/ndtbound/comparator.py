@@ -14,10 +14,6 @@ from .bounds import NetworkConfig
 from .combinatorics import _checked_record, _echo
 
 
-class DuplicateName(ValueError):
-    """A curve with this name is already registered."""
-
-
 class Unavailable:
     """Explicit marker for a curve value that cannot be computed yet."""
 
@@ -93,7 +89,7 @@ class CurveRegistry:
 
     def register(self, curve: ReferenceCurve) -> str:
         if curve.name in self._curves:
-            raise DuplicateName(f"curve {_echo(curve.name, True)} is already registered")
+            raise ValueError(f"curve {_echo(curve.name, True)} is already registered")
         self._curves[curve.name] = curve
         return curve.name
 
@@ -101,7 +97,7 @@ class CurveRegistry:
         return tuple(self._curves)
 
     def get(self, name: str) -> ReferenceCurve:
-        if name not in self._curves:
+        if not isinstance(name, str) or name not in self._curves:
             raise KeyError(
                 f"unknown curve {_echo(name, True)}; registered: {', '.join(self._curves)}"
             )

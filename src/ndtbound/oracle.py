@@ -31,10 +31,6 @@ MAX_LIMIT = 16
 MAX_LP_TRANSMITTERS = 10
 
 
-class Infeasible(ValueError):
-    """Replication outside [1, transmitters]; the LP has no feasible point."""
-
-
 def coverage_weight(transmitters: int, cut_size: int, copies: int) -> Fraction:
     """C(cut_size, copies) / C(transmitters, copies).
 
@@ -209,7 +205,7 @@ def _replication(transmitters: int, cut_size: int, replication) -> Fraction:
     _check_cut(transmitters, cut_size)
     t = _as_fraction(replication)
     if not 1 <= t <= transmitters:
-        raise Infeasible(f"replication must lie in [1, {_echo(transmitters)}], got {_echo(t)}")
+        raise ValueError(f"replication must lie in [1, {_echo(transmitters)}], got {_echo(t)}")
     return t
 
 

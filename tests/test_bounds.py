@@ -17,7 +17,6 @@ from ndtbound.bounds import (
     ENVELOPE_ORDERS,
     BoundCurve,
     ConvexEnvelope,
-    DomainError,
     InfeasibleLibrary,
     NetworkConfig,
     bound_distribution,
@@ -136,6 +135,17 @@ def test_cut_size_must_be_an_int():
             envelope_for_cut(3, 3, cut)
 
 
+def test_envelope_checks_transmitters_before_its_range():
+    # range(1, transmitters + 1) was built first: an empty envelope, or a float's
+    # or a str's own error, in place of the check
+    for transmitters in (0, -2):
+        with pytest.raises(ValueError, match=r"^transmitters must be a positive integer, got -?\d$"):
+            envelope_for_cut(transmitters, 3, 1)
+    for transmitters in (3.0, "3"):
+        with pytest.raises(TypeError, match=r"^transmitters must be an int, got "):
+            envelope_for_cut(transmitters, 3, 1)
+
+
 def test_envelope_cache_hit_does_not_bypass_cut_type_check():
     # True == 1 and both hash alike, so an untyped cache would answer it
     assert envelope_for_cut(3, 3, 1).points[0] == (1, F(5, 3))
@@ -187,11 +197,11 @@ def test_bound_expression_replication_out_of_range():
 
 
 def test_bound_expression_cut_out_of_range():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match=r"^cut_size must lie in \[1, min\(3, 3\)\], got 4$"):
         bound_expression(3, 3, 4, 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match=r"^cut_size must lie in \[1, min\(3, 2\)\], got 3$"):
         bound_expression(3, 2, 3, 1)  # cut above distinct count
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match=r"^cut_size must lie in \[1, min\(3, 3\)\], got 0$"):
         bound_expression(3, 3, 0, 1)
 
 
@@ -341,6 +351,49 @@ def test_category_bound_validates_inputs():
         category_bound(3, 0, 1)
     with pytest.raises(ValueError):
         category_bound(3, 3, 1, order="sideways")
+
+
+def _raised(call, *args):
+    """The type and message of the exception that the call raises, or None."""
+    try:
+        call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _bad_arguments(valid):
+    """Each argument of a valid ``(transmitters, distinct, replication, order)``
+    swapped in turn for each of its bad stand-ins, as full argument tuples."""
+    kt, s, t, order = valid
+    stand_ins = (
+        [str(kt), float(kt)],
+        [str(s), float(s)],
+        ["x", float(t), F(kt + 1), F(1, 2)],  # outside [1, KT]
+        ["sideways", 1.5],
+    )
+    for i, (value, own) in enumerate(zip(valid, stand_ins)):
+        for bad in [[value], (value,), *own, True, 0, -1]:
+            yield valid[:i] + (bad,) + valid[i + 1 :]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kt=st.integers(1, 6), s=st.integers(1, 8), order=st.sampled_from(ENVELOPE_ORDERS),
+    data=st.data(),
+)
+def test_category_bound_refuses_as_its_detail_does(kt, s, order, data):
+    """Only the checks refuse a bad argument, never the cache: ``category_bound``
+    raises what ``category_bound_detail`` raises, type and message, with its
+    cache cold and with the valid call's entry in it."""
+    valid = (kt, s, data.draw(replications(kt)), order)
+    for args in _bad_arguments(valid):
+        category_bound.cache_clear()
+        cold = _raised(category_bound, *args)
+        category_bound(*valid)
+        warm = _raised(category_bound, *args)
+        assert cold is not None, args
+        assert cold == warm == _raised(category_bound_detail, *args), args
 
 
 def test_proof_order_never_below_theorem_order():
@@ -814,6 +867,9 @@ def test_sweep_example_and_validation():
         sweep(3, 3, 3, [F(1, 3)], "sideways")
     with pytest.raises(InfeasibleLibrary):
         sweep(3, 5, 3, [F(1, 3)], "peak")
+    # a list cannot be hashed: it must reach the order check, not category_bound's cache
+    with pytest.raises(ValueError, match=r"^order must be one of .*, got \['proof'\]$"):
+        sweep(3, 3, 3, (F(1),), "peak", ["proof"])
     # 1/KT is the grid's lower end, so KT = 0 is refused before it divides by zero
     with pytest.raises(ValueError, match="transmitters must be a positive integer, got 0"):
         sweep(0, 3, 3, [F(1)], "peak")

@@ -836,6 +836,7 @@ def test_keys_of_other_commands_are_ignored(capsys):
     "field, value",
     [
         ("command", "sideways-sweep"),
+        ("command", ["verify"]),  # unhashable: it must reach the check, not the command table
         ("output_format", "xml"),
         ("output_format", "csv"),  # a table format; point prints a text or JSON report
         ("envelope_order", "sideways"),

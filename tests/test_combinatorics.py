@@ -224,6 +224,8 @@ ECHOED = st.recursive(
         st.lists(items, max_size=3).map(tuple)
         | st.lists(items, max_size=3)
         | st.dictionaries(ECHOED_KEYS, items, max_size=3)
+        | st.sets(ECHOED_KEYS, max_size=3)
+        | st.frozensets(ECHOED_KEYS | st.frozensets(ECHOED_KEYS, max_size=2), max_size=3)
     ),
     max_leaves=6,
 )
@@ -243,6 +245,8 @@ def _holding_itself():
 @example(())
 @example([])
 @example({})
+@example(set()).via("an empty set, written by repr as set()")
+@example(frozenset())
 @example(_holding_itself()).via("containers inside themselves, written as [...] and {...}")
 def test_echo_is_str_and_repr_within_the_limit(value):
     assert _echo(value) == str(value)
@@ -259,6 +263,9 @@ def test_echo_writes_every_int_past_the_limit():
     assert _echo((Fraction(-big, 3),)) == f"(Fraction(-{digits}, 3),)"
     assert _echo([(1, Fraction(big))]) == f"[(1, Fraction({digits}, 1))]"
     assert _echo({big: [-big]}, True) == f"{{{digits}: [-{digits}]}}"
+    assert _echo({big}) == _echo({big}, True) == f"{{{digits}}}"
+    assert _echo(frozenset({-big}), True) == f"frozenset({{-{digits}}})"
+    assert _echo([frozenset({(big,)})]) == f"[frozenset({{({digits},)}})]"
 
 
 def test_to_decimal_prints_past_the_int_to_str_limit():

@@ -8,7 +8,6 @@ from ndtbound.bounds import NetworkConfig, peak_ndt_lower_bound
 from ndtbound.comparator import (
     UNAVAILABLE,
     CurveRegistry,
-    DuplicateName,
     ReferenceCurve,
     Unavailable,
     baseline_interference_free,
@@ -59,7 +58,7 @@ def test_register_returns_handle_and_rejects_duplicates():
         ReferenceCurve("baseline", "converse", baseline_interference_free)
     )
     assert handle == "baseline"
-    with pytest.raises(DuplicateName):
+    with pytest.raises(ValueError, match=r"^curve 'baseline' is already registered$"):
         registry.register(
             ReferenceCurve("baseline", "converse", baseline_interference_free)
         )
@@ -74,6 +73,12 @@ def test_unknown_curve_lookup():
     registry = default_registry()
     with pytest.raises(KeyError):
         registry.get("definitely-not-registered")
+    # a list cannot be hashed: it must reach the lookup's own check, not the dict
+    config = NetworkConfig(3, 3, 3, F(1, 3))
+    with pytest.raises(KeyError, match=r"unknown curve \['baseline'\]"):
+        registry.get(["baseline"])
+    with pytest.raises(KeyError, match=r"unknown curve \['baseline'\]"):
+        registry.evaluate(["baseline"], config)
 
 
 def test_gap_of_curve_with_itself_is_one():

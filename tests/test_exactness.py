@@ -1,10 +1,13 @@
 """One exactness contract over ``ndtbound.__all__``: every public callable that
 takes an int or a rational refuses ``True`` and a float in its place, and
-rejects a value of any size as it rejects a small one of the same kind.
+rejects a value of any size as it rejects a small one of the same kind.  Each
+argument, strings included, boxed in a one-item list is refused as the same
+one-item tuple is.
 
 ``True == 1`` and a float equal to an int hashes alike, so a cache consulted
-before the check would answer either from the exact value's entry; each row
-makes its valid call first, so that such a cache is warm.
+before the check would answer either from the exact value's entry, and a list
+cannot be hashed, so such a cache would raise the interpreter's error in place
+of the check; each row makes its valid call first, so that such a cache is warm.
 """
 
 from __future__ import annotations
@@ -74,8 +77,8 @@ ROWS = [
     row("PlacementProfile", PlacementProfile, (0, 1)),
     row("binom", binom, 5, 2),
     row("bound_expression", bound_expression, 3, 3, 2, 2),
-    row("category_bound", category_bound, 3, 2, F(3, 2)),
-    row("category_bound_detail", category_bound_detail, 3, 2, F(3, 2)),
+    row("category_bound", category_bound, 3, 2, F(3, 2), order="theorem"),
+    row("category_bound_detail", category_bound_detail, 3, 2, F(3, 2), order="theorem"),
     row("check_averaging_identities", check_averaging_identities, 1),
     row("check_discrete_convexity", check_discrete_convexity, 3, 2),
     row("check_discrete_convexity_full", check_discrete_convexity_full, 3, 2),
@@ -94,7 +97,7 @@ ROWS = [
     row("lp_min_placement", lp_min_placement, 3, 2, F(3, 2)),
     row("sample_demands", sample_demands, 3, 2, 2, 1),
     row("surjection_count", surjection_count, 3, 2),
-    row("sweep", sweep, 3, 3, 3, GRID, "peak"),
+    row("sweep", sweep, 3, 3, 3, GRID, "peak", order="theorem"),
     row("to_decimal", to_decimal, F(1, 3), 4),
     # RunConfig's int and rational settings, as a config built in code holds them
     row(
@@ -108,9 +111,6 @@ ROWS = [
 # every other public name, and why it has no row
 EXEMPT = {
     "CapExceeded": "an exception",
-    "DomainError": "an exception",
-    "DuplicateName": "an exception",
-    "Infeasible": "an exception",
     "InfeasibleLibrary": "an exception",
     "UNAVAILABLE": "the sentinel for a curve value that cannot be computed",
     "Unavailable": "the sentinel's class, which takes no arguments",
@@ -156,10 +156,15 @@ def _substitutions(args, kwargs, stand_ins):
         else:
             swaps = []
         for label, bad in swaps:
-            if isinstance(slot, int):
-                yield label, (*args[:slot], bad, *args[slot + 1 :]), kwargs
-            else:
-                yield label, args, {**kwargs, slot: bad}
+            yield label, *_swapped(args, kwargs, slot, bad)
+
+
+def _swapped(args, kwargs, slot, bad):
+    """The call's (args, kwargs) with the argument at ``slot``, a position or a
+    keyword, replaced by ``bad``."""
+    if isinstance(slot, int):
+        return (*args[:slot], bad, *args[slot + 1 :]), kwargs
+    return args, {**kwargs, slot: bad}
 
 
 def _inexact(value):
@@ -253,6 +258,23 @@ def test_values_of_any_size_are_rejected_as_small_ones_are(case, digits, limit):
     assert holes == [], f"{name} rejects a large value unlike a small one: {holes}"
 
 
+@pytest.mark.parametrize("case", ROWS, ids=_id)
+def test_a_list_is_refused_as_a_tuple_is(case):
+    """Each argument, strings included, boxed in a one-item list raises what the
+    same one-item tuple raises: a list cannot be hashed, so a cache or a name
+    table read before the checks would raise the interpreter's TypeError in
+    place of the row's own check."""
+    name, call, args, kwargs = case
+    call(*args, **kwargs)
+    holes = []
+    for slot, value in [*enumerate(args), *kwargs.items()]:
+        listed, _ = _outcome(call, *_swapped(args, kwargs, slot, [value]))
+        tupled, _ = _outcome(call, *_swapped(args, kwargs, slot, (value,)))
+        if listed is not tupled:
+            holes.append(f"{slot}: {listed and listed.__name__}, not {tupled and tupled.__name__}")
+    assert holes == [], f"{name} refuses a list unlike a tuple: {holes}"
+
+
 def test_out_of_any_size_is_refused_as_a_path():
     for path in (-(10**5000), 10**5000):
         with pytest.raises(TypeError, match=r"^--out must be a str or os.PathLike path, got -?\d+$"):
@@ -260,8 +282,9 @@ def test_out_of_any_size_is_refused_as_a_path():
 
 
 def _echoing_a_container(digits):
-    """Calls whose rejection echoes a list or a dict holding ``10**digits``, each
-    with the exception it raises and the whole message, digits written out."""
+    """Calls whose rejection echoes a list, a set, a frozenset or a dict holding
+    ``10**digits``, each with the exception it raises and the whole message,
+    digits written out."""
     big, text = 10**digits, "1" + "0" * digits
     return [
         (lambda: ConvexEnvelope(((1, F(2)), (2, F(1))), [(1, F(big))]), ValueError,
@@ -273,6 +296,14 @@ def _echoing_a_container(digits):
          f"evaluator must be callable, got {{1: {text}}}"),
         (lambda: RunConfig("verify", output_path=[big]), TypeError,
          f"--out must be a str or os.PathLike path, got [{text}]"),
+        (lambda: ReferenceCurve("x", "converse", {big}), TypeError,
+         f"evaluator must be callable, got {{{text}}}"),
+        (lambda: ReferenceCurve("x", "converse", frozenset({big})), TypeError,
+         f"evaluator must be callable, got frozenset({{{text}}})"),
+        (lambda: CheckReport(({big},)), TypeError, f"records must be CheckRecords, got {{{text}}}"),
+        (lambda: RunConfig("verify", output_path={big}), TypeError,
+         f"--out must be a str or os.PathLike path, got {{{text}}}"),
+        (lambda: binom({big}, 1), TypeError, f"n and k must be ints, got {{{text}}} and 1"),
     ]
 
 

@@ -15,7 +15,6 @@ from ndtbound.combinatorics import binom
 from ndtbound.oracle import (
     SCAN_STEPS,
     CheckReport,
-    Infeasible,
     LpSolution,
     PlacementProfile,
     check_averaging_identities,
@@ -77,9 +76,9 @@ def test_lp_examples():
 
 
 def test_lp_infeasible_replication():
-    with pytest.raises(Infeasible):
+    with pytest.raises(ValueError, match=r"^replication must lie in \[1, 3\], got 7/2$"):
         lp_min_placement(3, 2, F(7, 2))
-    with pytest.raises(Infeasible):
+    with pytest.raises(ValueError, match=r"^replication must lie in \[1, 3\], got 1/2$"):
         lp_min_placement(3, 2, F(1, 2))
 
 
