@@ -181,9 +181,8 @@ def bound_expression(
     return Fraction(base + extra, base)
 
 
-# typed: True == 1 with equal hashes, so an untyped cache would answer a bool
-# cut from an int's entry and skip the type check
-@lru_cache(maxsize=1024, typed=True)
+# stores and hashes nothing (only tests call it); kept for perfbench's cache_info
+@lru_cache(maxsize=0)
 def envelope_for_cut(transmitters: int, distinct: int, cut_size: int) -> ConvexEnvelope:
     """Envelope of the per-cut bound over integer replication 1..transmitters.
 

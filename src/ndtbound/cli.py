@@ -52,8 +52,8 @@ from .oracle import MAX_LIMIT, MAX_LP_TRANSMITTERS, full_verification
 SUB_SEED_STRIDE = 1_000_003
 
 # larger grids are refused before any point is built (a preset's grid has 41; at
-# the cap a comma-separated grid parses in 4.6 s, and a kt-3 peak sweep over it
-# takes 25 s with a peak RSS of 409 MB, on a shared 2-CPU host)
+# the cap a comma-separated grid parses in 3.8 s, and a kt-3 peak sweep over it
+# takes 21 s with a peak RSS of 470 MB, as a subprocess on a shared 2-CPU host)
 MAX_GRID_POINTS = 10**6
 
 # a larger pmf, receivers * min(files, receivers) Stirling-row steps, is refused
@@ -220,7 +220,7 @@ def parse_rational(text: str) -> Fraction:
     the library's one rational parser and its limit on digits."""
     try:
         return _as_fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise CliError(f"cannot parse {text!r} as an exact rational") from None
 
 

@@ -135,37 +135,38 @@ def _checked_record(cls):
 
 def _as_fraction(value, name: str | None = None) -> Fraction:
     """Exact rational from an int, Fraction or decimal string; floats and bools
-    are rejected rather than silently widened to their binary expansion, and a
-    string whose exact numerator or denominator would have more than
-    MAX_LITERAL_DIGITS digits is refused.  A ``name`` is the setting the
-    rejection message names."""
+    are rejected rather than silently widened to their binary expansion, as is a
+    string that is no rational literal or has a zero denominator, and a string
+    whose exact numerator or denominator would have more than MAX_LITERAL_DIGITS
+    digits is refused.  A ``name`` is the setting the rejection message names."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (bool, float)):
-        expected = "expected" if name is None else f"{name} must be"
-        raise TypeError(f"{expected} an exact rational (int, Fraction or string), got {value!r}")
+        raise TypeError(_not_rational(value, name))
     if not isinstance(value, str):
         return Fraction(value)
-    split = _EXPONENT.fullmatch(value)
-    # m * 10**k keeps more than |k| - len(m) digits in its numerator or
-    # denominator unless m is 0, so a long exponent is decided from the text,
-    # before Fraction builds 10**k
-    if split and abs(int(split[2])) > len(split[1]) + MAX_LITERAL_DIGITS:
-        mantissa = Fraction(split[1])
-        if mantissa:
-            raise _too_long(value)
-        return mantissa
-    result = Fraction(value)
-    if max(abs(result.numerator), result.denominator) >= _LITERAL_BOUND:
-        raise _too_long(value)
+    try:
+        split = _EXPONENT.fullmatch(value)
+        # m * 10**k keeps more than |k| - len(m) digits in its numerator or
+        # denominator unless m is 0, so a long exponent is decided from the
+        # text, and only m is parsed, before Fraction builds 10**k
+        long = split and abs(int(split[2])) > len(split[1]) + MAX_LITERAL_DIGITS
+        result = Fraction(split[1] if long else value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(_not_rational(value, name)) from None
+    if long and not result:
+        return result
+    if long or max(abs(result.numerator), result.denominator) >= _LITERAL_BOUND:
+        raise ValueError(
+            f"the exact value of {value!r} has a numerator or denominator of more than "
+            f"{MAX_LITERAL_DIGITS} digits"
+        )
     return result
 
 
-def _too_long(value: str) -> ValueError:
-    return ValueError(
-        f"the exact value of {value!r} has a numerator or denominator of more than "
-        f"{MAX_LITERAL_DIGITS} digits"
-    )
+def _not_rational(value, name: str | None) -> str:
+    expected = "expected" if name is None else f"{name} must be"
+    return f"{expected} an exact rational (int, Fraction or string), got {value!r}"
 
 
 def _exact_points(pairs) -> tuple[tuple[int, Fraction], ...]:

@@ -153,11 +153,8 @@ def _stirling_row(k: int, top: int) -> list[int]:
     return row
 
 
-# typed: True == 1 with equal hashes, so an untyped cache would answer a bool
-# from an int's entry and skip the count check.  One pmf at 2000 files and 2000
-# receivers holds about 5.5 MB of integer counts (tracemalloc), so 4 entries of
-# that size pin about 22 MB; a CLI run builds one pmf
-@lru_cache(maxsize=4, typed=True)
+# stores and hashes nothing (no run asks twice); kept for perfbench's cache_info
+@lru_cache(maxsize=0)
 def distinct_distribution(files: int, receivers: int) -> DistinctCountDistribution:
     """Analytic pmf: P(S = s) = C(files, s) * surjections(receivers, s) / files^receivers.
 
@@ -176,7 +173,7 @@ def distinct_distribution(files: int, receivers: int) -> DistinctCountDistributi
     for s in range(1, top + 1):
         falling *= files - s + 1
         counts[s] = falling * stirling[s]
-    # instances are cached and shared; the constructor makes the mapping read-only
+    # the constructor makes the mapping read-only
     return DistinctCountDistribution(files, receivers, files**receivers, counts)
 
 

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
+import re
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd
 from unittest.mock import patch
 
@@ -11,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ndtbound import bounds, demands, oracle
+import ndtbound
+from ndtbound import bounds
 from ndtbound.bounds import (
     BOUND_KINDS,
     ENVELOPE_ORDERS,
@@ -175,14 +179,29 @@ def test_category_miss_path_hashes_no_fraction():
 
 
 def test_caches_are_bounded():
-    for cached in (
-        bounds.category_bound,
-        bounds.envelope_for_cut,
-        bounds._cut_slopes,
-        demands.distinct_distribution,
-        oracle._lp_min_placement,
-    ):
-        assert cached.cache_info().maxsize is not None, cached
+    """Every module-level cache of the package, found by its ``cache_parameters``
+    and counted once, is bounded and untyped: a cache must hold no more than its
+    bound, and no check of an argument may wait until after its lookup."""
+    modules = [
+        importlib.import_module(f"ndtbound.{info.name}")
+        for info in pkgutil.iter_modules(ndtbound.__path__)
+        if info.name != "__main__"  # importing it runs the CLI
+    ]
+    found = {
+        id(value): (f"{module.__name__}.{attr}", value.cache_parameters())
+        for module in modules
+        for attr, value in vars(module).items()
+        if callable(getattr(value, "cache_parameters", None))
+    }
+    assert {name for name, _ in found.values()} >= {
+        "ndtbound.bounds._category_bound",
+        "ndtbound.bounds._cut_slopes",
+        "ndtbound.bounds.envelope_for_cut",
+        "ndtbound.demands.distinct_distribution",
+        "ndtbound.oracle._lp_min_placement",
+    }
+    for name, parameters in found.values():
+        assert type(parameters["maxsize"]) is int and not parameters["typed"], (name, parameters)
 
 
 def test_bound_expression_examples():
@@ -273,6 +292,16 @@ def test_envelope_rejects_bad_points():
         ConvexEnvelope(points + ((3, F(1)),), points + ((3, F(1)), (4, F(2))))
     assert ConvexEnvelope(points) == ConvexEnvelope(points, [list(p) for p in points])
     assert ConvexEnvelope(points) == ConvexEnvelope.of_points(iter(points))
+
+
+def test_an_unparsable_replication_or_cache_size_is_refused_as_a_float_is():
+    # Fraction's own "Invalid literal" and ZeroDivisionError named nothing
+    for bad in ("x", "1/0"):
+        message = re.escape(f"expected an exact rational (int, Fraction or string), got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            category_bound(3, 2, bad)
+        with pytest.raises(ValueError, match=message):
+            NetworkConfig(3, 3, 3, bad)
 
 
 def chord_min_envelope(points, x: Fraction) -> Fraction:
@@ -474,6 +503,11 @@ def test_theorem_order_matches_composed_oracle():
             t += F(1, 4)
 
 
+# envelope_for_cut keeps no cache, so the oracle builds each (KT, s, c) envelope
+# once here and reads it at every replication and order
+_envelope_for_cut = lru_cache(maxsize=None)(envelope_for_cut)
+
+
 def per_cut_oracle(kt: int, distinct: int, t, order: str):
     """The construction the fast path replaces: one envelope per (KT, s, c).
 
@@ -488,7 +522,7 @@ def per_cut_oracle(kt: int, distinct: int, t, order: str):
             for n in range(1, kt + 1)
         )
         return env.evaluate(t), None, nearest_vertices([x for x, _ in env.vertices], t)
-    envelopes = [envelope_for_cut(kt, distinct, c) for c in cuts]
+    envelopes = [_envelope_for_cut(kt, distinct, c) for c in cuts]
     values = [env.evaluate(t) for env in envelopes]
     best = max(values)
     cut = values.index(best) + 1

@@ -13,6 +13,7 @@ import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -287,7 +288,7 @@ def test_sampled_sweep_hashes_no_fraction(capsys, monkeypatch):
     def unhashable(self):
         raise AssertionError("a Fraction was hashed")
 
-    for cached in (category_bound, bounds._cut_slopes, distinct_distribution):
+    for cached in (category_bound, bounds._cut_slopes):
         cached.cache_clear()
     with monkeypatch.context() as patched:
         patched.setattr(Fraction, "__hash__", unhashable)
@@ -474,8 +475,12 @@ BUFFERED = [
 
 
 def test_outputs_are_byte_identical(tmp_path, capsys, monkeypatch):
-    # stdout and the --out file carry the buffered writer's bytes, run after run
+    # stdout and the --out file carry the buffered writer's bytes, run after run;
+    # the library keeps no pmf, so each request's pmf is built once here
     monkeypatch.chdir(PRESETS.parent)
+    memo = lru_cache(distinct_distribution)
+    for module in (cli, bounds):
+        monkeypatch.setattr(module, "distinct_distribution", memo)
     for request_line in BUFFERED:
         args = request_line.split()
         want = buffered_output(args, monkeypatch)
@@ -493,7 +498,6 @@ def test_tables_are_written_as_they_are_rendered(output_format, ratio, tmp_path)
     rendered as the encoder writes it (rendered records took about 1.4 times it)."""
     path = tmp_path / f"pmf.{output_format}"
     args = ["distribution", "--files", "600", "--kr", "600", "--format", output_format]
-    distinct_distribution.cache_clear()  # the pmf is built under the trace
     tracemalloc.start()
     try:
         assert main([*args, "--out", str(path)]) == 0
@@ -512,7 +516,6 @@ def test_point_is_written_as_it_is_rendered(output_format, tmp_path):
     path = tmp_path / f"point.{output_format}"
     args = ["point", "--kind", "expected", "--kt", "300", "--kr", "600", "--files", "600",
             "--mu", "1/2", "--format", output_format]
-    distinct_distribution.cache_clear()  # the pmf is built under the trace
     tracemalloc.start()
     try:
         assert main([*args, "--out", str(path)]) == 0
@@ -1167,12 +1170,13 @@ def int_digit_limit(limit: int):
         sys.set_int_max_str_digits(default)
 
 
-def test_exact_values_print_past_the_int_digit_limit(capsys):
+def test_exact_values_print_past_the_int_digit_limit(capsys, monkeypatch):
     # the masses of 2200 receivers over 100 files have denominators of up to 4399 digits
+    monkeypatch.setattr(cli, "distinct_distribution", lru_cache(distinct_distribution))
     with int_digit_limit(4300):
         status, out, err = run_cli(capsys, "distribution", "--files", "100", "--kr", "2200")
     assert (status, err) == (0, "")
-    masses = distinct_distribution(100, 2200).masses
+    masses = cli.distinct_distribution(100, 2200).masses  # the pmf the request printed
     with int_digit_limit(0):  # to parse the output back
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert {int(s): F(mass) for s, mass in rows} == masses
@@ -1248,13 +1252,15 @@ def test_run_config_refuses_none_for_numeric_int_settings(key):
 
 
 def test_run_config_names_the_setting_of_an_inexact_rational():
-    # floats and bools are refused as _as_fraction refuses them, under the flag's name
-    for bad in (0.5, True):
-        with pytest.raises(TypeError, match=re.escape(
+    # floats and bools are refused as _as_fraction refuses them, under the flag's
+    # name, and so are unparsable strings, which raised Fraction's own "Invalid
+    # literal" or ZeroDivisionError, naming no setting
+    for bad, error in [(0.5, TypeError), (True, TypeError), ("x", ValueError), ("1/0", ValueError)]:
+        with pytest.raises(error, match=re.escape(
             f"--mu must be an exact rational (int, Fraction or string), got {bad!r}"
         )):
             RunConfig("point", mu=bad)
-        with pytest.raises(TypeError, match=re.escape(
+        with pytest.raises(error, match=re.escape(
             f"--grid must be an exact rational (int, Fraction or string), got {bad!r}"
         )):
             RunConfig("peak-sweep", mu_grid=(F(1, 2), bad))

@@ -291,10 +291,17 @@ def test_literal_digit_limit_examples():
     for text in ("1e-4300", "1e4300", "1e-5000", "1e5000", "1e1_0000000", " 7.5e-100000000 "):
         with pytest.raises(ValueError, match="numerator or denominator of more than 4300"):
             _as_fraction(text)
-    # malformed literals keep Fraction's own error
-    for text in ("1/2e99999", "1e5e99999", "1e 99999"):
-        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+    # malformed literals, a malformed mantissa or exponent before a long exponent,
+    # and a zero denominator are refused in the words that refuse a float
+    for text in ("1/2e99999", "1e5e99999", "1e 99999", "x", "xe99999", "1e1__0", "1/0", "0/0"):
+        with pytest.raises(ValueError, match=re.escape(
+            f"expected an exact rational (int, Fraction or string), got {text!r}"
+        )):
             _as_fraction(text)
+    with pytest.raises(ValueError, match=re.escape(
+        "--mu must be an exact rational (int, Fraction or string), got 'x'"
+    )):
+        _as_fraction("x", "--mu")
 
 
 def test_literal_digit_limit_reads_one_precomputed_bound():

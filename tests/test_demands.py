@@ -310,28 +310,11 @@ def test_counts_must_be_ints():
 
 def test_cache_hit_does_not_bypass_count_check():
     # True == 1 and both hash alike, so an untyped cache would mix their entries
-    distinct_distribution.cache_clear()
     with pytest.raises(TypeError):
         distinct_distribution(True, 2)
     assert type(distinct_distribution(1, 2).files) is int
     with pytest.raises(TypeError):
         distinct_distribution(True, 2)
-
-
-def test_distinct_distribution_cache_evicts_the_oldest_pmf():
-    # a large pmf holds megabytes, so the cache keeps only a few of them
-    distinct_distribution.cache_clear()
-    size = distinct_distribution.cache_info().maxsize
-    assert size <= 4
-    first = distinct_distribution(3, 1)
-    for receivers in range(2, size + 1):
-        distinct_distribution(3, receivers)
-    assert distinct_distribution(3, 1) is first  # still cached: a hit
-    for receivers in range(2, size + 2):
-        distinct_distribution(3, receivers)
-    misses = distinct_distribution.cache_info().misses
-    assert distinct_distribution(3, 1) is not first
-    assert distinct_distribution.cache_info().misses == misses + 1
 
 
 def inclusion_exclusion_counts(files: int, receivers: int) -> dict[int, int]:

@@ -13,6 +13,7 @@ of the check; each row makes its valid call first, so that such a cache is warm.
 from __future__ import annotations
 
 import contextlib
+import re
 import sys
 from fractions import Fraction
 
@@ -261,18 +262,33 @@ def test_values_of_any_size_are_rejected_as_small_ones_are(case, digits, limit):
 @pytest.mark.parametrize("case", ROWS, ids=_id)
 def test_a_list_is_refused_as_a_tuple_is(case):
     """Each argument, strings included, boxed in a one-item list raises what the
-    same one-item tuple raises: a list cannot be hashed, so a cache or a name
-    table read before the checks would raise the interpreter's TypeError in
-    place of the row's own check."""
+    same one-item tuple raises, and never with the interpreter's "unhashable
+    type": a list cannot be hashed, so a cache or a name table read before the
+    checks would raise that TypeError in place of the row's own check."""
     name, call, args, kwargs = case
     call(*args, **kwargs)
     holes = []
     for slot, value in [*enumerate(args), *kwargs.items()]:
-        listed, _ = _outcome(call, *_swapped(args, kwargs, slot, [value]))
+        listed, message = _outcome(call, *_swapped(args, kwargs, slot, [value]))
         tupled, _ = _outcome(call, *_swapped(args, kwargs, slot, (value,)))
-        if listed is not tupled:
-            holes.append(f"{slot}: {listed and listed.__name__}, not {tupled and tupled.__name__}")
+        if listed is not tupled or "unhashable type" in message:
+            raised = listed and f"{listed.__name__}: {message[:60]}"
+            holes.append(f"{slot}: {raised}, not {tupled and tupled.__name__}")
     assert holes == [], f"{name} refuses a list unlike a tuple: {holes}"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: distinct_distribution([3], 3), "files must be an int, got [3]"),
+        (lambda: envelope_for_cut(3, 3, [1]), "cut_size must be an int, got [1]"),
+    ],
+    ids=["distinct_distribution", "envelope_for_cut"],
+)
+def test_an_uncached_function_checks_a_list_argument(call, message):
+    # a cache in front of either hashed the list before the check
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_out_of_any_size_is_refused_as_a_path():
